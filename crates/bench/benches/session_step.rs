@@ -8,11 +8,13 @@ use std::hint::black_box;
 use ee360_abr::controller::Scheme;
 use ee360_bench::bench_harness;
 use ee360_cluster::ptile::PtileConfig;
-use ee360_core::client::{run_session, SessionSetup};
+use ee360_core::client::{run_session_resilient, SessionSetup};
 use ee360_core::server::VideoServer;
 use ee360_geom::grid::TileGrid;
 use ee360_power::model::Phone;
+use ee360_sim::resilience::RetryPolicy;
 use ee360_trace::dataset::VideoTraces;
+use ee360_trace::fault::FaultPlan;
 use ee360_trace::head::GazeConfig;
 use ee360_trace::network::NetworkTrace;
 use ee360_video::catalog::VideoCatalog;
@@ -41,7 +43,12 @@ fn main() {
             max_segments: Some(60),
         };
         bench.run(&format!("session_60seg/run/{}", scheme.label()), || {
-            run_session(black_box(scheme), &setup)
+            run_session_resilient(
+                black_box(scheme),
+                &setup,
+                &FaultPlan::none(),
+                &RetryPolicy::disabled(),
+            )
         });
     }
     bench.print_table();

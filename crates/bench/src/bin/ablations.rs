@@ -12,7 +12,7 @@ use ee360_bench::{figure_header, RunScale};
 use ee360_cluster::algorithm1::{
     cluster_viewing_centers, cluster_without_sigma, diameter_deg, ClusteringParams,
 };
-use ee360_core::client::{run_session_with, SessionSetup};
+use ee360_core::client::{run_session_resilient_with, SessionSetup};
 use ee360_core::experiment::Evaluation;
 use ee360_core::report::{fmt3, fmt_pct, TableWriter};
 use ee360_geom::viewport::ViewCenter;
@@ -20,6 +20,8 @@ use ee360_predict::bandwidth::{
     ArithmeticMeanEstimator, BandwidthEstimator, HarmonicMeanEstimator, LastSampleEstimator,
 };
 use ee360_predict::viewport::{PredictorKind, ViewportPredictor};
+use ee360_sim::resilience::RetryPolicy;
+use ee360_trace::fault::FaultPlan;
 use ee360_trace::head::{GazeConfig, HeadTraceGenerator};
 use ee360_trace::network::NetworkTrace;
 use ee360_video::catalog::VideoCatalog;
@@ -187,7 +189,7 @@ fn ablation_mpc_knobs(scale: RunScale) {
         let mut qoe = 0.0;
         let mut fps = 0.0;
         for user in users {
-            let metrics = run_session_with(
+            let metrics = run_session_resilient_with(
                 &mut controller,
                 &SessionSetup {
                     server,
@@ -196,6 +198,8 @@ fn ablation_mpc_knobs(scale: RunScale) {
                     phone: eval.config().phone,
                     max_segments: eval.config().max_segments,
                 },
+                &FaultPlan::none(),
+                &RetryPolicy::disabled(),
             );
             energy += metrics.total_energy_mj() / metrics.len() as f64;
             qoe += metrics.mean_qoe();
@@ -231,7 +235,7 @@ fn ablation_horizon_and_buffer(scale: RunScale) {
         let mut qoe = 0.0;
         let mut stall = 0.0;
         for user in users {
-            let metrics = run_session_with(
+            let metrics = run_session_resilient_with(
                 &mut controller,
                 &SessionSetup {
                     server,
@@ -240,6 +244,8 @@ fn ablation_horizon_and_buffer(scale: RunScale) {
                     phone: eval.config().phone,
                     max_segments: eval.config().max_segments,
                 },
+                &FaultPlan::none(),
+                &RetryPolicy::disabled(),
             );
             energy += metrics.total_energy_mj() / metrics.len() as f64;
             qoe += metrics.mean_qoe();
@@ -295,7 +301,7 @@ fn ablation_forecast(scale: RunScale) {
         let mut stall = 0.0;
         for user in users {
             let mut controller = MpcController::new(cfg);
-            let metrics = run_session_with(
+            let metrics = run_session_resilient_with(
                 &mut controller,
                 &SessionSetup {
                     server,
@@ -304,6 +310,8 @@ fn ablation_forecast(scale: RunScale) {
                     phone: eval.config().phone,
                     max_segments: eval.config().max_segments,
                 },
+                &FaultPlan::none(),
+                &RetryPolicy::disabled(),
             );
             energy += metrics.total_energy_mj() / metrics.len() as f64;
             qoe += metrics.mean_qoe();

@@ -42,7 +42,7 @@ use ee360_abr::plan::SegmentContext;
 use ee360_abr::reference::solve_reference;
 use ee360_abr::robust::{RobustMpcController, POINT_SLACK_DEG};
 use ee360_cluster::ptile::PtileConfig;
-use ee360_core::client::{run_session, run_session_resilient_with, SessionSetup};
+use ee360_core::client::{run_session_resilient, run_session_resilient_with, SessionSetup};
 use ee360_core::experiment::{Evaluation, ExperimentConfig};
 use ee360_core::parallel::{default_threads, run_matrix};
 use ee360_core::server::VideoServer;
@@ -316,10 +316,20 @@ fn main() {
         phone: config.phone,
         max_segments: config.max_segments,
     };
-    let _ = run_session(Scheme::Ours, &setup); // warm
+    let _ = run_session_resilient(
+        Scheme::Ours,
+        &setup,
+        &FaultPlan::none(),
+        &RetryPolicy::disabled(),
+    ); // warm
     let t = Instant::now();
     for _ in 0..session_reps {
-        let _ = std::hint::black_box(run_session(Scheme::Ours, &setup));
+        let _ = std::hint::black_box(run_session_resilient(
+            Scheme::Ours,
+            &setup,
+            &FaultPlan::none(),
+            &RetryPolicy::disabled(),
+        ));
     }
     let session_ms = t.elapsed().as_secs_f64() * 1e3 / session_reps as f64;
     println!("single session:      {session_ms:.3} ms (seed {SEED_SESSION_MS:.3} ms)");

@@ -25,7 +25,7 @@
 use ee360_abr::controller::{Controller, RobustStats, Scheme};
 use ee360_abr::robust::RobustMpcController;
 use ee360_cluster::ptile::PtileConfig;
-use ee360_core::client::{run_session, run_session_resilient_with, SessionSetup};
+use ee360_core::client::{run_session_resilient, run_session_resilient_with, SessionSetup};
 use ee360_core::server::VideoServer;
 use ee360_geom::grid::TileGrid;
 use ee360_power::model::Phone;
@@ -102,8 +102,9 @@ fn setup<'a>(fixture: &'a Fixture, network: &'a NetworkTrace) -> SessionSetup<'a
     }
 }
 
-/// Runs the robust controller through the benign resilient path (the
-/// exact `run_session(Scheme::RobustMpc, ..)` semantics) but keeps the
+/// Runs the robust controller through the benign path (the exact
+/// `run_session_resilient(Scheme::RobustMpc, ..)` semantics under
+/// `FaultPlan::none()` and `RetryPolicy::disabled()`) but keeps the
 /// controller, so the cell can report its uncertainty accounting.
 fn run_robust(s: &SessionSetup) -> (SessionMetrics, RobustStats) {
     let mut controller = RobustMpcController::paper_default();
@@ -142,7 +143,12 @@ fn main() {
             .with_outage(35, 6, 0.3e6);
         for (network, net_label) in [(&clean, "clean"), (&b2b, "b2b")] {
             let s = setup(&fixture, network);
-            let point = run_session(Scheme::Ours, &s);
+            let point = run_session_resilient(
+                Scheme::Ours,
+                &s,
+                &FaultPlan::none(),
+                &RetryPolicy::disabled(),
+            );
             let (robust, stats) = run_robust(&s);
             assert_eq!(point.len(), robust.len(), "both must finish the session");
             let dqoe = robust.mean_qoe() - point.mean_qoe();

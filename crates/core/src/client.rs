@@ -17,7 +17,12 @@
 //! (plan → step → book) so the event-driven fleet engine
 //! ([`crate::fleet`]) can interleave many sessions on one event queue
 //! while executing the very same statements as the classic loop —
-//! [`run_session_traced`] is the runner driven in a tight loop.
+//! [`run_session_traced`] is the runner driven in a tight loop, and the
+//! one session loop in the workspace. Downloads run on
+//! [`ee360_sim::resilience::SessionCore`], the one download engine.
+//!
+//! The paper's benign world is the same loop under [`FaultPlan::none`]
+//! and [`RetryPolicy::disabled`]: no fault fires and no timer expires.
 
 use ee360_abr::baselines::RateBasedController;
 use ee360_abr::controller::{Controller, Scheme};
@@ -37,9 +42,11 @@ use ee360_predict::viewport::ViewportPredictor;
 use ee360_qoe::framerate::{alpha, framerate_factor};
 use ee360_qoe::impairment::{QoeWeights, SegmentQoe};
 use ee360_qoe::quality::QoModel;
-use ee360_sim::metrics::{SegmentRecord, SessionMetrics};
-use ee360_sim::resilience::{DownloadOutcome, DownloadState, ResilientSession, RetryPolicy};
-use ee360_sim::session::SegmentTiming;
+use ee360_sim::decoder::DecoderPipeline;
+use ee360_sim::metrics::{SegmentRecord, SegmentTiming, SessionMetrics};
+use ee360_sim::resilience::{
+    DownloadEnv, DownloadOutcome, DownloadState, RetryPolicy, SessionCore,
+};
 use ee360_trace::fault::FaultPlan;
 use ee360_trace::head::HeadTrace;
 use ee360_trace::network::NetworkTrace;
@@ -105,43 +112,18 @@ fn overlap_fraction(
     ee360_geom::projection::pixel_coverage(actual, region, grid, 16)
 }
 
-/// Runs one complete session with the scheme's standard controller.
-///
-/// # Panics
-///
-/// Panics if the user's trace belongs to a different video than the server.
-pub fn run_session(scheme: Scheme, setup: &SessionSetup) -> SessionMetrics {
-    let mut controller = make_controller(scheme, setup.phone);
-    run_session_with(controller.as_mut(), setup)
-}
-
-/// Runs one complete session with a caller-supplied controller (used by the
-/// ablation benches: custom ε, custom frame-rate ladder, …).
-///
-/// # Panics
-///
-/// Panics if the user's trace belongs to a different video than the server.
-pub fn run_session_with(controller: &mut dyn Controller, setup: &SessionSetup) -> SessionMetrics {
-    // The benign path is the resilient loop with no faults scheduled and
-    // the wait-forever legacy policy: behaviourally identical to the seed.
-    run_session_resilient_with(
-        controller,
-        setup,
-        &FaultPlan::none(),
-        &RetryPolicy::disabled(),
-    )
-}
-
 /// Runs one complete session under a fault plan with the scheme's standard
-/// controller: timeouts are retried with backoff, abandoned downloads are
-/// re-requested down the degradation ladder via
+/// controller. Pass [`FaultPlan::none`] and [`RetryPolicy::disabled`] for
+/// the paper's benign world. Timeouts are retried with backoff, abandoned
+/// downloads are re-requested down the degradation ladder via
 /// [`Controller::replan_degraded`], and segments whose deadline is
 /// exhausted are skipped with the blackout charged to QoE. The returned
 /// metrics carry the session's resilience counters.
 ///
 /// # Panics
 ///
-/// Panics if the user's trace belongs to a different video than the server.
+/// Panics if the user's trace belongs to a different video than the server,
+/// or the retry policy is malformed.
 pub fn run_session_resilient(
     scheme: Scheme,
     setup: &SessionSetup,
@@ -152,28 +134,13 @@ pub fn run_session_resilient(
     run_session_resilient_with(controller.as_mut(), setup, faults, policy)
 }
 
-/// [`run_session_resilient`] with the scheme's standard controller and a
-/// live recorder — see [`run_session_traced`] for the recording contract.
+/// [`run_session_resilient`] with a caller-supplied controller (used by
+/// the ablation benches: custom ε, custom frame-rate ladder, …).
 ///
 /// # Panics
 ///
-/// Panics if the user's trace belongs to a different video than the server.
-pub fn run_session_resilient_traced(
-    scheme: Scheme,
-    setup: &SessionSetup,
-    faults: &FaultPlan,
-    policy: &RetryPolicy,
-    rec: &mut dyn Record,
-) -> SessionMetrics {
-    let mut controller = make_controller(scheme, setup.phone);
-    run_session_traced(controller.as_mut(), setup, faults, policy, rec)
-}
-
-/// [`run_session_resilient`] with a caller-supplied controller.
-///
-/// # Panics
-///
-/// Panics if the user's trace belongs to a different video than the server.
+/// Panics if the user's trace belongs to a different video than the server,
+/// or the retry policy is malformed.
 pub fn run_session_resilient_with(
     controller: &mut dyn Controller,
     setup: &SessionSetup,
@@ -183,10 +150,14 @@ pub fn run_session_resilient_with(
     run_session_traced(controller, setup, faults, policy, &mut NoopRecorder)
 }
 
-/// [`run_session_resilient_with`] with observability: every controller
-/// decision, download outcome, stall and energy booking is mirrored into
-/// `rec` as typed events, `session.*`/`energy.*`/`mpc.*` metrics and
-/// (when [`Record::profiling`] is on) wall-clock stage timings.
+/// The session loop: [`SessionRunner`] driven to completion. Every other
+/// entry point is this function with the scheme's standard controller
+/// ([`make_controller`]) or a [`NoopRecorder`].
+///
+/// Observability: every controller decision, download outcome, stall and
+/// energy booking is mirrored into `rec` as typed events,
+/// `session.*`/`energy.*`/`mpc.*` metrics and (when [`Record::profiling`]
+/// is on) wall-clock stage timings.
 ///
 /// The recorder is strictly write-only: nothing the simulation computes
 /// depends on it, so the returned metrics are bit-identical whether `rec`
@@ -198,7 +169,8 @@ pub fn run_session_resilient_with(
 ///
 /// # Panics
 ///
-/// Panics if the user's trace belongs to a different video than the server.
+/// Panics if the user's trace belongs to a different video than the server,
+/// or the retry policy is malformed.
 pub fn run_session_traced(
     controller: &mut dyn Controller,
     setup: &SessionSetup,
@@ -251,7 +223,10 @@ pub struct SessionRunner<'a> {
     weights: QoeWeights,
     predictor: ViewportPredictor,
     bw_estimator: HarmonicMeanEstimator,
-    session: ResilientSession,
+    core: SessionCore,
+    faults: FaultPlan,
+    policy: RetryPolicy,
+    decoder: DecoderPipeline,
     metrics: SessionMetrics,
     grid: TileGrid,
     horizon: usize,
@@ -278,7 +253,7 @@ impl<'a> SessionRunner<'a> {
     /// # Panics
     ///
     /// Panics if the user's trace belongs to a different video than the
-    /// server.
+    /// server, or the retry policy is malformed.
     pub fn new(
         scheme: Scheme,
         setup: &SessionSetup<'a>,
@@ -290,7 +265,7 @@ impl<'a> SessionRunner<'a> {
             setup.server.video_id(),
             "user trace and server must describe the same video"
         );
-        let session = ResilientSession::new(setup.network.clone(), faults.clone(), *policy, 3.0);
+        policy.validate();
         let horizon = 5usize;
         let n = setup
             .max_segments
@@ -307,7 +282,10 @@ impl<'a> SessionRunner<'a> {
             weights: QoeWeights::paper_default(),
             predictor: ViewportPredictor::paper_default(),
             bw_estimator: HarmonicMeanEstimator::paper_default(),
-            session,
+            core: SessionCore::new(3.0),
+            faults: faults.clone(),
+            policy: *policy,
+            decoder: DecoderPipeline::paper_default(),
             metrics: SessionMetrics::new(),
             grid: *setup.server.grid(),
             horizon,
@@ -323,6 +301,20 @@ impl<'a> SessionRunner<'a> {
         }
     }
 
+    /// The download engine and the inputs it runs over. The network is
+    /// borrowed from the setup; fault keys are the segment indices
+    /// themselves (`fault_base: 0`), the single-session behaviour.
+    fn download_parts(&mut self) -> (&mut SessionCore, DownloadEnv<'_>) {
+        let env = DownloadEnv {
+            network: self.setup.network,
+            plan: &self.faults,
+            policy: &self.policy,
+            decoder: &self.decoder,
+            fault_base: 0,
+        };
+        (&mut self.core, env)
+    }
+
     /// Startup: fetch the manifests of the first H segments (Section IV-C
     /// step (a)) before the first media request. ~16 kB per segment of
     /// representation metadata. Under faults the fetch rides the same
@@ -330,11 +322,12 @@ impl<'a> SessionRunner<'a> {
     /// with the time (and radio energy) burned.
     pub fn start(&mut self, rec: &mut dyn Record) {
         let metadata_bits = 128_000.0 * self.horizon as f64;
-        rec.span_open("session", self.session.clock_sec());
-        rec.span_open("startup", self.session.clock_sec());
-        let clock_before_metadata = self.session.clock_sec();
-        let _ = self.session.fetch_metadata_traced(metadata_bits, rec);
-        let metadata_sec = self.session.clock_sec() - clock_before_metadata;
+        rec.span_open("session", self.core.clock_sec());
+        rec.span_open("startup", self.core.clock_sec());
+        let clock_before_metadata = self.core.clock_sec();
+        let (core, env) = self.download_parts();
+        let _ = core.fetch_metadata_traced(&env, metadata_bits, rec);
+        let metadata_sec = self.core.clock_sec() - clock_before_metadata;
         let startup_energy_mj = self.power.transmission_power_mw() * metadata_sec;
         self.metrics.set_startup(ee360_sim::metrics::StartupRecord {
             bits: metadata_bits,
@@ -346,15 +339,15 @@ impl<'a> SessionRunner<'a> {
         // the histogram sum bit-identical to that aggregate.
         rec.observe_at(
             "energy.transmission_mj",
-            self.session.clock_sec(),
+            self.core.clock_sec(),
             startup_energy_mj,
         );
-        rec.span_close(self.session.clock_sec());
+        rec.span_close(self.core.clock_sec());
     }
 
     /// Current wall-clock time of the underlying session, seconds.
     pub fn clock_sec(&self) -> f64 {
-        self.session.clock_sec()
+        self.core.clock_sec()
     }
 
     /// Index of the segment currently planned or about to be planned.
@@ -390,7 +383,7 @@ impl<'a> SessionRunner<'a> {
             return false;
         }
         let k = self.k;
-        let buffer = self.session.buffer_level_sec();
+        let buffer = self.core.buffer_level_sec();
         let samples = self.setup.user.switching_samples();
         let timeline = self.setup.server.timeline();
         // --- 1. viewport prediction from the playback-time history -----
@@ -469,7 +462,7 @@ impl<'a> SessionRunner<'a> {
             ftile_fov_area,
             ftile_fov_tiles,
         };
-        rec.span_open("segment", self.session.clock_sec());
+        rec.span_open("segment", self.core.clock_sec());
         let stats_before = controller.solver_stats();
         let robust_before = controller.robust_stats();
         let solver_timer = StageTimer::start(rec.profiling());
@@ -492,7 +485,7 @@ impl<'a> SessionRunner<'a> {
             .unwrap_or(0.0);
         if rec.level() >= Level::Summary {
             if let Some(delta) = &robust_delta {
-                let t_plan = self.session.clock_sec();
+                let t_plan = self.core.clock_sec();
                 rec.count_at("robust.margin_applied", t_plan, delta.margin_applied);
                 rec.count_at("robust.widened_plans", t_plan, delta.widened_plans);
                 if delta.widened_plans > 0 {
@@ -520,7 +513,7 @@ impl<'a> SessionRunner<'a> {
             rec.count("mpc.states_expanded", delta.states_expanded);
             rec.record(Event::SolverPlan {
                 segment: k,
-                t_sec: self.session.clock_sec(),
+                t_sec: self.core.clock_sec(),
                 quality: plan.quality.index(),
                 fps: plan.fps,
                 bits: plan.bits,
@@ -538,7 +531,8 @@ impl<'a> SessionRunner<'a> {
         rung_plans.clear();
         rung_plans.push(plan);
         let download_timer = StageTimer::start(rec.profiling());
-        let st = self.session.begin_download(k);
+        let (core, env) = self.download_parts();
+        let st = core.begin_download(&env, k);
         self.pending = Some(PendingDownload {
             ctx,
             plan,
@@ -583,7 +577,8 @@ impl<'a> SessionRunner<'a> {
                 }
                 rung_plans[rung].bits
             };
-            self.session.step_download(st, &mut request, rec)
+            let (core, env) = self.download_parts();
+            core.step_download(&env, st, &mut request, rec)
         };
         let Some(outcome) = stepped else {
             // Still in flight: put the download back and wait for the
@@ -654,7 +649,7 @@ impl<'a> SessionRunner<'a> {
                     throughput_bps: 0.0,
                     buffer_at_request_sec: (buffer - wait_sec).max(0.0),
                     stall_sec: (blackout_sec - SEGMENT_DURATION_SEC).max(0.0),
-                    buffer_after_sec: self.session.buffer_level_sec(),
+                    buffer_after_sec: self.core.buffer_level_sec(),
                 };
                 let energy = SegmentEnergy {
                     transmission_mj: self.power.transmission_power_mw() * elapsed_sec,
@@ -669,7 +664,7 @@ impl<'a> SessionRunner<'a> {
                     timing.buffer_at_request_sec,
                 );
                 self.prev_qo = Some(0.0);
-                let t_book = self.session.clock_sec();
+                let t_book = self.core.clock_sec();
                 rec.observe_at("session.stall_sec", t_book, timing.stall_sec);
                 rec.observe_at("energy.transmission_mj", t_book, energy.transmission_mj);
                 rec.observe_at("energy.decode_mj", t_book, energy.decode_mj);
@@ -678,7 +673,7 @@ impl<'a> SessionRunner<'a> {
                     if timing.stall_sec > 0.0 {
                         rec.record(Event::Stall {
                             segment: k,
-                            t_sec: self.session.clock_sec(),
+                            t_sec: self.core.clock_sec(),
                             duration_sec: timing.stall_sec,
                         });
                     }
@@ -700,7 +695,7 @@ impl<'a> SessionRunner<'a> {
                     energy,
                     qoe,
                 });
-                rec.span_close(self.session.clock_sec());
+                rec.span_close(self.core.clock_sec());
                 self.reclaim_pending(pending);
                 return;
             }
@@ -732,7 +727,7 @@ impl<'a> SessionRunner<'a> {
             if let (Some(before), Some(after)) = (robust_before, controller.robust_stats()) {
                 rec.count_at(
                     "robust.coverage_miss_saved",
-                    self.session.clock_sec(),
+                    self.core.clock_sec(),
                     after.since(&before).coverage_miss_saved,
                 );
             }
@@ -811,7 +806,7 @@ impl<'a> SessionRunner<'a> {
             rec.observe("profile.booking_wall_sec", dt);
         }
 
-        let t_book = self.session.clock_sec();
+        let t_book = self.core.clock_sec();
         rec.observe_at("session.stall_sec", t_book, timing.stall_sec);
         rec.observe_at("energy.transmission_mj", t_book, energy.transmission_mj);
         rec.observe_at("energy.decode_mj", t_book, energy.decode_mj);
@@ -820,7 +815,7 @@ impl<'a> SessionRunner<'a> {
             if timing.stall_sec > 0.0 {
                 rec.record(Event::Stall {
                     segment: k,
-                    t_sec: self.session.clock_sec(),
+                    t_sec: self.core.clock_sec(),
                     duration_sec: timing.stall_sec,
                 });
             }
@@ -828,7 +823,7 @@ impl<'a> SessionRunner<'a> {
                 if prev != used_plan.decode_scheme {
                     rec.record(Event::DecoderSwitch {
                         segment: k,
-                        t_sec: self.session.clock_sec(),
+                        t_sec: self.core.clock_sec(),
                         from: format!("{prev:?}"),
                         to: format!("{:?}", used_plan.decode_scheme),
                     });
@@ -854,34 +849,18 @@ impl<'a> SessionRunner<'a> {
             energy,
             qoe,
         });
-        rec.span_close(self.session.clock_sec());
+        rec.span_close(self.core.clock_sec());
         self.reclaim_pending(pending);
     }
 
     /// Seals the session: stamps the resilience counters, records the
     /// final gauges, closes the session span and returns the metrics.
     pub fn finish(mut self, rec: &mut dyn Record) -> SessionMetrics {
-        self.metrics.set_resilience(*self.session.counters());
+        self.metrics.set_resilience(*self.core.counters());
         rec.set_gauge("session.segments", self.metrics.len() as f64);
-        rec.span_close(self.session.clock_sec());
+        rec.span_close(self.core.clock_sec());
         self.metrics
     }
-}
-
-/// Convenience: the viewport the user actually saw at a segment.
-pub fn actual_viewport(user: &HeadTrace, segment: usize) -> Option<Viewport> {
-    user.segment_center(segment)
-        .map(|c| Viewport::new(c, 100.0, 100.0))
-}
-
-/// Convenience: whether `center`'s FoV block is fully inside `region`.
-pub fn block_covered(
-    grid: &ee360_geom::grid::TileGrid,
-    region: &TileRegion,
-    center: ViewCenter,
-) -> bool {
-    let block = grid.fov_block(&Viewport::new(center, 100.0, 100.0));
-    block.iter().all(|t| region.contains(*t))
 }
 
 #[cfg(test)]
@@ -912,6 +891,10 @@ mod tests {
         (server, traces, network)
     }
 
+    fn benign(scheme: Scheme, setup: &SessionSetup) -> SessionMetrics {
+        run_session_resilient(scheme, setup, &FaultPlan::none(), &RetryPolicy::disabled())
+    }
+
     fn run(scheme: Scheme, cap: usize) -> SessionMetrics {
         let (server, traces, network) = setup_video(2, 10, 5);
         let user = traces.traces().last().unwrap();
@@ -922,7 +905,7 @@ mod tests {
             phone: Phone::Pixel3,
             max_segments: Some(cap),
         };
-        run_session(scheme, &setup)
+        benign(scheme, &setup)
     }
 
     #[test]
@@ -993,30 +976,16 @@ mod tests {
             phone: Phone::Pixel3,
             max_segments: Some(20),
         };
-        let m = run_session(Scheme::Nontile, &setup);
+        let m = benign(Scheme::Nontile, &setup);
         assert!(m.mean_quality() > 90.0, "quality {}", m.mean_quality());
     }
 
     #[test]
-    fn resilient_with_no_faults_matches_the_benign_path() {
-        let (server, traces, network) = setup_video(2, 10, 5);
-        let user = traces.traces().last().unwrap();
-        let setup = SessionSetup {
-            server: &server,
-            user,
-            network: &network,
-            phone: Phone::Pixel3,
-            max_segments: Some(25),
-        };
-        let benign = run_session(Scheme::Ours, &setup);
-        let resilient = run_session_resilient(
-            Scheme::Ours,
-            &setup,
-            &FaultPlan::none(),
-            &RetryPolicy::disabled(),
-        );
-        assert_eq!(benign, resilient);
-        assert!(resilient.resilience().is_clean());
+    fn benign_sessions_are_clean() {
+        for scheme in Scheme::ALL {
+            let m = run(scheme, 25);
+            assert!(m.resilience().is_clean(), "{scheme:?}");
+        }
     }
 
     #[test]
@@ -1095,6 +1064,6 @@ mod tests {
             phone: Phone::Pixel3,
             max_segments: Some(5),
         };
-        let _ = run_session(Scheme::Ctile, &setup);
+        let _ = benign(Scheme::Ctile, &setup);
     }
 }

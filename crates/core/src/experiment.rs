@@ -16,7 +16,7 @@ use ee360_trace::head::{GazeConfig, HeadTrace};
 use ee360_trace::network::NetworkTrace;
 use ee360_video::catalog::{VideoCatalog, VideoSpec};
 
-use crate::client::{run_session, run_session_resilient_traced, SessionSetup};
+use crate::client::{make_controller, run_session_resilient, run_session_traced, SessionSetup};
 use crate::server::VideoServer;
 
 /// Experiment-wide knobs.
@@ -329,7 +329,7 @@ impl Evaluation {
         let users = self.eval_users(video_id);
         let sessions: Vec<SessionMetrics> =
             parallel_map_indexed(self.session_threads, users.len(), |i| {
-                run_session(
+                run_session_resilient(
                     scheme,
                     &SessionSetup {
                         server,
@@ -338,6 +338,8 @@ impl Evaluation {
                         phone: self.config.phone,
                         max_segments: self.config.max_segments,
                     },
+                    &FaultPlan::none(),
+                    &RetryPolicy::disabled(),
                 )
             });
         SchemeOutcome::from_sessions(scheme, video_id, &sessions)
@@ -377,8 +379,9 @@ impl Evaluation {
                 let mut session_rec = Recorder::new(level)
                     .with_profiling(profiling)
                     .with_windows(window_sec);
-                let metrics = run_session_resilient_traced(
-                    scheme,
+                let mut controller = make_controller(scheme, self.config.phone);
+                let metrics = run_session_traced(
+                    controller.as_mut(),
                     &SessionSetup {
                         server,
                         user: &users[i],
@@ -419,7 +422,7 @@ impl Evaluation {
             // lint:allow(no-panic-paths, "documented panic: run_user() requires a prepared video")
             .unwrap_or_else(|| panic!("video {video_id} was not prepared"));
         let users = self.eval_users(video_id);
-        run_session(
+        run_session_resilient(
             scheme,
             &SessionSetup {
                 server,
@@ -428,6 +431,8 @@ impl Evaluation {
                 phone: self.config.phone,
                 max_segments: self.config.max_segments,
             },
+            &FaultPlan::none(),
+            &RetryPolicy::disabled(),
         )
     }
 

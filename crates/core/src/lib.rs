@@ -37,7 +37,7 @@ pub mod parallel;
 pub mod report;
 pub mod server;
 
-pub use client::{run_session, run_session_with, SessionSetup};
+pub use client::{make_controller, run_session_resilient, run_session_traced, SessionSetup};
 pub use experiment::{run_video_scheme, ExperimentConfig, SchemeOutcome};
 pub use fleet::{fleet_sessions_traced, run_fleet_traced, FleetSessionDriver};
 pub use parallel::{default_threads, run_matrix};

@@ -48,11 +48,8 @@ impl Default for Config {
                 "sim::fleet::run_scale_fleet",
                 "abr::mpc::MpcController::plan",
                 "abr::mpc::MpcController::solve_with_bandwidths",
-                "core::client::run_session",
-                "core::client::run_session_with",
                 "core::client::run_session_traced",
                 "core::client::run_session_resilient",
-                "core::client::run_session_resilient_traced",
                 "core::client::run_session_resilient_with",
             ]),
         );
@@ -80,9 +77,8 @@ impl Default for Config {
                 "sim::fleet::run_scale_fleet",
                 "sim::fleet::run_scale_fleet_telemetry",
                 "abr::mpc::MpcController::plan",
-                "core::client::run_session",
+                "core::client::run_session_traced",
                 "core::client::run_session_resilient",
-                "core::client::run_session_resilient_traced",
                 "obs::record::Recorder::observe_at",
             ]),
         );

@@ -500,7 +500,7 @@ mod tests {
                 (
                     "crates/core/src/client.rs",
                     "use ee360_support::cachey::memo;\n\
-                     pub fn run_session() { memo(); }",
+                     pub fn run_session_traced() { memo(); }",
                 ),
                 (
                     "crates/support/src/cachey.rs",

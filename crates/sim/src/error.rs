@@ -49,9 +49,6 @@ pub enum SimError {
         /// Attempts made before giving up.
         attempts: usize,
     },
-    /// The link can never deliver the payload (every trace sample is
-    /// zero) — an unbounded download with no deadline to save it.
-    NetworkDead,
     /// The caller's request was malformed (non-positive bits, metadata
     /// after playback started, …).
     InvalidRequest(&'static str),
@@ -81,7 +78,6 @@ impl fmt::Display for SimError {
                 f,
                 "segment {segment} deadline exhausted after {attempts} attempts; skipping"
             ),
-            SimError::NetworkDead => write!(f, "network trace delivers zero bandwidth forever"),
             SimError::InvalidRequest(why) => write!(f, "invalid request: {why}"),
         }
     }
@@ -102,12 +98,16 @@ mod tests {
         };
         let s = e.to_string();
         assert!(s.contains("segment 7") && s.contains("attempt 2"), "{s}");
-        assert!(SimError::NetworkDead.to_string().contains("zero bandwidth"));
+        let skip = SimError::DeadlineExhausted {
+            segment: 3,
+            attempts: 4,
+        };
+        assert!(skip.to_string().contains("segment 3"), "{skip}");
     }
 
     #[test]
     fn is_a_std_error() {
         fn takes_error(_: &dyn Error) {}
-        takes_error(&SimError::NetworkDead);
+        takes_error(&SimError::DecoderFailed { segment: 0 });
     }
 }

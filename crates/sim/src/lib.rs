@@ -8,21 +8,22 @@
 //! * [`decoder`] — the multi-decoder pipeline model behind Fig. 2(b):
 //!   decode time shrinks sublinearly and power grows superlinearly with
 //!   the number of concurrent decoders,
-//! * [`session`] — a [`session::StreamingSession`] advances wall-clock
-//!   time, waits, downloads over a [`ee360_trace::network::NetworkTrace`]
-//!   and reports each segment's timing,
-//! * [`metrics`] — per-segment records and whole-session aggregates
-//!   (energy breakdown, QoE decomposition, stall statistics),
+//! * [`metrics`] — per-segment timing and records, and whole-session
+//!   aggregates (energy breakdown, QoE decomposition, stall statistics),
 //! * [`error`] — the [`error::SimError`] taxonomy the fallible pipeline
 //!   trades in (timeouts, losses, corruption, exhausted deadlines),
-//! * [`resilience`] — a [`resilience::ResilientSession`] streams over a
-//!   [`ee360_trace::fault::FaultPlan`] with per-attempt timeouts,
-//!   exponential-backoff retries, mid-download abandon with ladder
-//!   degradation, and skip-with-blackout when a segment's deadline is
-//!   exhausted,
+//! * [`resilience`] — the one download engine: a
+//!   [`resilience::SessionCore`] (buffer, clock, counters) downloads over
+//!   a [`resilience::DownloadEnv`] (network trace, fault plan, retry
+//!   policy) with the Eq. 6 wait, per-attempt timeouts, exponential-backoff
+//!   retries, mid-download abandon with ladder degradation, and
+//!   skip-with-blackout when a segment's deadline is exhausted — the
+//!   paper's benign world is the same engine with no faults and the
+//!   wait-forever policy,
+//! * [`multiclient`] — many clients sharing one bottleneck link,
 //! * [`fleet`] — the discrete-event fleet engine: many sessions on one
 //!   logical-time queue with O(100 B) hot state each, deterministically
-//!   sharded and bit-identical to the loop engines at any thread count.
+//!   sharded and bit-identical to the loop engine at any thread count.
 //!
 //! # Example
 //!
@@ -44,7 +45,6 @@ pub mod fleet;
 pub mod metrics;
 pub mod multiclient;
 pub mod resilience;
-pub mod session;
 
 pub use buffer::{BufferStep, PlaybackBuffer};
 pub use decoder::DecoderPipeline;
@@ -53,10 +53,8 @@ pub use fleet::{
     drive_sessions, run_scale_fleet, shard_ranges, EngineStats, EventKind, FleetConfig,
     FleetReport, Scheduler, SessionDriver, SessionSummary,
 };
-pub use metrics::{SegmentRecord, SessionMetrics};
+pub use metrics::{SegmentRecord, SegmentTiming, SessionMetrics};
 pub use multiclient::{simulate_shared_link, ClientOutcome, MulticlientConfig};
 pub use resilience::{
-    DownloadEnv, DownloadOutcome, DownloadState, ResilienceCounters, ResilientSession, RetryPolicy,
-    SessionCore,
+    DownloadEnv, DownloadOutcome, DownloadState, ResilienceCounters, RetryPolicy, SessionCore,
 };
-pub use session::{SegmentTiming, StreamingSession};

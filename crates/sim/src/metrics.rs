@@ -11,7 +11,35 @@ use ee360_qoe::impairment::SegmentQoe;
 use ee360_video::segment::SEGMENT_DURATION_SEC;
 
 use crate::resilience::ResilienceCounters;
-use crate::session::SegmentTiming;
+
+/// Timing of one downloaded segment.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct SegmentTiming {
+    /// Wall-clock time when the request was issued (after any wait), sec.
+    pub request_time_sec: f64,
+    /// Time spent waiting for the buffer to drain to β before requesting.
+    pub wait_sec: f64,
+    /// Download duration `S/R`, sec.
+    pub download_sec: f64,
+    /// Mean throughput experienced during the download, bits per second.
+    pub throughput_bps: f64,
+    /// Buffered video at request time (`B_k`), sec.
+    pub buffer_at_request_sec: f64,
+    /// Stall (rebuffering) time incurred, sec.
+    pub stall_sec: f64,
+    /// Buffer after the segment arrived (`B_{k+1}`), sec.
+    pub buffer_after_sec: f64,
+}
+
+ee360_support::impl_json_struct!(SegmentTiming {
+    request_time_sec,
+    wait_sec,
+    download_sec,
+    throughput_bps,
+    buffer_at_request_sec,
+    stall_sec,
+    buffer_after_sec
+});
 
 /// Everything recorded about one streamed segment.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -254,7 +282,6 @@ impl SessionMetrics {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::session::SegmentTiming;
 
     fn record(index: usize, energy_mj: f64, qoe: f64, stall: f64) -> SegmentRecord {
         SegmentRecord {

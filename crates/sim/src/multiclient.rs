@@ -12,13 +12,14 @@
 //! `(segment, buffer, bandwidth estimate) → bits`, so any controller can
 //! be adapted without this crate depending on the ABR layer.
 //!
-//! [`simulate_shared_link_with_faults`] additionally runs every client
-//! through a shared [`FaultPlan`] under a [`RetryPolicy`]: cell-wide
-//! outages zero the shared capacity, lost requests burn their timeout,
-//! corrupt payloads are refetched, and clients that exhaust a segment's
-//! retries or deadline skip it rather than wedging the whole cell.
+//! Every client runs through a shared [`FaultPlan`] under a
+//! [`RetryPolicy`]: cell-wide outages zero the shared capacity, lost
+//! requests burn their timeout, corrupt payloads are refetched, and
+//! clients that exhaust a segment's retries or deadline skip it rather
+//! than wedging the whole cell. [`FaultPlan::none`] with
+//! [`RetryPolicy::disabled`] is the benign, wait-forever cell.
 
-use ee360_obs::{NoopRecorder, Record};
+use ee360_obs::Record;
 use ee360_trace::fault::FaultPlan;
 use ee360_trace::network::NetworkTrace;
 use ee360_video::segment::SEGMENT_DURATION_SEC;
@@ -136,14 +137,26 @@ impl ClientState<'_> {
     }
 }
 
-/// Runs `K` clients over a shared link with no faults and the legacy
-/// wait-forever semantics — behaviourally identical to the seed simulator.
+/// Runs `K` clients over a shared link through a [`FaultPlan`] under a
+/// [`RetryPolicy`].
 ///
 /// Each element of `planners` maps `(segment index, buffer seconds,
 /// bandwidth estimate bps)` to the bits to download for that segment. The
 /// initial bandwidth estimate is the fair share of the first capacity
 /// sample; afterwards each client estimates from its own observed
 /// throughput (exponential moving average, α = 0.3).
+///
+/// Outages in the plan zero the *shared* capacity (the whole cell goes
+/// dark); per-attempt faults (loss, corruption) are drawn per client with
+/// decorrelated keys so one plan exercises `K` independent fates. Clients
+/// retry with backoff and skip segments whose retries or deadline run
+/// out, so a finite fault plan can never wedge the simulation.
+///
+/// After the tick loop finishes, the per-client outcomes are merged into
+/// `rec` in client order (`multiclient.*` counters and histograms).
+/// Recording happens once, from the already-final outcomes, so the
+/// recorder is strictly write-only: the simulation result is
+/// bit-identical with or without a live recorder.
 ///
 /// # Panics
 ///
@@ -153,66 +166,11 @@ pub fn simulate_shared_link<'a>(
     capacity: &NetworkTrace,
     config: MulticlientConfig,
     planners: Vec<Planner<'a>>,
-) -> Vec<ClientOutcome> {
-    simulate_shared_link_with_faults(
-        capacity,
-        config,
-        planners,
-        &FaultPlan::none(),
-        &RetryPolicy::disabled(),
-    )
-}
-
-/// Runs `K` clients over a shared link through a [`FaultPlan`] under a
-/// [`RetryPolicy`].
-///
-/// Outages in the plan zero the *shared* capacity (the whole cell goes
-/// dark); per-attempt faults (loss, corruption) are drawn per client with
-/// decorrelated keys so one plan exercises `K` independent fates. Clients
-/// retry with backoff and skip segments whose retries or deadline run
-/// out, so a finite fault plan can never wedge the simulation.
-///
-/// # Panics
-///
-/// Panics if `planners` is empty, the configuration or policy is
-/// malformed, or a planner returns non-positive bits.
-pub fn simulate_shared_link_with_faults<'a>(
-    capacity: &NetworkTrace,
-    config: MulticlientConfig,
-    planners: Vec<Planner<'a>>,
-    faults: &FaultPlan,
-    policy: &RetryPolicy,
-) -> Vec<ClientOutcome> {
-    simulate_shared_link_with_faults_traced(
-        capacity,
-        config,
-        planners,
-        faults,
-        policy,
-        &mut NoopRecorder,
-    )
-}
-
-/// [`simulate_shared_link_with_faults`] with observability: after the tick
-/// loop finishes, the per-client outcomes are merged into `rec` in client
-/// order (`multiclient.*` counters and histograms). Recording happens once,
-/// from the already-final outcomes, so the recorder is strictly write-only:
-/// the simulation result is bit-identical with or without a live recorder.
-///
-/// # Panics
-///
-/// Panics under the same conditions as
-/// [`simulate_shared_link_with_faults`].
-pub fn simulate_shared_link_with_faults_traced<'a>(
-    capacity: &NetworkTrace,
-    config: MulticlientConfig,
-    planners: Vec<Planner<'a>>,
     faults: &FaultPlan,
     policy: &RetryPolicy,
     rec: &mut dyn Record,
 ) -> Vec<ClientOutcome> {
-    let outcomes =
-        simulate_shared_link_with_faults_inner(capacity, config, planners, faults, policy);
+    let outcomes = run_clients(capacity, config, planners, faults, policy);
     rec.count("multiclient.clients", outcomes.len() as u64);
     for o in &outcomes {
         // Keyed on the client's finish time so a window-enabled recorder
@@ -230,7 +188,7 @@ pub fn simulate_shared_link_with_faults_traced<'a>(
     outcomes
 }
 
-fn simulate_shared_link_with_faults_inner<'a>(
+fn run_clients<'a>(
     capacity: &NetworkTrace,
     config: MulticlientConfig,
     planners: Vec<Planner<'a>>,
@@ -398,7 +356,24 @@ fn simulate_shared_link_with_faults_inner<'a>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ee360_obs::NoopRecorder;
     use ee360_trace::fault::FaultConfig;
+
+    /// The benign cell: no faults, wait forever, no recorder.
+    fn benign_link(
+        capacity: &NetworkTrace,
+        config: MulticlientConfig,
+        planners: Vec<Planner<'_>>,
+    ) -> Vec<ClientOutcome> {
+        simulate_shared_link(
+            capacity,
+            config,
+            planners,
+            &FaultPlan::none(),
+            &RetryPolicy::disabled(),
+            &mut NoopRecorder,
+        )
+    }
 
     fn constant_net(bps: f64) -> NetworkTrace {
         NetworkTrace::from_samples(vec![bps])
@@ -415,7 +390,7 @@ mod tests {
 
     #[test]
     fn single_client_completes_without_contention() {
-        let out = simulate_shared_link(
+        let out = benign_link(
             &constant_net(8.0e6),
             MulticlientConfig {
                 segments: 30,
@@ -446,7 +421,7 @@ mod tests {
 
     #[test]
     fn two_equal_clients_split_the_link_fairly() {
-        let out = simulate_shared_link(
+        let out = benign_link(
             &constant_net(8.0e6),
             MulticlientConfig {
                 segments: 40,
@@ -471,7 +446,7 @@ mod tests {
 
     #[test]
     fn adaptive_clients_downshift_under_contention() {
-        let solo = simulate_shared_link(
+        let solo = benign_link(
             &constant_net(6.0e6),
             MulticlientConfig {
                 segments: 40,
@@ -479,7 +454,7 @@ mod tests {
             },
             vec![adaptive_planner()],
         );
-        let crowd = simulate_shared_link(
+        let crowd = benign_link(
             &constant_net(6.0e6),
             MulticlientConfig {
                 segments: 40,
@@ -499,7 +474,7 @@ mod tests {
     fn oversubscribed_link_causes_stalls() {
         // Three clients each insisting on 4 Mb/segment over a 6 Mbps link:
         // 12 Mb of demand per second of video — sustained stalling.
-        let out = simulate_shared_link(
+        let out = benign_link(
             &constant_net(6.0e6),
             MulticlientConfig {
                 segments: 20,
@@ -520,7 +495,7 @@ mod tests {
     fn staggered_finish_frees_capacity() {
         // A light client finishes early; the heavy one must then speed up,
         // finishing faster than if the link were split throughout.
-        let out = simulate_shared_link(
+        let out = benign_link(
             &constant_net(8.0e6),
             MulticlientConfig {
                 segments: 30,
@@ -536,7 +511,7 @@ mod tests {
     #[test]
     fn deterministic() {
         let run = || {
-            simulate_shared_link(
+            benign_link(
                 &NetworkTrace::paper_trace2(200, 9),
                 MulticlientConfig::default(),
                 vec![adaptive_planner(), adaptive_planner()],
@@ -556,7 +531,7 @@ mod tests {
             segment_deadline_sec: 8.0,
             ..RetryPolicy::default_mobile()
         };
-        let out = simulate_shared_link_with_faults(
+        let out = simulate_shared_link(
             &constant_net(8.0e6),
             MulticlientConfig {
                 segments: 30,
@@ -565,6 +540,7 @@ mod tests {
             vec![fixed_planner(2.0e6), fixed_planner(2.0e6)],
             &faults,
             &policy,
+            &mut NoopRecorder,
         );
         for o in &out {
             assert_eq!(o.segments, 30, "client {} wedged", o.client_id);
@@ -594,7 +570,7 @@ mod tests {
             ..RetryPolicy::default_mobile()
         };
         let run = || {
-            simulate_shared_link_with_faults(
+            simulate_shared_link(
                 &constant_net(8.0e6),
                 MulticlientConfig {
                     segments: 25,
@@ -603,6 +579,7 @@ mod tests {
                 vec![fixed_planner(2.0e6), fixed_planner(2.0e6)],
                 &faults,
                 &policy,
+                &mut NoopRecorder,
             )
         };
         let out = run();
@@ -630,7 +607,7 @@ mod tests {
             segment_deadline_sec: 5.0,
             ..RetryPolicy::default_mobile()
         };
-        let out = simulate_shared_link_with_faults(
+        let out = simulate_shared_link(
             &constant_net(8.0e6),
             MulticlientConfig {
                 segments: 10,
@@ -639,6 +616,7 @@ mod tests {
             vec![fixed_planner(2.0e6)],
             &faults,
             &policy,
+            &mut NoopRecorder,
         );
         assert_eq!(out[0].skipped_segments, 10);
         assert_eq!(out[0].segments, 10);
@@ -663,15 +641,16 @@ mod tests {
             segments: 25,
             ..Default::default()
         };
-        let plain = simulate_shared_link_with_faults(
+        let plain = simulate_shared_link(
             &constant_net(8.0e6),
             config,
             vec![fixed_planner(2.0e6), fixed_planner(2.0e6)],
             &faults,
             &policy,
+            &mut NoopRecorder,
         );
         let mut rec = ee360_obs::Recorder::new(ee360_obs::Level::Detail);
-        let traced = simulate_shared_link_with_faults_traced(
+        let traced = simulate_shared_link(
             &constant_net(8.0e6),
             config,
             vec![fixed_planner(2.0e6), fixed_planner(2.0e6)],
@@ -691,13 +670,13 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one client")]
     fn empty_clients_panics() {
-        let _ = simulate_shared_link(&constant_net(1.0e6), MulticlientConfig::default(), vec![]);
+        let _ = benign_link(&constant_net(1.0e6), MulticlientConfig::default(), vec![]);
     }
 
     #[test]
     #[should_panic(expected = "positive bits")]
     fn bad_planner_panics() {
-        let _ = simulate_shared_link(
+        let _ = benign_link(
             &constant_net(1.0e6),
             MulticlientConfig::default(),
             vec![fixed_planner(0.0)],

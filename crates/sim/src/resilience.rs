@@ -1,10 +1,10 @@
-//! The resilient download pipeline: timeout, retry, abandon, degrade, skip.
+//! The download engine: Eq. 6 wait, then timeout, retry, abandon,
+//! degrade, skip.
 //!
-//! Where [`crate::session::StreamingSession`] models the paper's benign
-//! world (every request eventually completes), a [`ResilientSession`]
-//! streams over a [`FaultyLink`] and survives everything a
-//! [`FaultPlan`](ee360_trace::fault::FaultPlan) throws at it, degrading
-//! QoE gracefully instead of stalling forever or crashing:
+//! Every segment download in the workspace runs through this module. A
+//! session streams over a [`FaultyLink`] and survives everything a
+//! [`FaultPlan`] throws at it, degrading QoE gracefully instead of
+//! stalling forever or crashing:
 //!
 //! 1. every attempt runs under a per-request **timeout**;
 //! 2. a failed attempt (timeout, loss, corruption) is **retried** with
@@ -16,6 +16,11 @@
 //! 4. when the segment's total deadline is blown the player **skips** it,
 //!    charging the blackout to the rebuffer/QoE account and moving on.
 //!
+//! The paper's benign world (every request eventually completes) is the
+//! same engine under [`FaultPlan::none`] and [`RetryPolicy::disabled`]:
+//! no fault fires and no timer expires, so each download is the Eq. 6
+//! wait followed by the integrated transfer over the trace.
+//!
 //! The machinery is factored as a **step-wise machine** so both the
 //! classic loop engine and the event-driven fleet engine
 //! ([`crate::fleet`]) execute literally the same code: a
@@ -25,14 +30,13 @@
 //! [`SessionCore::begin_download`] followed by repeated
 //! [`SessionCore::step_download`] calls — each step is exactly one
 //! attempt (plus its backoff), and the skip path fires when the budget
-//! is exhausted. [`ResilientSession`] wraps the pieces back into the
-//! original one-shot API.
+//! is exhausted.
 //!
 //! Every path is deterministic: the fault plan is a pure function of its
 //! seed and the policy arithmetic is plain `f64`, so same-seed replays
 //! serialize byte-identically.
 
-use ee360_obs::{Event, Level, NoopRecorder, Record};
+use ee360_obs::{Event, Level, Record};
 use ee360_trace::fault::{FaultPlan, FaultyLink};
 use ee360_trace::network::NetworkTrace;
 use ee360_video::segment::SEGMENT_DURATION_SEC;
@@ -40,7 +44,7 @@ use ee360_video::segment::SEGMENT_DURATION_SEC;
 use crate::buffer::PlaybackBuffer;
 use crate::decoder::DecoderPipeline;
 use crate::error::SimError;
-use crate::session::SegmentTiming;
+use crate::metrics::SegmentTiming;
 
 /// Stand-in for an infinite per-attempt budget ([`RetryPolicy::disabled`]):
 /// [`FaultyLink::try_download`] needs a finite deadline, and ~11 days of
@@ -98,8 +102,9 @@ impl RetryPolicy {
         }
     }
 
-    /// The legacy behaviour: wait forever, never retry, never skip. Used
-    /// by the benign entry points to keep the seed semantics unchanged.
+    /// The paper's benign behaviour: wait forever, never retry, never
+    /// skip. Paired with [`FaultPlan::none`] it reproduces the seed
+    /// semantics exactly.
     pub fn disabled() -> Self {
         Self {
             attempt_timeout_sec: f64::INFINITY,
@@ -117,7 +122,13 @@ impl RetryPolicy {
         (self.backoff_base_sec * self.backoff_factor.powi(retry as i32)).min(self.backoff_cap_sec)
     }
 
-    fn validate(&self) {
+    /// Checks the policy is well formed.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a timeout or deadline is not positive, or a backoff
+    /// parameter is negative or the factor is below 1.
+    pub fn validate(&self) {
         assert!(
             self.attempt_timeout_sec > 0.0,
             "attempt timeout must be positive"
@@ -320,9 +331,41 @@ pub struct DownloadState {
 
 /// The mutable heart of a resilient session: playback buffer, wall
 /// clock, delivery count and fault tallies — ~100 bytes, no vectors.
-/// Both engines (the [`ResilientSession`] loop and the [`crate::fleet`]
-/// event queue) drive downloads through this same struct, which is the
-/// mechanical half of the bit-identical-replay argument.
+/// Both engines (the loop and the [`crate::fleet`] event queue) drive
+/// downloads through this same struct, which is the mechanical half of
+/// the bit-identical-replay argument.
+///
+/// # Example
+///
+/// ```
+/// use ee360_obs::NoopRecorder;
+/// use ee360_sim::decoder::DecoderPipeline;
+/// use ee360_sim::resilience::{DownloadEnv, RetryPolicy, SessionCore};
+/// use ee360_trace::fault::FaultPlan;
+/// use ee360_trace::network::NetworkTrace;
+///
+/// let network = NetworkTrace::from_samples(vec![4.0e6; 120]);
+/// let plan = FaultPlan::single_outage(2.0, 10.0); // 10 s dead radio
+/// let policy = RetryPolicy::default_mobile();
+/// let decoder = DecoderPipeline::paper_default();
+/// let env = DownloadEnv {
+///     network: &network,
+///     plan: &plan,
+///     policy: &policy,
+///     decoder: &decoder,
+///     fault_base: 0,
+/// };
+/// let mut core = SessionCore::new(3.0);
+/// let mut st = core.begin_download(&env, 0);
+/// // 2 Mb planned, halving per degradation rung.
+/// let mut request = |rung: usize| 2.0e6 / (1u64 << rung) as f64;
+/// let out = loop {
+///     if let Some(out) = core.step_download(&env, &mut st, &mut request, &mut NoopRecorder) {
+///         break out;
+///     }
+/// };
+/// assert!(out.is_delivered() || core.counters().skipped_segments == 1);
+/// ```
 #[derive(Debug, Clone)]
 pub struct SessionCore {
     buffer: PlaybackBuffer,
@@ -377,18 +420,13 @@ impl SessionCore {
         self.clock_sec += sec;
     }
 
-    /// Resets to time zero with an empty buffer and zeroed counters.
-    pub fn reset(&mut self) {
-        self.buffer.reset();
-        self.clock_sec = 0.0;
-        self.segments_completed = 0;
-        self.counters = ResilienceCounters::default();
-    }
-
-    /// Fetches startup metadata, riding out outages with the same
+    /// Fetches startup metadata (the manifests of the first `H` segments,
+    /// Section IV-C step (a)), riding out outages with the same
     /// timeout/backoff machinery (metadata is small but the radio can
-    /// still be dead). Counter bumps are mirrored into the recorder and
-    /// retries emit detail-level events under segment index 0.
+    /// still be dead). Advances the clock only, never the buffer, and
+    /// returns the elapsed time. Counter bumps are mirrored into the
+    /// recorder and retries emit detail-level events under segment
+    /// index 0.
     ///
     /// # Errors
     ///
@@ -474,8 +512,33 @@ impl SessionCore {
     /// one iteration of the original retry loop, which is what makes the
     /// loop and event engines bit-identical.
     ///
-    /// `request(rung)` maps a degradation rung to the bits to fetch,
-    /// exactly as in [`ResilientSession::download_segment`].
+    /// `request(rung)` maps a degradation rung to the bits to fetch:
+    /// rung 0 is the controller's original plan and each subsequent rung
+    /// is one step down the (bitrate, frame-rate) ladder — the caller
+    /// wires in its ABR's replan hook. The returned bits must be positive,
+    /// finite, and non-increasing in `rung`.
+    ///
+    /// Fault handling per attempt:
+    /// * scheduled **loss** → the request vanishes; the client burns the
+    ///   full attempt timeout, then retries after backoff;
+    /// * **timeout** (outage / slow link) → mid-download abandon; the
+    ///   partial payload is wasted and the *next* attempt degrades one
+    ///   rung;
+    /// * **corruption** → full download time burned, then refetched;
+    /// * **decoder wedge** → recovered inline by reinitialising the codec
+    ///   (charged as recovery time, never fails the segment).
+    ///
+    /// When attempts or the per-segment deadline run out the segment is
+    /// skipped: the elapsed time drains the buffer (stalling if it runs
+    /// dry), the blackout is tallied, and the session moves on.
+    ///
+    /// Instrumentation contract: every [`ResilienceCounters`] bump is
+    /// mirrored — at the same statement, with the same value — into the
+    /// recorder's registry (`resilience.*` counters and histograms), so
+    /// at end of session the registry reconciles *exactly* with the
+    /// counters. The recorder is write-only: nothing it does can feed
+    /// back into control flow, so a `NoopRecorder` run and a recording
+    /// run produce bit-identical outcomes.
     ///
     /// # Panics
     ///
@@ -699,226 +762,10 @@ impl SessionCore {
     }
 }
 
-/// A streaming session hardened against a [`FaultPlan`].
-///
-/// # Example
-///
-/// ```
-/// use ee360_sim::resilience::{ResilientSession, RetryPolicy};
-/// use ee360_trace::fault::FaultPlan;
-/// use ee360_trace::network::NetworkTrace;
-///
-/// let net = NetworkTrace::from_samples(vec![4.0e6; 120]);
-/// let plan = FaultPlan::single_outage(2.0, 10.0); // 10 s dead radio
-/// let mut s = ResilientSession::new(net, plan, RetryPolicy::default_mobile(), 3.0);
-/// // 2 Mb planned, halving per degradation rung.
-/// let out = s.download_segment(0, &mut |rung| 2.0e6 / (1 << rung) as f64);
-/// assert!(out.is_delivered() || s.counters().skipped_segments == 1);
-/// ```
-#[derive(Debug, Clone)]
-pub struct ResilientSession {
-    network: NetworkTrace,
-    plan: FaultPlan,
-    policy: RetryPolicy,
-    decoder: DecoderPipeline,
-    core: SessionCore,
-}
-
-impl ResilientSession {
-    /// Creates a session at time zero with an empty buffer.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the policy or buffer threshold is malformed.
-    pub fn new(
-        network: NetworkTrace,
-        plan: FaultPlan,
-        policy: RetryPolicy,
-        buffer_threshold_sec: f64,
-    ) -> Self {
-        policy.validate();
-        Self {
-            network,
-            plan,
-            policy,
-            decoder: DecoderPipeline::paper_default(),
-            core: SessionCore::new(buffer_threshold_sec),
-        }
-    }
-
-    /// Current wall-clock time, seconds.
-    pub fn clock_sec(&self) -> f64 {
-        self.core.clock_sec()
-    }
-
-    /// Current buffer level, seconds of video.
-    pub fn buffer_level_sec(&self) -> f64 {
-        self.core.buffer_level_sec()
-    }
-
-    /// Segments delivered so far (skips excluded).
-    pub fn segments_completed(&self) -> usize {
-        self.core.segments_completed()
-    }
-
-    /// The running resilience tallies.
-    pub fn counters(&self) -> &ResilienceCounters {
-        self.core.counters()
-    }
-
-    /// The retry policy in force.
-    pub fn policy(&self) -> &RetryPolicy {
-        &self.policy
-    }
-
-    /// The fault plan in force.
-    pub fn plan(&self) -> &FaultPlan {
-        &self.plan
-    }
-
-    /// Fetches startup metadata, riding out outages with the same
-    /// timeout/backoff machinery (metadata is small but the radio can
-    /// still be dead).
-    ///
-    /// # Errors
-    ///
-    /// [`SimError::InvalidRequest`] for non-positive bits;
-    /// [`SimError::DeadlineExhausted`] if every attempt timed out.
-    pub fn fetch_metadata(&mut self, bits: f64) -> Result<f64, SimError> {
-        self.fetch_metadata_traced(bits, &mut NoopRecorder)
-    }
-
-    /// [`Self::fetch_metadata`] with observability: every counter bump
-    /// is mirrored into the recorder's registry and retries emit
-    /// detail-level events (under segment index 0, the startup phase).
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`Self::fetch_metadata`].
-    pub fn fetch_metadata_traced(
-        &mut self,
-        bits: f64,
-        rec: &mut dyn Record,
-    ) -> Result<f64, SimError> {
-        let env = DownloadEnv {
-            network: &self.network,
-            plan: &self.plan,
-            policy: &self.policy,
-            decoder: &self.decoder,
-            fault_base: 0,
-        };
-        self.core.fetch_metadata_traced(&env, bits, rec)
-    }
-
-    /// Opens segment `segment` step-wise: the returned [`DownloadState`]
-    /// is driven to completion by [`Self::step_download`]. This is the
-    /// event-engine entry; [`Self::download_segment`] is the same thing
-    /// run in a tight loop.
-    pub fn begin_download(&mut self, segment: usize) -> DownloadState {
-        let env = DownloadEnv {
-            network: &self.network,
-            plan: &self.plan,
-            policy: &self.policy,
-            decoder: &self.decoder,
-            fault_base: 0,
-        };
-        self.core.begin_download(&env, segment)
-    }
-
-    /// Runs one attempt (plus backoff) of an open download; `None` means
-    /// still in flight. See [`SessionCore::step_download`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `request` returns non-positive or non-finite bits.
-    pub fn step_download(
-        &mut self,
-        st: &mut DownloadState,
-        request: &mut dyn FnMut(usize) -> f64,
-        rec: &mut dyn Record,
-    ) -> Option<DownloadOutcome> {
-        let env = DownloadEnv {
-            network: &self.network,
-            plan: &self.plan,
-            policy: &self.policy,
-            decoder: &self.decoder,
-            fault_base: 0,
-        };
-        self.core.step_download(&env, st, request, rec)
-    }
-
-    /// Downloads segment `segment` with the full recovery ladder.
-    ///
-    /// `request(rung)` maps a degradation rung to the bits to fetch:
-    /// rung 0 is the controller's original plan and each subsequent rung
-    /// is one step down the (bitrate, frame-rate) ladder — the caller
-    /// wires in its ABR's replan hook. The returned bits must be positive,
-    /// finite, and non-increasing in `rung`.
-    ///
-    /// Fault handling per attempt:
-    /// * scheduled **loss** → the request vanishes; the client burns the
-    ///   full attempt timeout, then retries after backoff;
-    /// * **timeout** (outage / slow link) → mid-download abandon; the
-    ///   partial payload is wasted and the *next* attempt degrades one
-    ///   rung;
-    /// * **corruption** → full download time burned, then refetched;
-    /// * **decoder wedge** → recovered inline by reinitialising the codec
-    ///   (charged as recovery time, never fails the segment).
-    ///
-    /// When attempts or the per-segment deadline run out the segment is
-    /// skipped: the elapsed time drains the buffer (stalling if it runs
-    /// dry), the blackout is tallied, and the session moves on.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `request` returns non-positive or non-finite bits.
-    pub fn download_segment(
-        &mut self,
-        segment: usize,
-        request: &mut dyn FnMut(usize) -> f64,
-    ) -> DownloadOutcome {
-        self.download_segment_traced(segment, request, &mut NoopRecorder)
-    }
-
-    /// [`Self::download_segment`] with observability.
-    ///
-    /// Instrumentation contract: every [`ResilienceCounters`] bump is
-    /// mirrored — at the same statement, with the same value — into
-    /// the recorder's registry (`resilience.*` counters and
-    /// histograms), so at end of session the registry reconciles
-    /// *exactly* with the counters. Per-attempt outcomes, backoff
-    /// pauses, abandons, buffer occupancy and skips additionally emit
-    /// typed events. The recorder is write-only: nothing it does can
-    /// feed back into control flow, so a `NoopRecorder` run and a
-    /// recording run produce bit-identical outcomes.
-    ///
-    /// # Panics
-    ///
-    /// Same contract as [`Self::download_segment`].
-    pub fn download_segment_traced(
-        &mut self,
-        segment: usize,
-        request: &mut dyn FnMut(usize) -> f64,
-        rec: &mut dyn Record,
-    ) -> DownloadOutcome {
-        let mut st = self.begin_download(segment);
-        loop {
-            if let Some(outcome) = self.step_download(&mut st, request, rec) {
-                return outcome;
-            }
-        }
-    }
-
-    /// Resets to time zero with an empty buffer and zeroed counters (same
-    /// trace, plan and policy).
-    pub fn reset(&mut self) {
-        self.core.reset();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ee360_obs::NoopRecorder;
     use ee360_trace::fault::FaultConfig;
 
     fn constant_net(bps: f64, len: usize) -> NetworkTrace {
@@ -929,29 +776,150 @@ mod tests {
         move |rung| bits / (1u64 << rung.min(8)) as f64
     }
 
+    /// One test session: a [`SessionCore`] plus the owned inputs its
+    /// [`DownloadEnv`] borrows.
+    struct Session {
+        network: NetworkTrace,
+        plan: FaultPlan,
+        policy: RetryPolicy,
+        decoder: DecoderPipeline,
+        core: SessionCore,
+    }
+
+    impl Session {
+        fn new(network: NetworkTrace, plan: FaultPlan, policy: RetryPolicy) -> Self {
+            policy.validate();
+            Self {
+                network,
+                plan,
+                policy,
+                decoder: DecoderPipeline::paper_default(),
+                core: SessionCore::new(3.0),
+            }
+        }
+
+        /// The core and the environment it downloads over.
+        fn parts(&mut self) -> (&mut SessionCore, DownloadEnv<'_>) {
+            let env = DownloadEnv {
+                network: &self.network,
+                plan: &self.plan,
+                policy: &self.policy,
+                decoder: &self.decoder,
+                fault_base: 0,
+            };
+            (&mut self.core, env)
+        }
+
+        /// The paper's benign world: no faults, wait forever.
+        fn benign(network: NetworkTrace) -> Self {
+            Self::new(network, FaultPlan::none(), RetryPolicy::disabled())
+        }
+
+        /// Begins segment `k` and steps it to its outcome.
+        fn download(&mut self, k: usize, request: &mut dyn FnMut(usize) -> f64) -> DownloadOutcome {
+            let (core, env) = self.parts();
+            let mut st = core.begin_download(&env, k);
+            loop {
+                if let Some(out) = core.step_download(&env, &mut st, request, &mut NoopRecorder) {
+                    return out;
+                }
+            }
+        }
+
+        /// A benign download that must deliver; returns its timing.
+        fn delivered(&mut self, k: usize, bits: f64) -> SegmentTiming {
+            match self.download(k, &mut fixed_request(bits)) {
+                DownloadOutcome::Delivered { timing, .. } => timing,
+                other => panic!("segment {k} must deliver: {other:?}"),
+            }
+        }
+    }
+
     #[test]
-    fn clean_link_behaves_like_the_benign_session() {
-        let mut resilient = ResilientSession::new(
+    fn steady_state_paces_at_segment_rate() {
+        // Downloads faster than playback: after warm-up, each request waits
+        // so that (wait + download) = 1 segment duration at β.
+        let mut s = Session::benign(constant_net(8.0e6, 1));
+        for k in 0..6 {
+            s.delivered(k, 2.0e6);
+        }
+        let t = s.delivered(6, 2.0e6);
+        assert!((t.wait_sec + t.download_sec - 1.0).abs() < 1e-9);
+        assert!((t.buffer_at_request_sec - 3.0).abs() < 1e-9);
+        assert_eq!(t.stall_sec, 0.0);
+    }
+
+    #[test]
+    fn slow_network_stalls() {
+        // 6 Mb over 4 Mbps = 1.5 s per 1 s segment: the buffer drains.
+        let mut s = Session::benign(constant_net(4.0e6, 1));
+        let total_stall: f64 = (0..10).map(|k| s.delivered(k, 6.0e6).stall_sec).sum();
+        assert!(total_stall > 1.0, "stall {total_stall}");
+    }
+
+    #[test]
+    fn clock_advances_by_wait_plus_download() {
+        let mut s = Session::benign(constant_net(4.0e6, 1));
+        for k in 0..8 {
+            let before = s.core.clock_sec();
+            let t = s.delivered(k, 2.0e6);
+            assert!((s.core.clock_sec() - (before + t.wait_sec + t.download_sec)).abs() < 1e-12);
+            assert!((t.request_time_sec - (before + t.wait_sec)).abs() < 1e-12);
+        }
+        assert_eq!(s.core.segments_completed(), 8);
+        assert!(s.core.counters().is_clean());
+    }
+
+    #[test]
+    fn throughput_matches_a_constant_and_a_variable_link() {
+        let mut s = Session::benign(constant_net(5.0e6, 1));
+        assert!((s.delivered(0, 1.0e6).throughput_bps - 5.0e6).abs() < 1e-6);
+
+        let mut s = Session::benign(NetworkTrace::from_samples(vec![1.0e6, 3.0e6]));
+        let t = s.delivered(0, 2.0e6); // 1 s @1 Mbps + 1/3 s @3 Mbps
+        assert!((t.download_sec - (1.0 + 1.0 / 3.0)).abs() < 1e-9);
+        assert!((t.throughput_bps - 2.0e6 / (1.0 + 1.0 / 3.0)).abs() < 1e-3);
+    }
+
+    #[test]
+    fn metadata_fetch_advances_clock_only() {
+        let mut s = Session::benign(constant_net(4.0e6, 1));
+        let (core, env) = s.parts();
+        let d = core.fetch_metadata_traced(&env, 1.0e6, &mut NoopRecorder);
+        assert!((d.unwrap() - 0.25).abs() < 1e-9);
+        assert!(matches!(
+            core.fetch_metadata_traced(&env, 0.0, &mut NoopRecorder),
+            Err(SimError::InvalidRequest(_))
+        ));
+        assert!((s.core.clock_sec() - 0.25).abs() < 1e-9);
+        assert_eq!(s.core.buffer_level_sec(), 0.0);
+    }
+
+    #[test]
+    fn dead_link_under_the_benign_policy_skips_instead_of_hanging() {
+        let mut s = Session::benign(NetworkTrace::from_samples(vec![0.0, 0.0]));
+        let out = s.download(0, &mut fixed_request(1.0e6));
+        assert!(!out.is_delivered());
+        assert_eq!(s.core.counters().skipped_segments, 1);
+        assert!((s.core.clock_sec() - EFFECTIVELY_FOREVER_SEC).abs() < 1e-6);
+    }
+
+    #[test]
+    fn clean_link_under_the_mobile_policy_matches_the_benign_policy() {
+        let mut mobile = Session::new(
             constant_net(8.0e6, 60),
             FaultPlan::none(),
             RetryPolicy::default_mobile(),
-            3.0,
         );
-        let mut benign = crate::session::StreamingSession::new(constant_net(8.0e6, 60), 3.0);
+        let mut benign = Session::benign(constant_net(8.0e6, 60));
         for k in 0..10 {
-            let out = resilient.download_segment(k, &mut fixed_request(2.0e6));
-            let t_benign = benign.download_segment(2.0e6);
-            match out {
-                DownloadOutcome::Delivered { timing, .. } => {
-                    assert!((timing.download_sec - t_benign.download_sec).abs() < 1e-9);
-                    assert!((timing.stall_sec - t_benign.stall_sec).abs() < 1e-9);
-                    assert!((timing.wait_sec - t_benign.wait_sec).abs() < 1e-9);
-                }
-                other => panic!("clean link must deliver: {other:?}"),
-            }
+            assert_eq!(mobile.delivered(k, 2.0e6), benign.delivered(k, 2.0e6));
         }
-        assert!(resilient.counters().is_clean());
-        assert!((resilient.clock_sec() - benign.clock_sec()).abs() < 1e-9);
+        assert!(mobile.core.counters().is_clean());
+        assert_eq!(
+            mobile.core.clock_sec().to_bits(),
+            benign.core.clock_sec().to_bits()
+        );
     }
 
     #[test]
@@ -959,19 +927,21 @@ mod tests {
         // 10 s dead radio from t=1: the first attempt abandons, later
         // attempts degrade, and eventually a cheaper payload squeaks
         // through once the radio recovers.
-        let net = constant_net(4.0e6, 120);
-        let plan = FaultPlan::single_outage(1.0, 10.0);
         let policy = RetryPolicy {
             attempt_timeout_sec: 4.0,
             max_retries: 4,
             segment_deadline_sec: 20.0,
             ..RetryPolicy::default_mobile()
         };
-        let mut s = ResilientSession::new(net, plan, policy, 3.0);
+        let mut s = Session::new(
+            constant_net(4.0e6, 120),
+            FaultPlan::single_outage(1.0, 10.0),
+            policy,
+        );
         let mut rungs_seen = Vec::new();
         // 8 Mb at rung 0 needs 2 s of the 4 Mbps link: the outage at t=1
         // guarantees the first attempt cannot finish before its timeout.
-        let out = s.download_segment(0, &mut |rung| {
+        let out = s.download(0, &mut |rung| {
             rungs_seen.push(rung);
             8.0e6 / (1u64 << rung) as f64
         });
@@ -986,7 +956,7 @@ mod tests {
             }
             DownloadOutcome::Skipped { .. } => panic!("20 s deadline outlives a 10 s outage"),
         }
-        assert!(s.counters().abandons >= 1);
+        assert!(s.core.counters().abandons >= 1);
         assert!(rungs_seen.windows(2).all(|w| w[1] >= w[0]));
     }
 
@@ -996,9 +966,8 @@ mod tests {
         // in bounded time, never hanging.
         let net = constant_net(4.0e6, 200).with_outage(0, 200, 0.0);
         let policy = RetryPolicy::default_mobile();
-        let mut s = ResilientSession::new(net, FaultPlan::none(), policy, 3.0);
-        let out = s.download_segment(0, &mut fixed_request(2.0e6));
-        match out {
+        let mut s = Session::new(net, FaultPlan::none(), policy);
+        match s.download(0, &mut fixed_request(2.0e6)) {
             DownloadOutcome::Skipped {
                 elapsed_sec,
                 blackout_sec,
@@ -1011,8 +980,8 @@ mod tests {
             }
             other => panic!("dead radio must skip: {other:?}"),
         }
-        assert_eq!(s.counters().skipped_segments, 1);
-        assert!(s.clock_sec() <= policy.segment_deadline_sec + 1e-9);
+        assert_eq!(s.core.counters().skipped_segments, 1);
+        assert!(s.core.clock_sec() <= policy.segment_deadline_sec + 1e-9);
     }
 
     #[test]
@@ -1024,13 +993,16 @@ mod tests {
             },
             7,
         );
-        let policy = RetryPolicy::default_mobile();
-        let mut s = ResilientSession::new(constant_net(8.0e6, 120), plan, policy, 3.0);
-        let out = s.download_segment(3, &mut fixed_request(2.0e6));
-        assert!(!out.is_delivered());
-        assert_eq!(s.counters().losses, s.counters().attempts);
-        assert!(s.counters().timeouts >= 1);
-        assert_eq!(s.counters().skipped_segments, 1);
+        let mut s = Session::new(
+            constant_net(8.0e6, 120),
+            plan,
+            RetryPolicy::default_mobile(),
+        );
+        assert!(!s.download(3, &mut fixed_request(2.0e6)).is_delivered());
+        let c = s.core.counters();
+        assert_eq!(c.losses, c.attempts);
+        assert!(c.timeouts >= 1);
+        assert_eq!(c.skipped_segments, 1);
     }
 
     #[test]
@@ -1042,17 +1014,16 @@ mod tests {
             },
             1,
         );
-        let mut s = ResilientSession::new(
+        let mut s = Session::new(
             constant_net(8.0e6, 120),
             always,
             RetryPolicy::default_mobile(),
-            3.0,
         );
-        let out = s.download_segment(0, &mut fixed_request(2.0e6));
+        let out = s.download(0, &mut fixed_request(2.0e6));
         assert!(!out.is_delivered(), "all-corrupt link cannot deliver");
-        assert!(s.counters().corruptions >= 1);
+        assert!(s.core.counters().corruptions >= 1);
         assert!(
-            s.counters().wasted_bits > 0.0,
+            s.core.counters().wasted_bits > 0.0,
             "corrupt payloads are wasted"
         );
     }
@@ -1066,16 +1037,15 @@ mod tests {
             },
             5,
         );
-        let mut s = ResilientSession::new(
+        let mut s = Session::new(
             constant_net(8.0e6, 120),
             plan,
             RetryPolicy::default_mobile(),
-            3.0,
         );
-        let out = s.download_segment(0, &mut fixed_request(2.0e6));
+        let out = s.download(0, &mut fixed_request(2.0e6));
         assert!(out.is_delivered(), "decoder wedge must not fail delivery");
-        assert_eq!(s.counters().decoder_failures, 1);
-        assert!(s.counters().recovery_sec > 0.0);
+        assert_eq!(s.core.counters().decoder_failures, 1);
+        assert!(s.core.counters().recovery_sec > 0.0);
     }
 
     #[test]
@@ -1094,6 +1064,16 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "attempt timeout must be positive")]
+    fn malformed_policy_is_rejected() {
+        RetryPolicy {
+            attempt_timeout_sec: 0.0,
+            ..RetryPolicy::default_mobile()
+        }
+        .validate();
+    }
+
+    #[test]
     fn skip_charges_stall_into_blackout() {
         // Prime the buffer on a fast first second, then hit a hopeless
         // window: part of the elapsed time is covered by buffer, the
@@ -1105,18 +1085,15 @@ mod tests {
             segment_deadline_sec: 6.0,
             ..RetryPolicy::default_mobile()
         };
-        let mut s = ResilientSession::new(net, FaultPlan::none(), policy, 3.0);
+        let mut s = Session::new(net, FaultPlan::none(), policy);
         // Three quick segments fill the buffer to ~3 s within slot 0.
         for k in 0..3 {
-            assert!(s
-                .download_segment(k, &mut fixed_request(1.0e6))
-                .is_delivered());
+            s.delivered(k, 1.0e6);
         }
-        let buffered = s.buffer_level_sec();
+        let buffered = s.core.buffer_level_sec();
         assert!(buffered > 1.0);
         // 200 Mb can never finish before the radio dies at t=1.
-        let out = s.download_segment(3, &mut fixed_request(200.0e6));
-        match out {
+        match s.download(3, &mut fixed_request(200.0e6)) {
             DownloadOutcome::Skipped {
                 elapsed_sec,
                 blackout_sec,
@@ -1136,53 +1113,17 @@ mod tests {
     #[test]
     fn same_seed_replay_is_identical() {
         let run = || {
-            let net = NetworkTrace::paper_trace2(300, 9);
-            let plan = FaultPlan::generate(FaultConfig::chaos_default(), 300.0, 21);
-            let mut s = ResilientSession::new(net, plan, RetryPolicy::default_mobile(), 3.0);
-            let mut log = Vec::new();
-            for k in 0..60 {
-                log.push(s.download_segment(k, &mut fixed_request(3.0e6)));
-            }
-            (log, *s.counters())
+            let mut s = Session::new(
+                NetworkTrace::paper_trace2(300, 9),
+                FaultPlan::generate(FaultConfig::chaos_default(), 300.0, 21),
+                RetryPolicy::default_mobile(),
+            );
+            let log: Vec<_> = (0..60)
+                .map(|k| s.download(k, &mut fixed_request(3.0e6)))
+                .collect();
+            (log, *s.core.counters(), s.core.clock_sec().to_bits())
         };
-        let (log_a, c_a) = run();
-        let (log_b, c_b) = run();
-        assert_eq!(log_a, log_b);
-        assert_eq!(c_a, c_b);
-    }
-
-    #[test]
-    fn step_machine_matches_one_shot_download() {
-        // Driving begin/step by hand must be bit-identical to the
-        // one-shot API — outcomes, counters, clock and buffer.
-        let make = || {
-            let net = NetworkTrace::paper_trace2(300, 9);
-            let plan = FaultPlan::generate(FaultConfig::chaos_default(), 300.0, 21);
-            ResilientSession::new(net, plan, RetryPolicy::default_mobile(), 3.0)
-        };
-        let mut one_shot = make();
-        let mut stepped = make();
-        for k in 0..60 {
-            let a = one_shot.download_segment(k, &mut fixed_request(3.0e6));
-            let mut st = stepped.begin_download(k);
-            let b = loop {
-                if let Some(out) =
-                    stepped.step_download(&mut st, &mut fixed_request(3.0e6), &mut NoopRecorder)
-                {
-                    break out;
-                }
-            };
-            assert_eq!(a, b, "segment {k} diverged between engines");
-        }
-        assert_eq!(one_shot.counters(), stepped.counters());
-        assert_eq!(
-            one_shot.clock_sec().to_bits(),
-            stepped.clock_sec().to_bits()
-        );
-        assert_eq!(
-            one_shot.buffer_level_sec().to_bits(),
-            stepped.buffer_level_sec().to_bits()
-        );
+        assert_eq!(run(), run());
     }
 
     #[test]

@@ -11,12 +11,14 @@
 use ee360::abr::controller::Scheme;
 use ee360::abr::dual::EnergyBudgetController;
 use ee360::cluster::ptile::PtileConfig;
-use ee360::core::client::{run_session, run_session_with, SessionSetup};
+use ee360::core::client::{run_session_resilient, run_session_resilient_with, SessionSetup};
 use ee360::core::report::TableWriter;
 use ee360::core::server::VideoServer;
 use ee360::geom::grid::TileGrid;
 use ee360::power::model::Phone;
+use ee360::sim::resilience::RetryPolicy;
 use ee360::trace::dataset::VideoTraces;
+use ee360::trace::fault::FaultPlan;
 use ee360::trace::head::GazeConfig;
 use ee360::trace::network::NetworkTrace;
 use ee360::video::catalog::VideoCatalog;
@@ -55,7 +57,12 @@ fn main() {
 
     for budget in [700.0, 900.0, 1200.0, 1600.0, 2400.0] {
         let mut controller = EnergyBudgetController::new(budget);
-        let m = run_session_with(&mut controller, &setup);
+        let m = run_session_resilient_with(
+            &mut controller,
+            &setup,
+            &FaultPlan::none(),
+            &RetryPolicy::disabled(),
+        );
         table.row(vec![
             "budget (dual)".into(),
             format!("{budget:.0}"),
@@ -66,7 +73,12 @@ fn main() {
     }
 
     // The paper's Eq. 8 controller for reference.
-    let m = run_session(Scheme::Ours, &setup);
+    let m = run_session_resilient(
+        Scheme::Ours,
+        &setup,
+        &FaultPlan::none(),
+        &RetryPolicy::disabled(),
+    );
     table.row(vec![
         "Ours (Eq. 8)".into(),
         "-".into(),
@@ -74,7 +86,12 @@ fn main() {
         format!("{:.1}", m.mean_qoe()),
         format!("{:.2}", m.mean_quality_level()),
     ]);
-    let p = run_session(Scheme::Ptile, &setup);
+    let p = run_session_resilient(
+        Scheme::Ptile,
+        &setup,
+        &FaultPlan::none(),
+        &RetryPolicy::disabled(),
+    );
     table.row(vec![
         "Ptile (max quality)".into(),
         "-".into(),

@@ -13,7 +13,10 @@ use ee360::abr::baselines::RateBasedController;
 use ee360::abr::controller::{Controller, Scheme};
 use ee360::abr::plan::SegmentContext;
 use ee360::core::report::TableWriter;
+use ee360::obs::NoopRecorder;
 use ee360::sim::multiclient::{simulate_shared_link, MulticlientConfig};
+use ee360::sim::resilience::RetryPolicy;
+use ee360::trace::fault::FaultPlan;
 use ee360::trace::network::NetworkTrace;
 use ee360::video::content::SiTi;
 
@@ -72,7 +75,14 @@ fn main() {
                 .iter()
                 .map(|log| planner_for(scheme, log.clone()))
                 .collect();
-            let outcomes = simulate_shared_link(&cell, config, planners);
+            let outcomes = simulate_shared_link(
+                &cell,
+                config,
+                planners,
+                &FaultPlan::none(),
+                &RetryPolicy::disabled(),
+                &mut NoopRecorder,
+            );
             let mean_bits = outcomes
                 .iter()
                 .map(|o| o.mean_bits_per_segment)

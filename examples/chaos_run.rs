@@ -37,7 +37,7 @@
 
 use ee360::abr::controller::Scheme;
 use ee360::cluster::ptile::PtileConfig;
-use ee360::core::client::{run_session_resilient_traced, SessionSetup};
+use ee360::core::client::{make_controller, run_session_traced, SessionSetup};
 use ee360::core::server::VideoServer;
 use ee360::geom::grid::TileGrid;
 use ee360::power::model::Phone;
@@ -117,7 +117,13 @@ fn chaos_metrics_traced(
         phone,
         max_segments: Some(SEGMENTS),
     };
-    run_session_resilient_traced(scheme, &setup, faults, &RetryPolicy::default_mobile(), rec)
+    run_session_traced(
+        make_controller(scheme, setup.phone).as_mut(),
+        &setup,
+        faults,
+        &RetryPolicy::default_mobile(),
+        rec,
+    )
 }
 
 /// Runs the observability smoke: live recording, exact reconciliation

@@ -69,7 +69,7 @@ fn report(trace: &HeadTrace) {
         }
     }
     println!("\nthis trace can now drive any experiment: pass it as an evaluation");
-    println!("user to ee360::core::client::run_session (see examples/quickstart.rs)");
+    println!("user to ee360::core::client::run_session_resilient (see examples/quickstart.rs)");
 }
 
 /// A synthetic file in the dataset's layout: a slow pan with a quaternion

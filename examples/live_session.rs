@@ -11,11 +11,13 @@
 
 use ee360::abr::controller::Scheme;
 use ee360::cluster::ptile::PtileConfig;
-use ee360::core::client::{run_session, SessionSetup};
+use ee360::core::client::{run_session_resilient, SessionSetup};
 use ee360::core::server::VideoServer;
 use ee360::geom::grid::TileGrid;
 use ee360::power::model::{DecoderScheme, Phone};
+use ee360::sim::resilience::RetryPolicy;
 use ee360::trace::dataset::VideoTraces;
+use ee360::trace::fault::FaultPlan;
 use ee360::trace::head::GazeConfig;
 use ee360::trace::network::NetworkTrace;
 use ee360::video::catalog::VideoCatalog;
@@ -32,7 +34,7 @@ fn main() {
         PtileConfig::paper_default(),
     );
     let network = NetworkTrace::paper_trace2(400, 11);
-    let metrics = run_session(
+    let metrics = run_session_resilient(
         Scheme::Ours,
         &SessionSetup {
             server: &server,
@@ -41,6 +43,8 @@ fn main() {
             phone: Phone::Pixel3,
             max_segments: Some(40),
         },
+        &FaultPlan::none(),
+        &RetryPolicy::disabled(),
     );
 
     println!(

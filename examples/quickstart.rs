@@ -10,11 +10,13 @@
 
 use ee360::abr::controller::Scheme;
 use ee360::cluster::ptile::PtileConfig;
-use ee360::core::client::{run_session, SessionSetup};
+use ee360::core::client::{run_session_resilient, SessionSetup};
 use ee360::core::server::VideoServer;
 use ee360::geom::grid::TileGrid;
 use ee360::power::model::Phone;
+use ee360::sim::resilience::RetryPolicy;
 use ee360::trace::dataset::VideoTraces;
+use ee360::trace::fault::FaultPlan;
 use ee360::trace::head::GazeConfig;
 use ee360::trace::network::NetworkTrace;
 use ee360::video::catalog::VideoCatalog;
@@ -44,7 +46,7 @@ fn main() {
 
     // 4. Client side: stream over the paper's LTE trace 2 on a Pixel 3.
     let network = NetworkTrace::paper_trace2(spec.duration_sec as usize + 60, 42);
-    let metrics = run_session(
+    let metrics = run_session_resilient(
         Scheme::Ours,
         &SessionSetup {
             server: &server,
@@ -53,6 +55,8 @@ fn main() {
             phone: Phone::Pixel3,
             max_segments: None,
         },
+        &FaultPlan::none(),
+        &RetryPolicy::disabled(),
     );
 
     // 5. Report.

@@ -34,6 +34,12 @@ done
 echo "==> cargo test -q --offline --workspace"
 cargo test -q --offline --workspace
 
+echo "==> cargo test --offline (benchmark package)"
+# The benchmark is a package of its own (empty [workspace]) built against
+# the workspace crates by path, so the workspace pass above does not
+# reach its tests; they pin the session API it drives.
+cargo test --offline --manifest-path benchmark/Cargo.toml
+
 echo "==> fault-injection smoke (seeded chaos run per phone profile)"
 # One seeded chaos scenario per phone: a 10 s mid-stream blackout on the
 # paper's LTE trace. The example exits non-zero unless the session

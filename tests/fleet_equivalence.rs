@@ -2,7 +2,7 @@
 //! stand-in for the loop engine.
 //!
 //! `ee360::core::fleet` drives full paper sessions from a discrete-event
-//! queue; `run_session_resilient_traced` runs the same sessions as
+//! queue; `run_session_traced` runs the same sessions as
 //! closed loops. These tests pin them **bit-identical** — per-session
 //! metrics JSON (every QoE/energy/stall f64), the per-session
 //! QoE/energy/stall tuples and `ResilienceCounters` by exact bits, the
@@ -16,7 +16,7 @@
 use std::sync::OnceLock;
 
 use ee360::abr::controller::Scheme;
-use ee360::core::client::{run_session_resilient_traced, SessionSetup};
+use ee360::core::client::{make_controller, run_session_traced, SessionSetup};
 use ee360::core::experiment::{Evaluation, ExperimentConfig};
 use ee360::core::fleet::fleet_sessions_traced;
 use ee360::obs::{export, Level, Record, Recorder};
@@ -61,8 +61,8 @@ fn loop_reference(
     let mut sessions = Vec::with_capacity(users.len());
     for user in users {
         let mut session_rec = Recorder::new(level);
-        let metrics = run_session_resilient_traced(
-            scheme,
+        let metrics = run_session_traced(
+            make_controller(scheme, eval.config().phone).as_mut(),
             &SessionSetup {
                 server,
                 user,

@@ -17,7 +17,7 @@ use ee360::cluster::algorithm1::ClusteringParams;
 use ee360::cluster::ftile::FtileLayout;
 use ee360::cluster::ptile::{build_ptiles, PtileConfig};
 use ee360::cluster::stability::RegionSmoother;
-use ee360::core::client::{run_session, SessionSetup};
+use ee360::core::client::{run_session_resilient, SessionSetup};
 use ee360::core::experiment::ExperimentConfig;
 use ee360::core::server::VideoServer;
 use ee360::geom::grid::{TileGrid, TileId};
@@ -34,7 +34,9 @@ use ee360::qoe::mos::Mos;
 use ee360::qoe::quality::{QoModel, TABLE2_COEFFICIENTS};
 use ee360::sim::buffer::PlaybackBuffer;
 use ee360::sim::decoder::DecoderPipeline;
+use ee360::sim::resilience::RetryPolicy;
 use ee360::trace::dataset::{Dataset, VideoTraces};
+use ee360::trace::fault::FaultPlan;
 use ee360::trace::head::{GazeConfig, HeadTraceGenerator};
 use ee360::trace::network::{LteProfile, NetworkTrace};
 use ee360::video::catalog::{BehaviorProfile, VideoCatalog};
@@ -229,7 +231,12 @@ fn session_metrics_roundtrip() {
         phone: Phone::Pixel3,
         max_segments: Some(25),
     };
-    rt(&run_session(Scheme::Ours, &setup));
+    rt(&run_session_resilient(
+        Scheme::Ours,
+        &setup,
+        &FaultPlan::none(),
+        &RetryPolicy::disabled(),
+    ));
 }
 
 #[test]

@@ -5,11 +5,13 @@
 use ee360::abr::controller::Scheme;
 use ee360::abr::sizer::SchemeSizer;
 use ee360::cluster::ptile::PtileConfig;
-use ee360::core::client::{run_session, SessionSetup};
+use ee360::core::client::{run_session_resilient, SessionSetup};
 use ee360::core::server::VideoServer;
 use ee360::geom::grid::TileGrid;
 use ee360::power::model::Phone;
+use ee360::sim::resilience::RetryPolicy;
 use ee360::trace::dataset::VideoTraces;
+use ee360::trace::fault::FaultPlan;
 use ee360::trace::head::{GazeConfig, HeadTrace};
 use ee360::trace::network::NetworkTrace;
 use ee360::video::catalog::VideoCatalog;
@@ -69,7 +71,7 @@ fn sessions_record_the_startup_phase() {
         PtileConfig::paper_default(),
     );
     let network = NetworkTrace::paper_trace2(300, 3);
-    let m = run_session(
+    let m = run_session_resilient(
         Scheme::Ours,
         &SessionSetup {
             server: &server,
@@ -78,6 +80,8 @@ fn sessions_record_the_startup_phase() {
             phone: Phone::Pixel3,
             max_segments: Some(20),
         },
+        &FaultPlan::none(),
+        &RetryPolicy::disabled(),
     );
     let startup = m.startup().expect("startup phase recorded");
     assert!(startup.duration_sec > 0.0);
@@ -104,7 +108,7 @@ fn startup_metadata_is_cheap_relative_to_media() {
         PtileConfig::paper_default(),
     );
     let network = NetworkTrace::paper_trace2(300, 5);
-    let m = run_session(
+    let m = run_session_resilient(
         Scheme::Ctile,
         &SessionSetup {
             server: &server,
@@ -113,6 +117,8 @@ fn startup_metadata_is_cheap_relative_to_media() {
             phone: Phone::Pixel3,
             max_segments: Some(60),
         },
+        &FaultPlan::none(),
+        &RetryPolicy::disabled(),
     );
     let startup_energy = m.startup().unwrap().energy_mj;
     assert!(

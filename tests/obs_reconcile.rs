@@ -11,7 +11,9 @@
 
 use ee360::abr::controller::Scheme;
 use ee360::cluster::ptile::PtileConfig;
-use ee360::core::client::{run_session_resilient, run_session_resilient_traced, SessionSetup};
+use ee360::core::client::{
+    make_controller, run_session_resilient, run_session_traced, SessionSetup,
+};
 use ee360::core::experiment::{Evaluation, ExperimentConfig};
 use ee360::core::server::VideoServer;
 use ee360::geom::grid::TileGrid;
@@ -52,8 +54,8 @@ fn chaos_traced(rec: &mut Recorder) -> SessionMetrics {
         max_segments: Some(40),
     };
     let faults = FaultPlan::generate(FaultConfig::chaos_default(), 400.0, 77).and_outage(30.0, 8.0);
-    run_session_resilient_traced(
-        Scheme::Ours,
+    run_session_traced(
+        make_controller(Scheme::Ours, setup.phone).as_mut(),
         &setup,
         &faults,
         &RetryPolicy::default_mobile(),
@@ -173,7 +175,13 @@ fn live_recorder_does_not_perturb_the_session() {
     let policy = RetryPolicy::default_mobile();
     let untraced = run_session_resilient(Scheme::Ours, &setup, &faults, &policy);
     let mut rec = Recorder::new(Level::Detail);
-    let traced = run_session_resilient_traced(Scheme::Ours, &setup, &faults, &policy, &mut rec);
+    let traced = run_session_traced(
+        make_controller(Scheme::Ours, setup.phone).as_mut(),
+        &setup,
+        &faults,
+        &policy,
+        &mut rec,
+    );
     assert_eq!(untraced, traced);
     assert!(rec.events_len() > 0, "a chaos session must record events");
 }

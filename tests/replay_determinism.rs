@@ -8,7 +8,9 @@
 
 use ee360::abr::controller::Scheme;
 use ee360::cluster::ptile::PtileConfig;
-use ee360::core::client::{run_session, run_session_resilient_traced, SessionSetup};
+use ee360::core::client::{
+    make_controller, run_session_resilient, run_session_traced, SessionSetup,
+};
 use ee360::core::experiment::{Evaluation, ExperimentConfig};
 use ee360::core::server::VideoServer;
 use ee360::geom::grid::TileGrid;
@@ -75,7 +77,12 @@ fn session_replay_has_identical_per_segment_metrics() {
             phone: Phone::Pixel3,
             max_segments: Some(50),
         };
-        run_session(Scheme::Ours, &setup)
+        run_session_resilient(
+            Scheme::Ours,
+            &setup,
+            &FaultPlan::none(),
+            &RetryPolicy::disabled(),
+        )
     };
 
     let a = run_once();
@@ -140,8 +147,8 @@ fn robust_mpc_session_replay_is_byte_identical() {
         let faults =
             FaultPlan::generate(FaultConfig::chaos_default(), 400.0, 77).and_outage(30.0, 8.0);
         let mut rec = Recorder::new(Level::Detail);
-        let metrics = run_session_resilient_traced(
-            Scheme::RobustMpc,
+        let metrics = run_session_traced(
+            make_controller(Scheme::RobustMpc, setup.phone).as_mut(),
             &setup,
             &faults,
             &RetryPolicy::default_mobile(),
@@ -184,8 +191,8 @@ fn traced_chaos_run(level: Level) -> (Recorder, String) {
     };
     let faults = FaultPlan::generate(FaultConfig::chaos_default(), 400.0, 77).and_outage(30.0, 8.0);
     let mut rec = Recorder::new(level);
-    let metrics = run_session_resilient_traced(
-        Scheme::Ours,
+    let metrics = run_session_traced(
+        make_controller(Scheme::Ours, setup.phone).as_mut(),
         &setup,
         &faults,
         &RetryPolicy::default_mobile(),

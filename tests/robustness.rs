@@ -12,11 +12,13 @@ use ee360::abr::mpc::MpcController;
 use ee360::abr::plan::SegmentContext;
 use ee360::abr::robust::RobustMpcController;
 use ee360::cluster::ptile::PtileConfig;
-use ee360::core::client::{run_session, SessionSetup};
+use ee360::core::client::{run_session_resilient, SessionSetup};
 use ee360::core::server::VideoServer;
 use ee360::geom::grid::TileGrid;
 use ee360::power::model::Phone;
+use ee360::sim::resilience::RetryPolicy;
 use ee360::trace::dataset::VideoTraces;
+use ee360::trace::fault::FaultPlan;
 use ee360::trace::head::{GazeConfig, HeadTrace};
 use ee360::trace::network::NetworkTrace;
 use ee360::video::catalog::VideoCatalog;
@@ -43,7 +45,7 @@ fn run(
     network: &NetworkTrace,
     scheme: Scheme,
 ) -> ee360::sim::metrics::SessionMetrics {
-    run_session(
+    run_session_resilient(
         scheme,
         &SessionSetup {
             server,
@@ -52,6 +54,8 @@ fn run(
             phone: Phone::Pixel3,
             max_segments: Some(80),
         },
+        &FaultPlan::none(),
+        &RetryPolicy::disabled(),
     )
 }
 
