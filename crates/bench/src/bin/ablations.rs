@@ -121,14 +121,10 @@ fn ablation_viewport_prediction() {
         let mut count = 0usize;
         for u in 0..4 {
             let trace = generator.generate(spec, u, 1234);
-            let samples = trace.switching_samples();
+            let mut history = Vec::new();
             for k in (2..spec.segment_count().min(120)).step_by(3) {
                 let t_end = k as f64;
-                let history: Vec<_> = samples
-                    .iter()
-                    .filter(|s| s.t_sec >= t_end - 2.0 && s.t_sec <= t_end)
-                    .copied()
-                    .collect();
+                trace.switching_window_into(t_end - 2.0, t_end, &mut history);
                 let truth = match trace.segment_center(k + 1) {
                     Some(c) => c,
                     None => continue,

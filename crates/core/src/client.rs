@@ -31,7 +31,7 @@ use ee360_abr::plan::{PlanBuffers, SegmentContext, SegmentPlan};
 use ee360_abr::robust::RobustMpcController;
 use ee360_geom::grid::TileGrid;
 use ee360_geom::region::TileRegion;
-use ee360_geom::switching::SwitchingSample;
+use ee360_geom::switching::{fast_switching_speed, SwitchingSample};
 use ee360_geom::viewport::{ViewCenter, Viewport};
 use ee360_obs::profile::StageTimer;
 use ee360_obs::{Event, Level, NoopRecorder, Record};
@@ -85,21 +85,6 @@ pub fn make_controller(scheme: Scheme, phone: Phone) -> Box<dyn Controller> {
         }
         other => Box::new(RateBasedController::new(other)),
     }
-}
-
-/// The 75th percentile of per-interval switching speeds in a gaze window
-/// (0 when the window has fewer than two samples).
-fn fast_switching_speed(history: &[SwitchingSample]) -> f64 {
-    let mut speeds = ee360_geom::switching::switching_speeds(history);
-    if speeds.is_empty() {
-        return 0.0;
-    }
-    let idx = ((speeds.len() as f64) * 0.75).floor() as usize;
-    let idx = idx.min(speeds.len() - 1);
-    // Selection instead of a full sort: `total_cmp` is a total order, so
-    // the idx-th order statistic is the same value a sort would index.
-    let (_, kth, _) = speeds.select_nth_unstable_by(idx, |a, b| a.total_cmp(b));
-    *kth
 }
 
 /// Pixel-weighted fraction of what the user sees that a region stores —
@@ -244,6 +229,9 @@ pub struct SessionRunner<'a> {
     spare_upcoming: Vec<ee360_video::content::SiTi>,
     /// Recycled degradation-ladder vector, same lifecycle.
     spare_rungs: Vec<SegmentPlan>,
+    /// Recycled 2 s gaze-window buffer: refilled by every `plan_segment`,
+    /// read only within it.
+    gaze_window: Vec<SwitchingSample>,
 }
 
 impl<'a> SessionRunner<'a> {
@@ -298,6 +286,7 @@ impl<'a> SessionRunner<'a> {
             plan_buffers: PlanBuffers::new(),
             spare_upcoming: Vec::new(),
             spare_rungs: Vec::new(),
+            gaze_window: Vec::new(),
         }
     }
 
@@ -384,20 +373,22 @@ impl<'a> SessionRunner<'a> {
         }
         let k = self.k;
         let buffer = self.core.buffer_level_sec();
-        let samples = self.setup.user.switching_samples();
         let timeline = self.setup.server.timeline();
         // --- 1. viewport prediction from the playback-time history -----
-        // Trace samples are strictly increasing in time, so the 2 s gaze
-        // window is a contiguous run: two binary searches replace the
-        // full-trace scan, and the window is borrowed, not collected.
+        // Only the 2 s gaze window is converted (two binary searches over
+        // the stored trace), into a buffer recycled across segments.
         let playback_pos = (k as f64 - buffer).max(0.0);
-        let lo = samples.partition_point(|s| s.t_sec < playback_pos - 2.0);
-        let hi = samples.partition_point(|s| s.t_sec <= playback_pos + 1e-9);
-        let history: &[SwitchingSample] = &samples[lo..hi];
+        let user = self.setup.user;
+        user.switching_window_into(
+            playback_pos - 2.0,
+            playback_pos + 1e-9,
+            &mut self.gaze_window,
+        );
+        let history = self.gaze_window.as_slice();
         let predicted = self
             .predictor
             .predict(history, buffer.max(0.0))
-            .unwrap_or_else(|| samples.first().map(|s| s.center).unwrap_or_default());
+            .unwrap_or_else(|| user.first_center().unwrap_or_default());
         // The controller plans frame-rate reduction around the *fast*
         // phases of the gaze (Eq. 4's blur argument): use the 75th
         // percentile of recent switching speeds, not the diluted mean.

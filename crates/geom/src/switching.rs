@@ -81,6 +81,24 @@ pub fn mean_switching_speed(samples: &[SwitchingSample]) -> f64 {
     }
 }
 
+/// The *fast* switching speed of a window: the 75th percentile of its
+/// per-interval speeds, in degrees per second. Eq. 4's blur argument is
+/// about the fast phases of the gaze ("during fast view switching"), which
+/// a plain mean dilutes away. Returns `0.0` for windows with fewer than two
+/// samples.
+pub fn fast_switching_speed(samples: &[SwitchingSample]) -> f64 {
+    let mut speeds = switching_speeds(samples);
+    if speeds.is_empty() {
+        return 0.0;
+    }
+    let idx = ((speeds.len() as f64) * 0.75).floor() as usize;
+    let idx = idx.min(speeds.len() - 1);
+    // Selection instead of a full sort: `total_cmp` is a total order, so
+    // the idx-th order statistic is the same value a sort would index.
+    let (_, kth, _) = speeds.select_nth_unstable_by(idx, |a, b| a.total_cmp(b));
+    *kth
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -27,7 +27,7 @@ use ee360_support::rng::StdRng;
 
 use ee360_geom::angles::{lerp_yaw_deg, wrap_yaw_deg};
 use ee360_geom::sphere::Orientation;
-use ee360_geom::switching::{mean_switching_speed, SwitchingSample};
+use ee360_geom::switching::{fast_switching_speed, mean_switching_speed, SwitchingSample};
 use ee360_geom::viewport::ViewCenter;
 use ee360_video::catalog::{BehaviorProfile, VideoSpec};
 
@@ -195,10 +195,27 @@ impl HeadTrace {
 
     /// All samples as [`SwitchingSample`]s.
     pub fn switching_samples(&self) -> Vec<SwitchingSample> {
-        self.samples
-            .iter()
-            .map(|&(t, y, p)| SwitchingSample::new(t, ViewCenter::new(y, p)))
-            .collect()
+        self.samples.iter().map(to_switching_sample).collect()
+    }
+
+    /// Replaces `out` with the samples whose time lies in the closed
+    /// interval `[t_lo, t_hi]`, as [`SwitchingSample`]s. Timestamps are
+    /// strictly increasing (enforced by `try_from_samples`), so the window
+    /// is a contiguous run found by two binary searches, and only that run
+    /// is converted: the cost is O(log n + window), not O(n). The values
+    /// equal [`Self::switching_samples`] filtered to `t_lo ≤ t ≤ t_hi`.
+    pub fn switching_window_into(&self, t_lo: f64, t_hi: f64, out: &mut Vec<SwitchingSample>) {
+        let lo = self.samples.partition_point(|s| s.0 < t_lo);
+        let hi = self.samples.partition_point(|s| s.0 <= t_hi);
+        // An inverted interval (`hi < lo`) is an empty window.
+        let window = self.samples.get(lo..hi).unwrap_or_default();
+        out.clear();
+        out.extend(window.iter().map(to_switching_sample));
+    }
+
+    /// The gaze position of the first sample, or `None` for an empty trace.
+    pub fn first_center(&self) -> Option<ViewCenter> {
+        self.samples.first().map(|s| to_switching_sample(s).center)
     }
 
     /// The gaze position at the start of segment `k` (the sample closest to
@@ -227,17 +244,11 @@ impl HeadTrace {
     }
 
     /// The samples inside `[t0 - 1e-9, t0 + 1 + 1e-9]` as switching
-    /// samples. Timestamps are strictly increasing (enforced by
-    /// `try_from_samples`), so the window is a contiguous run found by two
-    /// binary searches rather than a full-trace scan.
+    /// samples.
     fn segment_window(&self, t0: f64) -> Vec<SwitchingSample> {
-        let t1 = t0 + 1.0;
-        let lo = self.samples.partition_point(|s| s.0 < t0 - 1e-9);
-        let hi = self.samples.partition_point(|s| s.0 <= t1 + 1e-9);
-        self.samples[lo..hi]
-            .iter()
-            .map(|&(t, y, p)| SwitchingSample::new(t, ViewCenter::new(y, p)))
-            .collect()
+        let mut window = Vec::new();
+        self.switching_window_into(t0 - 1e-9, t0 + 1.0 + 1e-9, &mut window);
+        window
     }
 
     /// Per-interval switching speeds over the whole trace (Fig. 5's raw
@@ -246,28 +257,22 @@ impl HeadTrace {
         ee360_geom::switching::switching_speeds(&self.switching_samples())
     }
 
-    /// The *fast* switching speed within segment `k`: the 75th percentile
-    /// of the within-segment speeds. Eq. 4's blur argument is about the
-    /// fast phases of the gaze ("during fast view switching"), which a
-    /// plain mean dilutes away. `None` past the end of the trace.
+    /// The *fast* switching speed within segment `k` (the 75th percentile
+    /// of the within-segment speeds, see [`fast_switching_speed`]).
+    /// `None` past the end of the trace.
     pub fn segment_fast_switching_speed(&self, segment: usize) -> Option<f64> {
         let t0 = segment as f64;
         if t0 > self.duration_sec() {
             return None;
         }
-        let window = self.segment_window(t0);
-        let mut speeds = ee360_geom::switching::switching_speeds(&window);
-        if speeds.is_empty() {
-            return Some(0.0);
-        }
-        let idx = ((speeds.len() as f64) * 0.75).floor() as usize;
-        let idx = idx.min(speeds.len() - 1);
-        // Selection instead of a full sort: under `total_cmp`'s total
-        // order the idx-th order statistic is the value a sort would
-        // index.
-        let (_, kth, _) = speeds.select_nth_unstable_by(idx, |a, b| a.total_cmp(b));
-        Some(*kth)
+        Some(fast_switching_speed(&self.segment_window(t0)))
     }
+}
+
+/// One stored `(t, yaw, pitch)` tuple as a [`SwitchingSample`] — the single
+/// conversion every sample view of a trace goes through.
+fn to_switching_sample(&(t, y, p): &(f64, f64, f64)) -> SwitchingSample {
+    SwitchingSample::new(t, ViewCenter::new(y, p))
 }
 
 /// A salient region whose position oscillates over time.
@@ -599,6 +604,7 @@ impl Default for HeadTraceGenerator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ee360_support::prelude::*;
     use ee360_video::catalog::VideoCatalog;
 
     fn generator() -> HeadTraceGenerator {
@@ -733,6 +739,75 @@ mod tests {
         let trace = generator().generate(&spec, 2, 3);
         for s in trace.switching_samples() {
             assert!(s.center.pitch_deg().abs() <= 90.0);
+        }
+    }
+
+    /// A strictly increasing trace from per-sample time steps.
+    fn trace_from_steps(t0: f64, steps: &[(f64, f64, f64)]) -> HeadTrace {
+        let mut t = t0;
+        let samples = steps
+            .iter()
+            .map(|&(dt, y, p)| {
+                t += dt;
+                (t, y, p)
+            })
+            .collect();
+        HeadTrace::from_samples(0, 0, samples)
+    }
+
+    #[test]
+    fn first_center_ignores_trace_start_time() {
+        // A trace that ends before t = 0 has no segment 0, but still has
+        // a first sample to fall back on.
+        let trace = HeadTrace::from_samples(0, 0, vec![(-3.0, 10.0, 5.0), (-2.0, 20.0, 0.0)]);
+        assert_eq!(trace.segment_center(0), None);
+        assert_eq!(trace.first_center(), Some(ViewCenter::new(10.0, 5.0)));
+    }
+
+    proptest! {
+        #[test]
+        fn switching_window_equals_filtered_samples(
+            steps in prop::collection::vec(
+                (0.001f64..1.0, -400.0f64..400.0, -120.0f64..120.0),
+                1..40,
+            ),
+            t0 in -5.0f64..5.0,
+            mode in 0usize..4,
+            picks in (0usize..64, 0usize..64),
+            fracs in (-0.5f64..1.5, -0.5f64..1.5),
+        ) {
+            let trace = trace_from_steps(t0, &steps);
+            let all = trace.switching_samples();
+            let times: Vec<f64> = all.iter().map(|s| s.t_sec).collect();
+            let (first, last) = (times[0], times[times.len() - 1]);
+            let span = (last - first).max(1e-3);
+            let at = |i: usize| times[i % times.len()];
+            let (lo, hi) = match mode {
+                // Free bounds: before the first sample, past the last,
+                // anywhere between, and inverted (empty) windows.
+                0 => (first + fracs.0 * span, first + fracs.1 * span),
+                // Bounds exactly on sample times (inverted ones are empty).
+                1 => (at(picks.0), at(picks.1)),
+                // A single-instant window on a sample time.
+                2 => (at(picks.0), at(picks.0)),
+                // Wholly before the first or wholly past the last sample.
+                _ if fracs.0 < 0.5 => (first - 2.0 * span, first - 1e-3),
+                _ => (last + 1e-3, last + 2.0 * span),
+            };
+            let expected: Vec<_> = all
+                .iter()
+                .filter(|s| lo <= s.t_sec && s.t_sec <= hi)
+                .copied()
+                .collect();
+            // Stale contents must be replaced, not appended to.
+            let mut got = vec![all[0]; 3];
+            trace.switching_window_into(lo, hi, &mut got);
+            prop_assert_eq!(got.len(), expected.len());
+            for (g, e) in got.iter().zip(&expected) {
+                prop_assert_eq!(g.t_sec.to_bits(), e.t_sec.to_bits());
+                prop_assert_eq!(g.center.yaw_deg().to_bits(), e.center.yaw_deg().to_bits());
+                prop_assert_eq!(g.center.pitch_deg().to_bits(), e.center.pitch_deg().to_bits());
+            }
         }
     }
 
