@@ -41,7 +41,19 @@ fn main() {
         let grid = TileGrid::paper_default();
         let region = TileRegion::new(&grid, 1, 3, 3, 3);
         let vp = Viewport::paper_fov(ViewCenter::new(12.0, -8.0));
+        // One viewport: after the first call every call is a cache hit.
         bench.run("projection/pixel_coverage_16", || {
+            ee360_geom::projection::pixel_coverage(black_box(&vp), &region, &grid, 16)
+        });
+        // A cycle of distinct viewports longer than the per-thread weights
+        // cache holds, so every call misses and runs the sampling pass.
+        const COLD_CYCLE: usize = 8191;
+        let mut i = 0usize;
+        bench.run("projection/pixel_coverage_16_cold", || {
+            i = (i + 1) % COLD_CYCLE;
+            let yaw = -180.0 + 360.0 * i as f64 / COLD_CYCLE as f64;
+            let pitch = -60.0 + 120.0 * ((i * 37) % COLD_CYCLE) as f64 / COLD_CYCLE as f64;
+            let vp = Viewport::paper_fov(ViewCenter::new(yaw, pitch));
             ee360_geom::projection::pixel_coverage(black_box(&vp), &region, &grid, 16)
         });
     }

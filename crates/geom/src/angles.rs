@@ -16,7 +16,19 @@
 /// assert_eq!(wrap_yaw_deg(-180.0), -180.0);
 /// ```
 pub fn wrap_yaw_deg(yaw: f64) -> f64 {
-    let mut y = (yaw + 180.0) % 360.0;
+    // Bit-identical to `(yaw + 180.0) % 360.0` without the `fmod` call on
+    // the common inputs: for `s` in (−360, 360) the remainder is `s`
+    // itself (signed zeros included), and for `s` in [360, 720) it is
+    // `s − 360`, which is exact by Sterbenz's lemma. Everything else —
+    // larger magnitudes, ±∞, NaN — keeps `%`.
+    let s = yaw + 180.0;
+    let mut y = if s > -360.0 && s < 360.0 {
+        s
+    } else if (360.0..720.0).contains(&s) {
+        s - 360.0
+    } else {
+        s % 360.0
+    };
     if y < 0.0 {
         y += 360.0;
     }
@@ -136,7 +148,65 @@ mod tests {
         }
     }
 
+    /// The `fmod` formulation `wrap_yaw_deg` must match bit for bit.
+    fn reference_wrap_yaw_deg(yaw: f64) -> f64 {
+        let mut y = (yaw + 180.0) % 360.0;
+        if y < 0.0 {
+            y += 360.0;
+        }
+        y - 180.0
+    }
+
+    fn assert_wrap_matches_reference(yaw: f64) {
+        assert_eq!(
+            wrap_yaw_deg(yaw).to_bits(),
+            reference_wrap_yaw_deg(yaw).to_bits(),
+            "wrap_yaw_deg({yaw:e}) ({:#x})",
+            yaw.to_bits()
+        );
+    }
+
+    #[test]
+    fn wrap_matches_fmod_on_special_values() {
+        for yaw in [0.0, -0.0, f64::INFINITY, f64::NEG_INFINITY, f64::NAN] {
+            assert_wrap_matches_reference(yaw);
+        }
+    }
+
+    #[test]
+    fn wrap_matches_fmod_on_ulp_perturbed_multiples_of_180() {
+        // The branch edges sit at s = yaw + 180 ∈ {−360, 360, 720}; every
+        // multiple of 180 up to ±1440, nudged by up to 4 ulps either way,
+        // straddles them and the `y < 0` fix-up.
+        for k in -8i32..=8 {
+            let base = f64::from(k) * 180.0;
+            let (mut up, mut down) = (base, base);
+            for _ in 0..=4 {
+                assert_wrap_matches_reference(up);
+                assert_wrap_matches_reference(down);
+                up = up.next_up();
+                down = down.next_down();
+            }
+        }
+    }
+
+    #[test]
+    fn wrap_matches_fmod_on_a_seeded_sweep() {
+        // Raw bit patterns reach every exponent (subnormals, huge values,
+        // NaN payloads); the scaled draws concentrate on the fast branches.
+        let mut rng = StdRng::seed_from_u64(0x5EED_0360);
+        for _ in 0..100_000 {
+            assert_wrap_matches_reference(f64::from_bits(rng.next_u64()));
+            assert_wrap_matches_reference(rng.gen_range(-1080.0..1080.0));
+        }
+    }
+
     proptest! {
+        #[test]
+        fn wrap_matches_fmod_bit_for_bit(y in -2000.0f64..2000.0) {
+            prop_assert_eq!(wrap_yaw_deg(y).to_bits(), reference_wrap_yaw_deg(y).to_bits());
+        }
+
         #[test]
         fn wrap_always_in_range(y in -1e6f64..1e6f64) {
             let w = wrap_yaw_deg(y);

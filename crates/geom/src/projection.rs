@@ -56,14 +56,10 @@ impl PixelCamera {
         }
     }
 
-    /// The gaze direction of the pixel at normalised coordinates `(u, v)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `u` or `v` is outside `[0, 1]`.
-    pub fn direction(&self, u: f64, v: f64) -> ViewCenter {
-        assert!((0.0..=1.0).contains(&u), "u must be in [0, 1]");
-        assert!((0.0..=1.0).contains(&v), "v must be in [0, 1]");
+    /// The unit world-space ray `(x front, y east, z up)` through the
+    /// pixel at `(u, v)`: the float operations [`Self::direction`] runs
+    /// before converting to angles, so both see the same bits.
+    fn unit_ray(&self, u: f64, v: f64) -> (f64, f64, f64) {
         let x = (2.0 * u - 1.0) * self.half_w; // right
         let y = (1.0 - 2.0 * v) * self.half_h; // up
         let dir = (
@@ -72,7 +68,18 @@ impl PixelCamera {
             self.fwd.2 + x * self.right.2 + y * self.up.2,
         );
         let norm = (dir.0 * dir.0 + dir.1 * dir.1 + dir.2 * dir.2).sqrt();
-        let (dx, dy, dz) = (dir.0 / norm, dir.1 / norm, dir.2 / norm);
+        (dir.0 / norm, dir.1 / norm, dir.2 / norm)
+    }
+
+    /// The gaze direction of the pixel at normalised coordinates `(u, v)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `u` or `v` is outside `[0, 1]`.
+    pub fn direction(&self, u: f64, v: f64) -> ViewCenter {
+        assert!((0.0..=1.0).contains(&u), "u must be in [0, 1]");
+        assert!((0.0..=1.0).contains(&v), "v must be in [0, 1]");
+        let (dx, dy, dz) = self.unit_ray(u, v);
         let out_pitch = rad_to_deg(dz.clamp(-1.0, 1.0).asin());
         let out_yaw = rad_to_deg(dy.atan2(dx));
         ViewCenter::new(out_yaw, out_pitch)
@@ -137,8 +144,14 @@ impl WeightsKey {
 }
 
 /// Bound on the per-thread weights cache; on overflow the cache is cleared
-/// wholesale (simple, deterministic — no recency bookkeeping). One sweep
-/// touches a few hundred distinct viewports, well under the cap.
+/// wholesale (simple, deterministic — no recency bookkeeping). The cap is
+/// smaller than real working sets: one pass of the paper matrix (8 videos
+/// × 5 schemes × 8 users) misses about 25k times, so the cache fills and
+/// is cleared several times per pass, and hits come only from schemes
+/// re-asking for the same realised viewport. Fleet cells run on scoped
+/// pool threads that exit with their cell, so a chaos cell starts with an
+/// empty cache and gets no hits at all. A miss therefore has to be cheap
+/// on its own; see [`TileClassifier`].
 const WEIGHTS_CACHE_CAP: usize = 4096;
 
 thread_local! {
@@ -172,6 +185,116 @@ fn with_tile_pixel_weights<R>(
     })
 }
 
+/// How far, in units of the unit ray's length, a sign test must clear
+/// zero before [`TileClassifier`] trusts it: 1e-9 rad ≈ 5.7e-8°.
+const CLASSIFY_MARGIN: f64 = 1e-9;
+
+/// Squared horizontal length below which a ray counts as polar.
+const POLE_RHO_SQ: f64 = 1e-12;
+
+/// Tile lookup for unit rays by sign tests, bit-identical to
+/// `grid.tile_at(&camera.direction(u, v))` without its `asin`, `atan2`
+/// and two `fmod`-based yaw wraps.
+///
+/// - **Row.** A ray lies below the parallel at pitch `p` exactly when
+///   `dz < sin p`; the row is the number of interior parallels above it.
+/// - **Column.** The sign of `dy` picks the eastern (yaw in (0, 180)) or
+///   western (yaw in (−180, 0)) half. For a meridian `b` in that half,
+///   `cos b·dy − sin b·dx = ρ·sin(yaw − b)` with `ρ = √(dx² + dy²)`, and
+///   within one half `yaw − b` lies in (−180°, 180°), so its sign says
+///   whether the ray is east of `b`. The column is the number of
+///   meridians it is east of.
+///
+/// **Why this is exact.** The exact path's yaw and pitch carry less than
+/// 1e-11° of rounding error: libm's `asin` and `atan2` are within 1 ulp,
+/// and `rad_to_deg`, the wraps, the `+ 180` and the division by the tile
+/// size each add at most ½ ulp on values no larger than 720. The sines
+/// and cosines of the grid lines here, and the tests built from them,
+/// are off by less than 1e-14. A test that clears [`CLASSIFY_MARGIN`]
+/// therefore puts the true angle more than about 5.7e-8° from that grid
+/// line (both test forms change no faster than the angle itself), so
+/// the exact path's angle lies on the same side of it and floors to the
+/// same tile. A test inside the margin, a ray within 1e-6 of a pole
+/// (every column meets there, and `atan2`'s signed-zero conventions
+/// decide), or a NaN ray returns `None`, and the caller runs the exact path
+/// itself.
+struct TileClassifier {
+    /// `sin` of each interior parallel, top to bottom (rows `1..rows`).
+    parallel_sins: Vec<f64>,
+    /// `(cos b, sin b)` of the meridians `b` in (0, 180), west to east.
+    east: Vec<(f64, f64)>,
+    /// `(cos b, sin b)` of the meridians `b` in (−180, 0), west to east.
+    west: Vec<(f64, f64)>,
+    /// Column of a ray just east of yaw 0: the meridians at or west of 0.
+    east_base: usize,
+}
+
+impl TileClassifier {
+    fn new(grid: &TileGrid) -> Self {
+        let parallel_sins = (1..grid.rows())
+            .map(|r| deg_to_rad(grid.row_top_deg(r)).sin())
+            .collect();
+        let meridians = (1..grid.cols()).map(|c| -180.0 + c as f64 * grid.tile_width_deg());
+        let cos_sin = |b: f64| {
+            let (s, c) = deg_to_rad(b).sin_cos();
+            (c, s)
+        };
+        Self {
+            parallel_sins,
+            east: meridians
+                .clone()
+                .filter(|&b| b > 0.0)
+                .map(cos_sin)
+                .collect(),
+            west: meridians
+                .clone()
+                .filter(|&b| b < 0.0)
+                .map(cos_sin)
+                .collect(),
+            east_base: meridians.filter(|&b| b <= 0.0).count(),
+        }
+    }
+
+    /// The tile of the unit ray `(dx, dy, dz)`, or `None` when a test is
+    /// too close to call.
+    fn classify(&self, (dx, dy, dz): (f64, f64, f64)) -> Option<TileId> {
+        if dx * dx + dy * dy < POLE_RHO_SQ {
+            return None;
+        }
+        // Each test has three outcomes; a NaN fails both comparisons and
+        // takes the third, like a test inside the margin.
+        let mut row = 0;
+        for &s in &self.parallel_sins {
+            let t = s - dz;
+            if t > CLASSIFY_MARGIN {
+                row += 1;
+            } else if t < -CLASSIFY_MARGIN {
+                break;
+            } else {
+                return None;
+            }
+        }
+        let (meridians, mut col) = if dy > CLASSIFY_MARGIN {
+            (&self.east, self.east_base)
+        } else if dy < -CLASSIFY_MARGIN {
+            (&self.west, 0)
+        } else {
+            return None;
+        };
+        for &(c, s) in meridians {
+            let t = c * dy - s * dx;
+            if t > CLASSIFY_MARGIN {
+                col += 1;
+            } else if t < -CLASSIFY_MARGIN {
+                break;
+            } else {
+                return None;
+            }
+        }
+        Some(TileId::new(row, col))
+    }
+}
+
 /// The actual sampling pass behind [`tile_pixel_weights`].
 fn compute_tile_pixel_weights(
     vp: &Viewport,
@@ -179,6 +302,7 @@ fn compute_tile_pixel_weights(
     samples: usize,
 ) -> Vec<(TileId, f64)> {
     let camera = PixelCamera::new(vp);
+    let classifier = TileClassifier::new(grid);
     let mut counts = vec![0usize; grid.tile_count()];
     let total = samples * samples;
     for iv in 0..samples {
@@ -186,8 +310,10 @@ fn compute_tile_pixel_weights(
             // Sample pixel centers.
             let u = (iu as f64 + 0.5) / samples as f64;
             let v = (iv as f64 + 0.5) / samples as f64;
-            let p = camera.direction(u, v);
-            counts[grid.flat_index(grid.tile_at(&p))] += 1;
+            let tile = classifier
+                .classify(camera.unit_ray(u, v))
+                .unwrap_or_else(|| grid.tile_at(&camera.direction(u, v)));
+            counts[grid.flat_index(tile)] += 1;
         }
     }
     grid.iter()
@@ -420,6 +546,104 @@ mod tests {
                     prop_assert_eq!(a.1.to_bits(), b.1.to_bits());
                 }
             }
+        }
+    }
+
+    /// Every `stride`-th index of `0..=n`, plus `n` itself. An odd stride
+    /// walks through all sixteen sub-tile offsets, so tile-aligned centres
+    /// (index ≡ 0 mod 16) recur every sixteen picks.
+    fn strided(n: usize, picks: usize) -> impl Iterator<Item = usize> {
+        let stride = (n / picks).max(1) | 1;
+        (0..=n).step_by(stride).chain(std::iter::once(n))
+    }
+
+    /// Sign-test weights against the retained exact path, bit for bit, for
+    /// view centres on multiples of a sixteenth of a tile: yaw from −180
+    /// to +180 and pitch from pole to pole, where rays graze grid lines
+    /// most often. `picks` bounds the centres per axis.
+    fn assert_aligned_sweep_matches_reference(
+        g: TileGrid,
+        picks: usize,
+        fovs: &[(f64, f64)],
+        samples: &[usize],
+    ) {
+        let yaw_step = g.tile_width_deg() / 16.0;
+        let pitch_step = g.tile_height_deg() / 16.0;
+        for k in strided(16 * g.cols(), picks) {
+            for j in strided(16 * g.rows(), picks) {
+                let center =
+                    ViewCenter::new(-180.0 + k as f64 * yaw_step, 90.0 - j as f64 * pitch_step);
+                for &(fov_h, fov_v) in fovs {
+                    let vp = Viewport::new(center, fov_h, fov_v);
+                    for &n in samples {
+                        let fast = compute_tile_pixel_weights(&vp, &g, n);
+                        let exact = reference_weights(&vp, &g, n);
+                        assert_eq!(fast.len(), exact.len(), "{g:?} {vp:?} {n}");
+                        for (a, b) in fast.iter().zip(&exact) {
+                            assert_eq!(a.0, b.0, "{g:?} {vp:?} {n}");
+                            assert_eq!(a.1.to_bits(), b.1.to_bits(), "{g:?} {vp:?} {n}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    const SWEEP_GRIDS: [(usize, usize); 6] = [(4, 8), (15, 30), (3, 6), (5, 7), (2, 3), (1, 1)];
+
+    #[test]
+    fn aligned_sweep_matches_reference_bit_for_bit() {
+        for (rows, cols) in SWEEP_GRIDS {
+            assert_aligned_sweep_matches_reference(
+                TileGrid::new(rows, cols),
+                8,
+                &[(100.0, 100.0), (120.0, 90.0), (45.0, 30.0)],
+                &[7, 16],
+            );
+        }
+    }
+
+    /// The full sweep: every sixteenth-of-a-tile centre on the small
+    /// grids (a strided subset on 15 × 30), five FoVs and three sample
+    /// counts. Run in release with `--include-ignored`.
+    #[test]
+    #[ignore = "full aligned sweep; run in release with --include-ignored"]
+    fn full_aligned_sweep_matches_reference_bit_for_bit() {
+        let fovs = [
+            (100.0, 100.0),
+            (90.0, 90.0),
+            (120.0, 90.0),
+            (45.0, 30.0),
+            (200.0, 150.0),
+        ];
+        for (rows, cols) in SWEEP_GRIDS {
+            assert_aligned_sweep_matches_reference(
+                TileGrid::new(rows, cols),
+                96,
+                &fovs,
+                &[7, 16, 24],
+            );
+        }
+    }
+
+    #[test]
+    fn sign_tests_defer_to_the_exact_path_on_grid_lines() {
+        // With an odd sample count the middle ray is the view centre
+        // itself, (yaw 0, pitch 0): on a meridian and on a parallel of
+        // the 4 × 8 grid, where no sign test can decide.
+        let g = grid();
+        let vp = Viewport::paper_fov(ViewCenter::new(0.0, 0.0));
+        let camera = PixelCamera::new(&vp);
+        let classifier = TileClassifier::new(&g);
+        assert_eq!(camera.unit_ray(0.5, 0.5), (1.0, 0.0, 0.0));
+        assert_eq!(classifier.classify(camera.unit_ray(0.5, 0.5)), None);
+        // The weights still match the exact path, because it decided.
+        let fast = compute_tile_pixel_weights(&vp, &g, 7);
+        let exact = reference_weights(&vp, &g, 7);
+        assert_eq!(fast.len(), exact.len());
+        for (a, b) in fast.iter().zip(&exact) {
+            assert_eq!(a.0, b.0);
+            assert_eq!(a.1.to_bits(), b.1.to_bits());
         }
     }
 

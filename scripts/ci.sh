@@ -80,6 +80,15 @@ echo "==> fleet equivalence (blocking: event engine vs loop engine, full paper m
 # + chaos) in release, which is the PR's acceptance pin.
 cargo test --release -q --offline --test fleet_equivalence -- --include-ignored
 
+echo "==> projection equivalence (blocking: sign-test tile classifier vs angle path)"
+# The pixel-coverage miss path bins samples by sign tests instead of
+# asin/atan2; its weights must be bit-identical to the retained angle
+# path. The reduced tile-aligned sweep already ran in the workspace test
+# pass above; this stage adds the #[ignore]d full sweep (six grids, five
+# FoVs, three sample counts, centres on every sixteenth of a tile) in
+# release.
+cargo test --release -q --offline -p ee360-geom --lib projection -- --include-ignored
+
 echo "==> fleet smoke (10k-session event-driven fleet, offline + deterministic)"
 # Runs the sim::fleet scale engine over a seeded chaos plan and exits
 # non-zero unless every slot completes, two same-seed runs and every
