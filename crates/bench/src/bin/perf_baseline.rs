@@ -94,6 +94,22 @@ fn solver_contexts() -> Vec<SegmentContext> {
         .collect()
 }
 
+/// Refills `out` with `contexts` perturbed by the pass counter: the
+/// bandwidth estimate scaled by `1 + pass·1e-6` and the switching speed
+/// offset by `pass·1e-6` deg/s. The counter never wraps, so no pass
+/// replays an earlier pass's inputs bit for bit — every plan is a fresh
+/// solve, the way a session's estimates move every segment.
+fn perturb_into(contexts: &[SegmentContext], pass: u64, out: &mut Vec<SegmentContext>) {
+    let jitter = pass as f64 * 1.0e-6;
+    out.clear();
+    out.extend(contexts.iter().map(|ctx| {
+        let mut c = ctx.clone();
+        c.predicted_bandwidth_bps *= 1.0 + jitter;
+        c.switching_speed_deg_s += jitter;
+        c
+    }));
+}
+
 fn obj(fields: Vec<(&str, Json)>) -> Json {
     Json::Obj(
         fields
@@ -115,26 +131,37 @@ fn main() {
     // normalises. Timing them in separate sequential windows lets a
     // shared box drift ±30% between the windows, which the regression
     // gate would misread as a code change.
+    //
+    // Each pass plans a perturbed copy of the context stream (see
+    // `perturb_into`), and both sides time the same copy. Replaying the
+    // same contexts bit for bit would time nothing but whatever state
+    // the controller kept from the previous pass, which no session ever
+    // sees: its bandwidth estimate and switching speed change every
+    // segment.
     let contexts = solver_contexts();
     let mut ctrl = MpcController::paper_default();
     for ctx in &contexts {
-        let _ = std::hint::black_box(ctrl.plan(ctx)); // warm (memo + code)
+        let _ = std::hint::black_box(ctrl.plan(ctx)); // warm (code + scratch)
     }
     let reference = MpcController::paper_default();
     let t_window = Instant::now();
     let (mut t_opt, mut t_ref) = (0.0f64, 0.0f64);
     let (mut n, mut n_ref) = (0u64, 0u64);
     let mut pass_speedups: Vec<f64> = Vec::new();
+    let mut fresh = Vec::with_capacity(contexts.len());
+    let mut pass = 0u64;
     while t_window.elapsed().as_millis() < 2 * solver_window_ms {
+        pass += 1;
+        perturb_into(&contexts, pass, &mut fresh);
         let t = Instant::now();
-        for ctx in &contexts {
+        for ctx in &fresh {
             let _ = std::hint::black_box(ctrl.plan(ctx));
             n += 1;
         }
         let t_opt_pass = t.elapsed().as_secs_f64();
         t_opt += t_opt_pass;
         let t = Instant::now();
-        for ctx in &contexts {
+        for ctx in &fresh {
             let bandwidths = vec![ctx.predicted_bandwidth_bps; 5];
             let _ = std::hint::black_box(solve_reference(&reference, ctx, &bandwidths));
             n_ref += 1;
@@ -151,9 +178,8 @@ fn main() {
     // over the reference. Each alternation is sub-millisecond, so both
     // sides of one sample see the same machine weather; the upper
     // quartile additionally discounts the passes (and sustained phases)
-    // where a neighbour polluted the cache, which hits the memo-heavy
-    // optimised side much harder than the compute-bound reference and
-    // so only ever drags the speedup *down*.
+    // where a neighbour's load landed on the optimised half of an
+    // alternation.
     pass_speedups.sort_by(f64::total_cmp);
     let live_speedup_p75 = pass_speedups
         .get(pass_speedups.len().saturating_mul(3) / 4)
