@@ -102,19 +102,21 @@ impl Scheme {
 /// All fields are lifetime totals for one controller instance; callers
 /// diff two snapshots around a `plan` call to attribute work to a
 /// single decision.
+///
+/// The solver keeps no cache, so the two memo fields keep their names
+/// (the `solver_plan` event schema and the benchmark read them) with
+/// fixed meanings: `memo_misses` counts candidate sets built, `H` per
+/// solve, and `memo_hits` is always 0.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SolverStats {
     /// DP solves performed (one per `plan` on the MPC path).
     pub plans: u64,
-    /// Candidate-set memo hits across all solves.
+    /// Always 0: no candidate set is ever reused.
     pub memo_hits: u64,
-    /// Candidate-set memo misses (sets built from scratch).
+    /// Candidate sets built, one per horizon step of every solve.
     pub memo_misses: u64,
-    /// `(state, candidate)` transitions evaluated by the DP: full
-    /// candidate scans when a step row is built or the first decision
-    /// is chosen, collapsed-entry relaxations on the warm path — so a
-    /// row-cache-warm solve meters strictly fewer expansions than the
-    /// cold solve that seeded it.
+    /// `(state, candidate)` transitions evaluated by the DP: each step
+    /// adds its candidate count once per live buffer state.
     pub states_expanded: u64,
 }
 
@@ -267,8 +269,8 @@ pub trait Controller {
     /// Cumulative solver work counters, when the controller runs a
     /// solver worth metering. Default: `None` (the rate-based baselines
     /// do no search). Observability instrumentation diffs consecutive
-    /// snapshots to attribute memo hits/misses and states expanded to
-    /// individual plans.
+    /// snapshots to attribute candidate sets built and states expanded
+    /// to individual plans.
     fn solver_stats(&self) -> Option<SolverStats> {
         None
     }

@@ -27,7 +27,7 @@ use ee360_predict::forecast::ArForecaster;
 use ee360_qoe::framerate::{alpha, framerate_factor};
 use ee360_qoe::quality::QoModel;
 use ee360_video::content::SiTi;
-use ee360_video::ladder::{EncodingLadder, QualityLevel};
+use ee360_video::ladder::{EncodingLadder, FrameRate, QualityLevel};
 use ee360_video::segment::SEGMENT_DURATION_SEC;
 
 use crate::baselines::RateBasedController;
@@ -138,215 +138,26 @@ pub(crate) fn dp_transition(
     (stall, snapped.max(0.0))
 }
 
-/// Memo key for a candidate set: the exact bit patterns of every input
-/// [`MpcController::candidates`] depends on. Keying on bits (not on the
-/// float values) makes the memo a pure cache — two keys match only when
-/// the inputs are identical down to the last ulp, so a memo hit returns
-/// the same candidates a fresh computation would, bit for bit.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct CandidateKey {
-    si_bits: u64,
-    ti_bits: u64,
-    switching_bits: u64,
-    area_bits: u64,
-    bg_blocks: usize,
+/// One candidate that passes a step's (8c) floor, priced at that step's
+/// bandwidth.
+#[derive(Debug, Clone, Copy)]
+struct PricedCandidate {
+    quality: QualityLevel,
+    fps: f64,
+    bits: f64,
+    download_sec: f64,
+    energy_mj: f64,
 }
 
-impl CandidateKey {
-    fn new(content: SiTi, switching_speed_deg_s: f64, area: f64, bg_blocks: usize) -> Self {
-        Self {
-            si_bits: content.si().to_bits(),
-            ti_bits: content.ti().to_bits(),
-            switching_bits: switching_speed_deg_s.to_bits(),
-            area_bits: area.to_bits(),
-            bg_blocks,
-        }
-    }
-}
-
-impl MemoKey for CandidateKey {
-    fn mix(&self) -> u64 {
-        let mut h = mix64(self.si_bits);
-        h = mix64(h ^ self.ti_bits);
-        h = mix64(h ^ self.switching_bits);
-        h = mix64(h ^ self.area_bits);
-        mix64(h ^ self.bg_blocks as u64)
-    }
-}
-
-/// Memo key for a DP step row: which candidate set, at which exact
-/// bandwidth. Two solves share a row only when both match — the row is
-/// then a pure cache of floats the solver would recompute identically.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct RowKey {
-    set: u32,
-    bw_bits: u64,
-}
-
-impl MemoKey for RowKey {
-    fn mix(&self) -> u64 {
-        mix64(self.bw_bits ^ mix64(u64::from(self.set)))
-    }
-}
-
-/// SplitMix64 finaliser: a fixed, platform-independent bit mixer, so
-/// probe sequences (and therefore every memo's behaviour) are a pure
-/// function of the key bits.
-fn mix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
-
-/// A key a [`FlatMemo`] can index: full equality plus a deterministic
-/// 64-bit mix. Equality decides hits; the mix only picks the probe
-/// start, so a (vanishingly unlikely) mix collision costs one extra
-/// probe, never a wrong answer.
-pub(crate) trait MemoKey: Copy + PartialEq {
-    fn mix(&self) -> u64;
-}
-
-/// Flat open-addressing memo over an append-only arena: maps a key to
-/// the `u32` arena index assigned when it was first inserted.
-///
-/// Layout: `keys` is insertion-ordered (index-aligned with the caller's
-/// value arena); `buckets` is a power-of-two probe table holding
-/// `arena index + 1` (0 = empty), linear probing, grown by rehash at
-/// 7/8 load. Determinism: arena indices are assigned by insertion
-/// order alone, lookups compare full keys, and the memo is never
-/// iterated — so replacing the ordered `BTreeMap` cannot change any
-/// observable solver output, only the cost of reaching it.
-#[derive(Debug, Clone)]
-pub(crate) struct FlatMemo<K> {
-    buckets: Vec<u32>,
-    keys: Vec<K>,
-}
-
-impl<K> Default for FlatMemo<K> {
-    fn default() -> Self {
-        Self {
-            buckets: Vec::new(),
-            keys: Vec::new(),
-        }
-    }
-}
-
-impl<K: MemoKey> FlatMemo<K> {
-    /// Number of interned keys (== the caller's arena length).
-    pub(crate) fn len(&self) -> usize {
-        self.keys.len()
-    }
-
-    /// Arena index of `key`, if interned.
-    pub(crate) fn get(&self, key: &K) -> Option<u32> {
-        if self.keys.is_empty() {
-            return None;
-        }
-        let mask = self.buckets.len() - 1;
-        let mut i = (key.mix() as usize) & mask;
-        loop {
-            let slot = self.buckets[i];
-            if slot == 0 {
-                return None;
-            }
-            let idx = slot - 1;
-            if self.keys[idx as usize] == *key {
-                return Some(idx);
-            }
-            i = (i + 1) & mask;
-        }
-    }
-
-    /// Interns `key` (the caller has established it is absent) and
-    /// returns its new arena index, `len() - 1` after the call.
-    // lint:allow(hot-path-alloc, "memo-miss path only: the arena push is amortised O(1) and every later solve with this key hits `get` instead")
-    pub(crate) fn insert(&mut self, key: K) -> u32 {
-        if (self.len() + 1) * 8 > self.buckets.len() * 7 {
-            self.grow();
-        }
-        let idx = self.len() as u32;
-        self.keys.push(key);
-        self.place(idx);
-        idx
-    }
-
-    /// Drops every entry; the caller clears its arena in lockstep.
-    pub(crate) fn clear(&mut self) {
-        self.keys.clear();
-        self.buckets.fill(0);
-    }
-
-    fn place(&mut self, idx: u32) {
-        let mask = self.buckets.len() - 1;
-        let mut i = (self.keys[idx as usize].mix() as usize) & mask;
-        while self.buckets[i] != 0 {
-            i = (i + 1) & mask;
-        }
-        self.buckets[i] = idx + 1;
-    }
-
-    // lint:allow(hot-path-alloc, "memo growth only: doubling rehash at 7/8 load, amortised O(1) per interned key")
-    fn grow(&mut self) {
-        let cap = (self.buckets.len() * 2).max(16);
-        self.buckets = vec![0; cap];
-        for idx in 0..self.keys.len() as u32 {
-            self.place(idx);
-        }
-    }
-}
-
-/// One DP step's state-independent table at a fixed (candidate set,
-/// bandwidth): everything the sweep needs that does not depend on the
-/// incoming cost vector, built once and replayed by every solve that
-/// hits the same [`RowKey`]. Consecutive segments slide the horizon by
-/// one, so windows `k..k+H` and `k+1..k+H+1` share `H − 1` rows — the
-/// incremental reuse that lets a warm solve skip straight to the
-/// (much smaller) collapsed relaxation.
-#[derive(Debug, Clone, Default)]
-struct StepRow {
-    /// The (8c) floor `(1 − ε)·Q(v_m, f_m)` at this bandwidth.
-    floor: f64,
-    /// Per-candidate download seconds (the step-0 exact loop re-runs
-    /// the transition from these, bit-identically).
-    dl_sec: Vec<f64>,
-    /// Per-candidate energies, same indexing as `dl_sec`.
-    energy_mj: Vec<f64>,
-    /// CSR offsets into `entries`: state `s` owns
-    /// `entries[offsets[s]..offsets[s + 1]]`.
-    offsets: Vec<u32>,
-    /// Collapsed transitions: for each source state, the distinct next
-    /// states with the candidate-minimal step cost, in first-occurrence
-    /// (candidate) order.
-    entries: Vec<(u16, f64)>,
-}
-
-/// Row-cache bound: on crossing it the row memo and arena flush whole
-/// (a deterministic epoch, a pure function of the solve sequence).
-/// Sized for a full session — ~60 segments × H distinct (set,
-/// bandwidth) pairs — so real workloads never flush mid-stream, while
-/// adversarial bandwidth churn stays bounded at ~1 MiB of rows.
-const MAX_CACHED_ROWS: usize = 4096;
-
-/// Reusable solver state: the flat candidate-set and step-row memos
-/// plus flat DP scratch buffers, so a steady-state `plan` call performs
-/// no heap allocation. Overlapping horizon windows (segment `k` and
-/// `k + 1` share `H − 1` contents *and* their step rows) resolve to the
-/// same arena entries instead of rebuilding identical tables.
+/// Reusable solver buffers, so a steady-state `plan` call performs no
+/// heap allocation. Every field is overwritten before it is read; none
+/// carries information from one solve to the next except `stats`.
 #[derive(Debug, Clone, Default)]
 struct SolverScratch {
-    /// Candidate-set memo: key → index into `sets`.
-    memo: FlatMemo<CandidateKey>,
-    /// The memoised candidate sets (append-only arena).
-    sets: Vec<Vec<Candidate>>,
-    /// Step-row memo: (set, bandwidth bits) → index into `rows`.
-    row_memo: FlatMemo<RowKey>,
-    /// The memoised step rows (arena, flushed whole at the cap).
-    rows: Vec<StepRow>,
-    /// Per-horizon-step set index for the solve in progress.
-    step_sets: Vec<u32>,
-    /// Per-horizon-step row index for the solve in progress.
-    step_rows: Vec<u32>,
+    /// The current step's candidate set.
+    candidates: Vec<Candidate>,
+    /// The current step's (8c)-feasible candidates, in candidate order.
+    priced: Vec<PricedCandidate>,
     /// DP cost per buffer state.
     cost: Vec<f64>,
     /// DP cost per buffer state, next step.
@@ -366,12 +177,15 @@ pub struct MpcController {
     config: MpcConfig,
     sizer: SchemeSizer,
     ladder: EncodingLadder,
+    /// `ladder.variants()`, computed once so candidate construction
+    /// allocates nothing.
+    variants: Vec<(QualityLevel, FrameRate)>,
     qo: QoModel,
     power: PowerModel,
     fallback: RateBasedController,
     forecaster: Option<ArForecaster>,
     /// Interior-mutable so the read-only solver entry points can reuse
-    /// buffers; never observable from outside (a pure cache).
+    /// buffers; never observable from outside.
     scratch: RefCell<SolverScratch>,
 }
 
@@ -384,10 +198,12 @@ impl MpcController {
     /// Creates the controller with a custom configuration.
     pub fn new(config: MpcConfig) -> Self {
         config.validate();
+        let ladder = EncodingLadder::paper_default();
         Self {
             config,
             sizer: SchemeSizer::paper_default(),
-            ladder: EncodingLadder::paper_default(),
+            variants: ladder.variants(),
+            ladder,
             qo: QoModel::paper_default(),
             power: PowerModel::for_phone(config.phone),
             fallback: RateBasedController::new(Scheme::Ctile),
@@ -397,11 +213,10 @@ impl MpcController {
     }
 
     /// Replaces the frame-rate ladder (ablations: single-rate = the Ptile
-    /// baseline's ladder). Drops the candidate memo: cached sets were
-    /// built against the old ladder.
+    /// baseline's ladder).
     pub fn with_ladder(mut self, ladder: EncodingLadder) -> Self {
+        self.variants = ladder.variants();
         self.ladder = ladder;
-        self.scratch = RefCell::new(SolverScratch::default());
         self
     }
 
@@ -412,7 +227,6 @@ impl MpcController {
 
     /// Candidate (v, f) tuples for a segment with the given content,
     /// switching speed and Ptile geometry.
-    // lint:allow(hot-path-alloc, "memo-miss only: each distinct content key builds its candidate set once, then the solver reuses it from the arena")
     pub(crate) fn candidates(
         &self,
         content: SiTi,
@@ -420,23 +234,36 @@ impl MpcController {
         area: f64,
         bg_blocks: usize,
     ) -> Vec<Candidate> {
+        let mut out = Vec::new();
+        self.candidates_into(content, s_fov, area, bg_blocks, &mut out);
+        out
+    }
+
+    /// [`Self::candidates`] into a caller-recycled buffer, in ladder
+    /// order.
+    // lint:allow(hot-path-alloc, "amortised: refills a cleared scratch Vec whose capacity is retained across plans")
+    fn candidates_into(
+        &self,
+        content: SiTi,
+        s_fov: f64,
+        area: f64,
+        bg_blocks: usize,
+        out: &mut Vec<Candidate>,
+    ) {
         let a = alpha(s_fov, content.ti());
         let max_fps = self.ladder.max_frame_rate().fps();
-        self.ladder
-            .variants()
-            .into_iter()
-            .map(|(q, f)| {
-                let bits = self.sizer.ptile_bits(q, f.fps(), area, bg_blocks, content);
-                let q_o = self.qo.q_o(content, self.sizer.effective_bitrate_mbps(q));
-                let q_vf = q_o * framerate_factor(f.fps(), max_fps, a);
-                Candidate {
-                    quality: q,
-                    fps: f.fps(),
-                    bits,
-                    q_vf,
-                }
-            })
-            .collect()
+        out.clear();
+        out.extend(self.variants.iter().map(|&(q, f)| {
+            let bits = self.sizer.ptile_bits(q, f.fps(), area, bg_blocks, content);
+            let q_o = self.qo.q_o(content, self.sizer.effective_bitrate_mbps(q));
+            let q_vf = q_o * framerate_factor(f.fps(), max_fps, a);
+            Candidate {
+                quality: q,
+                fps: f.fps(),
+                bits,
+                q_vf,
+            }
+        }));
     }
 
     /// The (8c) reference quality `Q(v_m, f_m)`: the best candidate quality
@@ -503,99 +330,20 @@ impl MpcController {
         self.solve_with_bandwidths(ctx, bandwidths)
     }
 
-    /// Builds the [`StepRow`] for one (candidate set, bandwidth) pair:
-    /// the (8c) floor, per-candidate downloads/energies, and the
-    /// per-state collapsed transitions.
-    ///
-    /// The collapse is sound bit-for-bit: for a fixed source state the
-    /// DP relaxes `cost[s] + step_cost_j` over candidates `j`, and IEEE
-    /// addition of a constant is monotone, so
-    /// `min_j(cost[s] + sc_j) == cost[s] + min_j(sc_j)` exactly —
-    /// keeping only the candidate-minimal cost per next state changes
-    /// no relaxed value and no winner.
-    // lint:allow(hot-path-alloc, "row-memo miss only: each distinct (set, bandwidth) pair builds its step row once, then every overlapping horizon replays it from the arena")
-    fn build_row(
-        &self,
-        cands: &[Candidate],
-        bandwidth: f64,
-        n_states: usize,
-        stats: &mut SolverStats,
-    ) -> StepRow {
-        let cfg = &self.config;
-        let gran = cfg.buffer_granularity_sec;
-        let level_state = |b: f64| ((b / gran).floor() as usize).min(n_states - 1);
-        let q_ref = self.reference_quality(cands, bandwidth);
-        let floor = (1.0 - cfg.epsilon) * q_ref;
-        let mut dl_sec = Vec::with_capacity(cands.len());
-        let mut energy_mj = Vec::with_capacity(cands.len());
-        for c in cands {
-            dl_sec.push(c.bits / bandwidth);
-            energy_mj.push(self.candidate_energy_mj(c, bandwidth));
-        }
-        let mut offsets = Vec::with_capacity(n_states + 1);
-        let mut entries: Vec<(u16, f64)> = Vec::new();
-        offsets.push(0);
-        for s in 0..n_states {
-            let b = s as f64 * gran;
-            let lo = entries.len();
-            stats.states_expanded += cands.len() as u64;
-            for (j, c) in cands.iter().enumerate() {
-                // Constraint (8c).
-                if c.q_vf + 1e-9 < floor {
-                    continue;
-                }
-                let (stall, b_next) = dp_transition(b, dl_sec[j], cfg.buffer_threshold_sec, gran);
-                let sc_j = energy_mj[j] + stall * cfg.stall_penalty_mj_per_sec;
-                let ns = level_state(b_next) as u16;
-                match entries[lo..].iter_mut().find(|e| e.0 == ns) {
-                    // Strict `<` keeps the earliest minimal candidate,
-                    // mirroring the sequential relaxation's tie rule.
-                    Some(e) => {
-                        if sc_j < e.1 {
-                            e.1 = sc_j;
-                        }
-                    }
-                    None => entries.push((ns, sc_j)),
-                }
-            }
-            offsets.push(entries.len() as u32);
-        }
-        StepRow {
-            floor,
-            dl_sec,
-            energy_mj,
-            offsets,
-            entries,
-        }
-    }
-
     /// The DP core with explicit per-step bandwidths (exposed within the
     /// crate so tests and ablations can inject forecasts directly).
     ///
-    /// This is the optimised solver; [`crate::reference::solve_reference`]
-    /// keeps the straightforward formulation, and the property suite pins
-    /// the two bit-identical. Four transformations, none of which change
-    /// a single float operation's inputs:
-    ///
-    /// 1. Candidate sets are memoised on the exact bit patterns of their
-    ///    inputs ([`CandidateKey`]) in a flat open-addressing memo, so
-    ///    the overlapping horizon windows of consecutive segments reuse
-    ///    sets instead of rebuilding them.
-    /// 2. Everything state-independent about a step — the (8c) floor,
-    ///    per-candidate downloads/energies, and the per-state collapsed
-    ///    transitions — is memoised per (set, bandwidth) as a
-    ///    [`StepRow`]. Sliding the horizon window by one segment reuses
-    ///    `H − 1` of `H` rows: the incremental cross-horizon reuse.
-    /// 3. Steps `1..H` relax the collapsed rows (the first decision is
-    ///    inherited from the source state there, so only the minimal
-    ///    step cost per next state matters — see [`Self::build_row`]).
-    ///    Step 0 re-runs the exact per-candidate loop from the row's
-    ///    cached downloads/energies, because with `first[s] == None`
-    ///    the decision identity depends on the candidate order under
-    ///    rounding-collapsed cost ties.
-    /// 4. The DP rolls over flat scratch buffers held on the controller —
-    ///    no per-plan allocation in steady state.
-    // lint:allow(hot-path-alloc, "amortised: every push refills a cleared scratch Vec whose capacity is retained across plans; the set/row arenas grow only on a memo miss")
+    /// The same relaxation as [`crate::reference::solve_reference`], in
+    /// the same order, so the property suite can pin the two
+    /// bit-identical. Per horizon step it builds the candidate set into
+    /// reused scratch, computes the (8c) floor and each feasible
+    /// candidate's download seconds and energy once instead of once per
+    /// live state, then relaxes every live buffer state with the
+    /// reference's strict-`<` rule. Hoisting changes no float
+    /// operation's inputs: the floor depends only on the candidate set
+    /// and the bandwidth, and each price only on the candidate and the
+    /// bandwidth.
+    // lint:allow(hot-path-alloc, "amortised: every push refills a cleared scratch Vec whose capacity is retained across plans")
     pub(crate) fn solve_with_bandwidths(
         &self,
         ctx: &SegmentContext,
@@ -611,71 +359,10 @@ impl MpcController {
         let n_states = (cfg.buffer_threshold_sec / gran).round() as usize + 1;
         let level_state = |b: f64| ((b / gran).floor() as usize).min(n_states - 1);
         let area = ctx.ptile_area_frac.max(FOV_AREA_FRACTION);
-        let horizon = cfg.horizon;
 
         let mut scratch = self.scratch.borrow_mut();
         let sc = &mut *scratch;
         sc.stats.plans += 1;
-
-        // Epoch flush *between* solves only: `step_rows` holds arena
-        // indices for the solve in progress, so the cap check must not
-        // invalidate them mid-resolve.
-        if sc.rows.len() + horizon > MAX_CACHED_ROWS {
-            sc.rows.clear();
-            sc.row_memo.clear();
-        }
-
-        // Resolve the per-step candidate sets through the memo (content
-        // varies over the horizon; switching speed and geometry are held
-        // at current values, the only information the client has), then
-        // the per-step rows through the row memo.
-        sc.step_sets.clear();
-        sc.step_rows.clear();
-        for h in 0..horizon {
-            let content = ctx.content_at(h);
-            let key = CandidateKey::new(
-                content,
-                ctx.switching_speed_deg_s,
-                area,
-                ctx.background_blocks,
-            );
-            let set = match sc.memo.get(&key) {
-                Some(i) => {
-                    sc.stats.memo_hits += 1;
-                    i
-                }
-                None => {
-                    sc.stats.memo_misses += 1;
-                    sc.sets.push(self.candidates(
-                        content,
-                        ctx.switching_speed_deg_s,
-                        area,
-                        ctx.background_blocks,
-                    ));
-                    sc.memo.insert(key)
-                }
-            };
-            sc.step_sets.push(set);
-
-            let row_key = RowKey {
-                set,
-                bw_bits: bandwidths[h].to_bits(),
-            };
-            let row = match sc.row_memo.get(&row_key) {
-                Some(i) => i,
-                None => {
-                    let built = self.build_row(
-                        &sc.sets[set as usize],
-                        bandwidths[h],
-                        n_states,
-                        &mut sc.stats,
-                    );
-                    sc.rows.push(built);
-                    sc.row_memo.insert(row_key)
-                }
-            };
-            sc.step_rows.push(row);
-        }
 
         const INF: f64 = f64::INFINITY;
         // cost[state] and the first decision that reached it.
@@ -690,58 +377,48 @@ impl MpcController {
         let start = level_state(ctx.buffer_sec.min(cfg.buffer_threshold_sec));
         sc.cost[start] = 0.0;
 
-        for h in 0..horizon {
-            let row = &sc.rows[sc.step_rows[h] as usize];
-            if h == 0 {
-                // Exact per-candidate loop: the first decision is chosen
-                // here, and under rounding-collapsed total ties the
-                // winner is candidate-order dependent. Only the start
-                // state is live, so this costs one candidate scan.
-                let cands = &sc.sets[sc.step_sets[0] as usize];
-                for s in 0..n_states {
-                    if sc.cost[s].is_infinite() {
-                        continue;
-                    }
-                    sc.stats.states_expanded += cands.len() as u64;
-                    let b = s as f64 * gran;
-                    for (j, c) in cands.iter().enumerate() {
-                        // Constraint (8c).
-                        if c.q_vf + 1e-9 < row.floor {
-                            continue;
-                        }
-                        let (stall, b_next) =
-                            dp_transition(b, row.dl_sec[j], cfg.buffer_threshold_sec, gran);
-                        let step_cost = row.energy_mj[j] + stall * cfg.stall_penalty_mj_per_sec;
-                        let total = sc.cost[s] + step_cost;
-                        let ns = level_state(b_next);
-                        if total < sc.next_cost[ns] {
-                            sc.next_cost[ns] = total;
-                            sc.next_first[ns] = sc.first[s].or(Some((c.quality, c.fps, c.bits)));
-                        }
-                    }
+        for (h, &bandwidth) in bandwidths.iter().enumerate() {
+            // Content varies over the horizon; switching speed and
+            // geometry are held at current values, the only information
+            // the client has.
+            self.candidates_into(
+                ctx.content_at(h),
+                ctx.switching_speed_deg_s,
+                area,
+                ctx.background_blocks,
+                &mut sc.candidates,
+            );
+            sc.stats.memo_misses += 1;
+            let floor = (1.0 - cfg.epsilon) * self.reference_quality(&sc.candidates, bandwidth);
+            sc.priced.clear();
+            for c in &sc.candidates {
+                // Constraint (8c).
+                if c.q_vf + 1e-9 < floor {
+                    continue;
                 }
-            } else {
-                // Collapsed relaxation: every state reached after step 0
-                // carries a first decision, so the propagated value
-                // depends only on the source state and the minimal step
-                // cost — exactly what the row stores.
-                for s in 0..n_states {
-                    if sc.cost[s].is_infinite() {
-                        continue;
-                    }
-                    let lo = row.offsets[s] as usize;
-                    let hi = row.offsets[s + 1] as usize;
-                    sc.stats.states_expanded += (hi - lo) as u64;
-                    let base = sc.cost[s];
-                    let first = sc.first[s];
-                    debug_assert!(first.is_some(), "finite post-step-0 state without decision");
-                    for &(ns, min_sc) in &row.entries[lo..hi] {
-                        let total = base + min_sc;
-                        let ns = ns as usize;
-                        if total < sc.next_cost[ns] {
-                            sc.next_cost[ns] = total;
-                            sc.next_first[ns] = first;
-                        }
+                sc.priced.push(PricedCandidate {
+                    quality: c.quality,
+                    fps: c.fps,
+                    bits: c.bits,
+                    download_sec: c.bits / bandwidth,
+                    energy_mj: self.candidate_energy_mj(c, bandwidth),
+                });
+            }
+            for s in 0..n_states {
+                if sc.cost[s].is_infinite() {
+                    continue;
+                }
+                sc.stats.states_expanded += sc.candidates.len() as u64;
+                let b = s as f64 * gran;
+                for c in &sc.priced {
+                    let (stall, b_next) =
+                        dp_transition(b, c.download_sec, cfg.buffer_threshold_sec, gran);
+                    let step_cost = c.energy_mj + stall * cfg.stall_penalty_mj_per_sec;
+                    let total = sc.cost[s] + step_cost;
+                    let ns = level_state(b_next);
+                    if total < sc.next_cost[ns] {
+                        sc.next_cost[ns] = total;
+                        sc.next_first[ns] = sc.first[s].or(Some((c.quality, c.fps, c.bits)));
                     }
                 }
             }
@@ -759,8 +436,17 @@ impl MpcController {
             Some(decision) => decision,
             None => {
                 // Pathological (e.g. every candidate violates 8c at every
-                // state, which reference_quality prevents): cheapest tuple.
-                let c = sc.sets[sc.step_sets[0] as usize]
+                // state, which reference_quality prevents): cheapest
+                // tuple of the first step's candidate set.
+                self.candidates_into(
+                    ctx.content_at(0),
+                    ctx.switching_speed_deg_s,
+                    area,
+                    ctx.background_blocks,
+                    &mut sc.candidates,
+                );
+                let c = sc
+                    .candidates
                     .iter()
                     .min_by(|a, b| a.bits.total_cmp(&b.bits))
                     // lint:allow(no-panic-paths, "documented invariant: the quality ladder is never empty")
@@ -992,140 +678,33 @@ mod tests {
         let _ = c.plan(&ctx(4.0e6));
         let first = c.solver_stats().expect("mpc meters its solver");
         assert_eq!(first.plans, 1);
-        // Uniform horizon content: one set built, four memo hits.
-        assert_eq!(first.memo_misses, 1);
-        assert_eq!(first.memo_hits, 4);
-        assert!(first.states_expanded > 0);
+        // One candidate set built per horizon step; nothing is cached.
+        assert_eq!(first.memo_misses, 5);
+        assert_eq!(first.memo_hits, 0);
+        // Every candidate downloads within one segment at 4 Mb/s, so
+        // from a full buffer each step refills to β and exactly one
+        // state stays live: 5 steps × 20 candidates.
+        let context = ctx(4.0e6);
+        let cands = c.candidates(
+            context.content(),
+            context.switching_speed_deg_s,
+            context.ptile_area_frac,
+            context.background_blocks,
+        );
+        assert_eq!(cands.len(), 20);
+        assert!(cands
+            .iter()
+            .all(|cand| cand.bits / 4.0e6 <= SEGMENT_DURATION_SEC));
+        assert_eq!(first.states_expanded, 5 * 20);
         let _ = c.plan(&ctx(4.0e6));
         let delta = c.solver_stats().expect("stats persist").since(&first);
-        assert_eq!(delta.plans, 1);
-        assert_eq!(delta.memo_misses, 0, "warm memo: every step hits");
-        assert_eq!(delta.memo_hits, 5);
+        assert_eq!(delta, first, "an identical solve does identical work");
         // The fallback path runs no solve and meters nothing.
         let mut no_ptile = ctx(4.0e6);
         no_ptile.ptile_available = false;
         let snap = c.solver_stats().expect("snapshot");
         let _ = c.plan(&no_ptile);
         assert_eq!(c.solver_stats(), Some(snap));
-    }
-
-    #[test]
-    fn warm_horizon_solve_expands_strictly_fewer_states() {
-        // The incremental-reuse contract: a solve whose (set, bandwidth)
-        // rows are already cached skips every row build and meters only
-        // the collapsed sweep — strictly fewer transition evaluations
-        // than the cold solve that seeded the rows.
-        let mut c = MpcController::paper_default();
-        let _ = c.plan(&ctx(4.0e6));
-        let cold = c.solver_stats().expect("mpc meters its solver");
-        let _ = c.plan(&ctx(4.0e6));
-        let warm = c.solver_stats().expect("stats persist").since(&cold);
-        assert!(warm.states_expanded > 0, "warm solve still sweeps the DP");
-        assert!(
-            warm.states_expanded < cold.states_expanded,
-            "warm {} vs cold {}: row reuse must shrink the solve",
-            warm.states_expanded,
-            cold.states_expanded
-        );
-    }
-
-    #[test]
-    fn sliding_window_reuses_shared_rows() {
-        // Consecutive segments share H - 1 horizon contents at the same
-        // bandwidth: the warm solve builds at most one new row, so its
-        // expansion count stays below the from-scratch count.
-        let mut c = MpcController::paper_default();
-        let mut window = ctx(4.0e6);
-        window.upcoming = (0..5).map(|i| SiTi::new(60.0 + i as f64, 25.0)).collect();
-        let _ = c.plan(&window);
-        let cold = c.solver_stats().expect("metered");
-        let mut slid = window.clone();
-        slid.index = 1;
-        slid.upcoming.remove(0);
-        slid.upcoming.push(SiTi::new(65.0, 25.0));
-        let _ = c.plan(&slid);
-        let warm = c.solver_stats().expect("metered").since(&cold);
-        assert_eq!(warm.memo_misses, 1, "one fresh content enters the window");
-        assert!(
-            warm.states_expanded < cold.states_expanded,
-            "slid {} vs cold {}",
-            warm.states_expanded,
-            cold.states_expanded
-        );
-    }
-
-    #[test]
-    fn row_cache_epoch_flush_stays_bit_exact() {
-        // Drive more distinct (set, bandwidth) rows than the cache cap
-        // so at least one epoch flush fires mid-stream, checking every
-        // plan against the straightforward reference solver.
-        use crate::reference::solve_reference;
-        let c = MpcController::paper_default();
-        let context = ctx(4.0e6);
-        let solves = MAX_CACHED_ROWS / 4;
-        for k in 0..solves {
-            let base = 1.0e6 + k as f64 * 7.0e3;
-            let bandwidths: Vec<f64> = (0..5).map(|h| base + h as f64 * 1.3e3).collect();
-            let opt = c.solve_with_bandwidths(&context, &bandwidths);
-            let reference = solve_reference(&c, &context, &bandwidths);
-            assert_eq!(opt.0, reference.0, "solve {k}");
-            assert_eq!(opt.1.to_bits(), reference.1.to_bits(), "solve {k}");
-            assert_eq!(opt.2.to_bits(), reference.2.to_bits(), "solve {k}");
-        }
-        let rows = c.scratch.borrow().rows.len();
-        assert!(
-            rows <= MAX_CACHED_ROWS + c.config.horizon,
-            "cache stayed bounded: {rows}"
-        );
-        assert!(
-            rows < solves * 5,
-            "at least one flush fired: {rows} rows after {solves} solves"
-        );
-    }
-
-    ee360_support::proptest! {
-        // The flat open-addressing memo must behave exactly like the
-        // ordered-map memo it replaced: same hit/miss answer and the
-        // same insertion-ordered arena index for every key, across
-        // duplicate-heavy streams (narrow pools) that force rehash
-        // growth, salted with full-width bit patterns.
-        #[test]
-        fn flat_memo_matches_ordered_map_model(
-            raw in ee360_support::prop::collection::vec(
-                (0u64..9, 0u64..9, 0u64..5, 0u64..5, 0usize..3),
-                1..400,
-            ),
-            wide in ee360_support::prop::collection::vec(
-                (0u64..u64::MAX, 0u64..u64::MAX),
-                0..64,
-            ),
-        ) {
-            use std::collections::BTreeMap;
-            let mut memo = FlatMemo::<CandidateKey>::default();
-            let mut model: BTreeMap<(u64, u64, u64, u64, usize), u32> = BTreeMap::new();
-            let keys = raw
-                .iter()
-                .copied()
-                .chain(wide.iter().map(|&(a, b)| (a, b, a ^ b, b.rotate_left(7), 1)));
-            for (si, ti, sw, ar, bg) in keys {
-                let key = CandidateKey {
-                    si_bits: si,
-                    ti_bits: ti,
-                    switching_bits: sw,
-                    area_bits: ar,
-                    bg_blocks: bg,
-                };
-                let got = memo.get(&key);
-                let want = model.get(&(si, ti, sw, ar, bg)).copied();
-                ee360_support::prop_assert_eq!(got, want);
-                if got.is_none() {
-                    let idx = memo.insert(key);
-                    ee360_support::prop_assert_eq!(idx as usize, memo.len() - 1);
-                    model.insert((si, ti, sw, ar, bg), idx);
-                }
-            }
-            ee360_support::prop_assert_eq!(memo.len(), model.len());
-        }
     }
 
     #[test]

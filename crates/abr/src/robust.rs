@@ -5,7 +5,7 @@
 //! estimate — and fails hardest exactly where those estimates are worst:
 //! exploratory gaze and outage-heavy traces. Following the robust
 //! tile-streaming formulation of Ghosh, Aggarwal & Qian
-//! (arXiv:1812.00816), [`RobustMpcController`] wraps the memoised point
+//! (arXiv:1812.00816), [`RobustMpcController`] wraps the point MPC
 //! solver and deflects only the *inputs* it plans against:
 //!
 //! * **FoV uncertainty** — realised prediction errors stream into a
@@ -27,7 +27,7 @@
 //! (width 0°, factor 1.0) until warm, and any time uncertainty is zero
 //! the controller passes the [`SegmentContext`] through *untouched* —
 //! not multiplied by 1.0, but the very same struct — so the identical
-//! memoised solve runs and the plans are bit-identical to
+//! point solve runs and the plans are bit-identical to
 //! [`MpcController`]'s. `tests/robustness.rs` pins this with a seeded
 //! proptest, and `reference::solve_reference` stays the oracle because
 //! the solver core itself is never modified.
@@ -178,7 +178,7 @@ impl Controller for RobustMpcController {
         // lint:allow(float-compare, "intentional exact check: factor is exactly 1.0 iff the margin is inert, which selects the bit-identical passthrough")
         if !widen && factor == 1.0 {
             // Zero (or negligible) uncertainty: hand the *same* context to
-            // the same memoised solver — the reduction-to-point-MPC
+            // the same point solver — the reduction-to-point-MPC
             // guarantee.
             self.stats.last_width_deg = 0.0;
             return self.inner.plan_into(ctx, buffers);

@@ -195,7 +195,7 @@ fn main() {
     // point slack grow the residual quantile (widening + dual solve),
     // and downside throughput samples arm the bandwidth margin. The
     // budget is overhead < 2x the point solver — at worst the robust
-    // controller runs the memoised core twice per segment.
+    // controller runs the point DP twice per segment.
     let mut robust = RobustMpcController::paper_default();
     for ctx in contexts.iter().cycle().take(2 * contexts.len()) {
         let _ = std::hint::black_box(robust.plan(ctx));

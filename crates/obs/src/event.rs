@@ -53,9 +53,11 @@ pub enum Event {
         /// Why this plan was produced: `"mpc"`, `"fallback_no_ptile"`,
         /// `"baseline"`, or `"degraded"` (abandon-ladder replan).
         cause: &'static str,
-        /// Memo hits the solver scored while producing this plan.
+        /// Candidate sets the solver reused while producing this plan
+        /// (always 0: the MPC solver keeps no cache).
         memo_hits: u64,
-        /// Memo misses (full DP solves) while producing this plan.
+        /// Candidate sets the solver built while producing this plan
+        /// (one per horizon step).
         memo_misses: u64,
         /// DP states expanded while producing this plan.
         states_expanded: u64,

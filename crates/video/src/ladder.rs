@@ -173,7 +173,6 @@ impl EncodingLadder {
     }
 
     /// All frame rates, lowest to highest; the last one is the original.
-    // lint:allow(hot-path-alloc, "memo-miss only: the solver reaches this through candidate-set construction, which is cached per content key")
     pub fn frame_rates(&self) -> Vec<FrameRate> {
         let mut rates: Vec<FrameRate> = self
             .reductions
@@ -201,7 +200,6 @@ impl EncodingLadder {
     }
 
     /// Iterates over every (quality, frame-rate) tuple of the ladder.
-    // lint:allow(hot-path-alloc, "memo-miss only: the solver reaches this through candidate-set construction, which is cached per content key")
     pub fn variants(&self) -> Vec<(QualityLevel, FrameRate)> {
         let rates = self.frame_rates();
         QualityLevel::ALL
