@@ -1,7 +1,8 @@
 //! Bench: per-segment prediction costs.
 //!
-//! Viewport prediction (a ridge fit over the 2 s gaze window) and
-//! bandwidth estimation run once per downloaded segment on the client.
+//! Viewport prediction (a ridge fit over the 2 s gaze window), the fast
+//! switching speed of that window and bandwidth estimation run once per
+//! downloaded segment on the client.
 
 use std::hint::black_box;
 
@@ -30,6 +31,32 @@ fn main() {
         let h = history(n);
         bench.run(&format!("viewport_predict/ridge/{n}"), || {
             predictor.predict(black_box(&h), 1.0)
+        });
+    }
+
+    // The fast (p75) switching speed of the 2 s planning window: computed
+    // from scratch (every interval's Eq. 5 speed), and served by a warm
+    // per-session window (every interval already computed once).
+    {
+        use ee360_geom::switching::fast_switching_speed;
+        use ee360_trace::head::{HeadTrace, IntervalSpeeds};
+        let h = history(200);
+        let trace = HeadTrace::from_samples(
+            0,
+            0,
+            h.iter()
+                .map(|s| (s.t_sec, s.center.yaw_deg(), s.center.pitch_deg()))
+                .collect(),
+        );
+        let (lo, hi) = (8.0, 10.0 + 1e-9);
+        let mut window = Vec::new();
+        let range = trace.switching_window_into(lo, hi, &mut window);
+        bench.run("switching/fast_speed_2s_fresh", || {
+            fast_switching_speed(black_box(&window))
+        });
+        let mut speeds = IntervalSpeeds::new(&trace);
+        bench.run("switching/fast_speed_2s_session_warm", || {
+            speeds.fast_speed(black_box(range.clone()))
         });
     }
 

@@ -31,14 +31,14 @@ use ee360_abr::plan::{PlanBuffers, SegmentContext, SegmentPlan};
 use ee360_abr::robust::RobustMpcController;
 use ee360_geom::grid::TileGrid;
 use ee360_geom::region::TileRegion;
-use ee360_geom::switching::{fast_switching_speed, SwitchingSample};
+use ee360_geom::switching::SwitchingSample;
 use ee360_geom::viewport::{ViewCenter, Viewport};
 use ee360_obs::profile::StageTimer;
 use ee360_obs::{Event, Level, NoopRecorder, Record};
 use ee360_power::energy::{SegmentEnergy, SegmentEnergyParams};
 use ee360_power::model::{Phone, PowerModel};
 use ee360_predict::bandwidth::{BandwidthEstimator, HarmonicMeanEstimator};
-use ee360_predict::viewport::ViewportPredictor;
+use ee360_predict::viewport::{PredictorWorkspace, ViewportPredictor};
 use ee360_qoe::framerate::{alpha, framerate_factor};
 use ee360_qoe::impairment::{QoeWeights, SegmentQoe};
 use ee360_qoe::quality::QoModel;
@@ -48,7 +48,7 @@ use ee360_sim::resilience::{
     DownloadEnv, DownloadOutcome, DownloadState, RetryPolicy, SessionCore,
 };
 use ee360_trace::fault::FaultPlan;
-use ee360_trace::head::HeadTrace;
+use ee360_trace::head::{HeadTrace, IntervalSpeeds};
 use ee360_trace::network::NetworkTrace;
 use ee360_video::ladder::QualityLevel;
 use ee360_video::segment::SEGMENT_DURATION_SEC;
@@ -232,6 +232,11 @@ pub struct SessionRunner<'a> {
     /// Recycled 2 s gaze-window buffer: refilled by every `plan_segment`,
     /// read only within it.
     gaze_window: Vec<SwitchingSample>,
+    /// Recycled predictor scratch, same lifecycle as `gaze_window`.
+    predictor_ws: PredictorWorkspace,
+    /// The user's interval speeds, each computed once per session and
+    /// shared by the planning and booking windows that overlap on it.
+    speeds: IntervalSpeeds<'a>,
 }
 
 impl<'a> SessionRunner<'a> {
@@ -287,6 +292,8 @@ impl<'a> SessionRunner<'a> {
             spare_upcoming: Vec::new(),
             spare_rungs: Vec::new(),
             gaze_window: Vec::new(),
+            predictor_ws: PredictorWorkspace::default(),
+            speeds: IntervalSpeeds::new(setup.user),
         }
     }
 
@@ -379,20 +386,19 @@ impl<'a> SessionRunner<'a> {
         // the stored trace), into a buffer recycled across segments.
         let playback_pos = (k as f64 - buffer).max(0.0);
         let user = self.setup.user;
-        user.switching_window_into(
+        let window = user.switching_window_into(
             playback_pos - 2.0,
             playback_pos + 1e-9,
             &mut self.gaze_window,
         );
-        let history = self.gaze_window.as_slice();
         let predicted = self
             .predictor
-            .predict(history, buffer.max(0.0))
+            .predict_with(&self.gaze_window, buffer.max(0.0), &mut self.predictor_ws)
             .unwrap_or_else(|| user.first_center().unwrap_or_default());
         // The controller plans frame-rate reduction around the *fast*
         // phases of the gaze (Eq. 4's blur argument): use the 75th
         // percentile of recent switching speeds, not the diluted mean.
-        let observed_s_fov = fast_switching_speed(history);
+        let observed_s_fov = self.speeds.fast_speed(window);
 
         // --- 2. Ptile lookup ------------------------------------------
         let covering = self.setup.server.covering_ptile(k, predicted);
@@ -410,6 +416,7 @@ impl<'a> SessionRunner<'a> {
             self.setup
                 .server
                 .ftile_layout(k)
+                // lint:allow(hot-path-alloc, "Ftile scheme only: the Ptile and MPC schemes never select variable-size tiles")
                 .map(|layout| layout.tiles_for_viewport(&predicted_vp))
         } else {
             None
@@ -453,6 +460,7 @@ impl<'a> SessionRunner<'a> {
             ftile_fov_area,
             ftile_fov_tiles,
         };
+        // lint:allow(hot-path-alloc, "live recorder only: NoopRecorder::span_open records nothing")
         rec.span_open("segment", self.core.clock_sec());
         let stats_before = controller.solver_stats();
         let robust_before = controller.robust_stats();
@@ -520,6 +528,7 @@ impl<'a> SessionRunner<'a> {
         // lazily by its replan hook when the pipeline abandons a download.
         let mut rung_plans = std::mem::take(&mut self.spare_rungs);
         rung_plans.clear();
+        // lint:allow(hot-path-alloc, "recycled: rung_plans is the cleared ladder of the last booked segment, whose capacity is retained")
         rung_plans.push(plan);
         let download_timer = StageTimer::start(rec.profiling());
         let (core, env) = self.download_parts();
@@ -724,9 +733,8 @@ impl<'a> SessionRunner<'a> {
             }
         }
         let actual_s_fov = self
-            .setup
-            .user
-            .segment_fast_switching_speed(k)
+            .speeds
+            .segment_fast_speed(k)
             .unwrap_or(pending.observed_s_fov);
         let actual_vp = Viewport::new(actual, 100.0, 100.0);
         let frac = match (self.scheme, &pending.ptile_region) {

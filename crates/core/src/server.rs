@@ -24,6 +24,10 @@ pub struct VideoServer {
     config: PtileConfig,
     timeline: SegmentTimeline,
     ptiles: Vec<Vec<Ptile>>,
+    /// Per segment, each Ptile's `(area fraction, background-block
+    /// count)`, parallel to `ptiles`: both depend only on the Ptile, so
+    /// they are computed once here instead of on every lookup.
+    ptile_costs: Vec<Vec<(f64, usize)>>,
     ftile_layouts: Vec<FtileLayout>,
 }
 
@@ -48,13 +52,25 @@ impl VideoServer {
         let timeline = SegmentTimeline::for_video(spec);
         let n = spec.segment_count();
         let mut ptiles = Vec::with_capacity(n);
+        let mut ptile_costs = Vec::with_capacity(n);
         let mut ftile_layouts = Vec::with_capacity(n);
         for k in 0..n {
             let centers: Vec<ViewCenter> = training
                 .iter()
                 .filter_map(|t| t.segment_center(k))
                 .collect();
-            ptiles.push(build_ptiles(&centers, &grid, &config));
+            let built = build_ptiles(&centers, &grid, &config);
+            ptile_costs.push(
+                built
+                    .iter()
+                    .map(|p| {
+                        let area = p.region.area_fraction(&grid);
+                        let bg = background_blocks(&p.region, &grid).len();
+                        (area, bg)
+                    })
+                    .collect(),
+            );
+            ptiles.push(built);
             ftile_layouts.push(FtileLayout::build(&centers));
         }
         Self {
@@ -63,6 +79,7 @@ impl VideoServer {
             config,
             timeline,
             ptiles,
+            ptile_costs,
             ftile_layouts,
         }
     }
@@ -111,15 +128,16 @@ impl VideoServer {
         predicted: ViewCenter,
     ) -> Option<(&Ptile, f64, usize)> {
         let vp = Viewport::new(predicted, self.config.fov_h_deg, self.config.fov_v_deg);
-        let block = self.grid.fov_block(&vp);
+        let costs = self
+            .ptile_costs
+            .get(segment)
+            .map(|v| v.as_slice())
+            .unwrap_or(&[]);
         self.ptiles(segment)
             .iter()
-            .find(|p| block.iter().all(|t| p.region.contains(*t)))
-            .map(|p| {
-                let area = p.region.area_fraction(&self.grid);
-                let bg = background_blocks(&p.region, &self.grid).len();
-                (p, area, bg)
-            })
+            .zip(costs)
+            .find(|(p, _)| self.grid.fov_block_tiles(&vp).all(|t| p.region.contains(t)))
+            .map(|(p, &(area, bg))| (p, area, bg))
     }
 
     /// Fig. 7 statistics over a set of evaluation traces: per segment, how
@@ -198,6 +216,26 @@ mod tests {
             }
         }
         assert!(hits as f64 / total as f64 > 0.5, "{hits}/{total} covered");
+    }
+
+    #[test]
+    fn covering_lookup_reports_the_ptiles_own_area_and_background() {
+        let (server, traces) = server_for(6, 12);
+        let grid = *server.grid();
+        let mut found = 0;
+        for trace in traces.traces() {
+            for k in 0..server.segment_count() {
+                let Some(center) = trace.segment_center(k) else {
+                    continue;
+                };
+                if let Some((p, area, bg)) = server.covering_ptile(k, center) {
+                    found += 1;
+                    assert_eq!(area.to_bits(), p.region.area_fraction(&grid).to_bits());
+                    assert_eq!(bg, background_blocks(&p.region, &grid).len());
+                }
+            }
+        }
+        assert!(found > 0, "no lookup hit a Ptile");
     }
 
     #[test]

@@ -190,6 +190,12 @@ impl TileGrid {
     /// assert_eq!(grid.fov_block(&vp).len(), 9);
     /// ```
     pub fn fov_block(&self, vp: &Viewport) -> Vec<TileId> {
+        self.fov_block_tiles(vp).collect()
+    }
+
+    /// [`Self::fov_block`] without the `Vec`: the same tiles in the same
+    /// row-major order, generated on demand.
+    pub fn fov_block_tiles(&self, vp: &Viewport) -> impl Iterator<Item = TileId> {
         let block_cols =
             ((vp.fov_h_deg() / self.tile_width_deg()).ceil() as usize).clamp(1, self.cols);
         let block_rows =
@@ -202,13 +208,13 @@ impl TileGrid {
         first_row = first_row.clamp(0, self.rows as isize - block_rows as isize);
         let first_row = first_row as usize;
 
-        let mut out = Vec::with_capacity(block_rows * block_cols);
-        for dr in 0..block_rows {
-            for dc in 0..block_cols {
-                out.push(TileId::new(first_row + dr, (first_col + dc) % self.cols));
-            }
-        }
-        out
+        let cols = self.cols;
+        (0..block_rows * block_cols).map(move |i| {
+            TileId::new(
+                first_row + i / block_cols,
+                (first_col + i % block_cols) % cols,
+            )
+        })
     }
 
     /// Iterates over every tile in the grid, row-major.

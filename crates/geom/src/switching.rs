@@ -87,7 +87,17 @@ pub fn mean_switching_speed(samples: &[SwitchingSample]) -> f64 {
 /// a plain mean dilutes away. Returns `0.0` for windows with fewer than two
 /// samples.
 pub fn fast_switching_speed(samples: &[SwitchingSample]) -> f64 {
-    let mut speeds = switching_speeds(samples);
+    fast_speed_of(&mut switching_speeds(samples))
+}
+
+/// The percentile rule behind [`fast_switching_speed`]: the 75th
+/// percentile (element `⌊0.75·n⌋` in `total_cmp` order) of per-interval
+/// speeds, `0.0` for an empty slice. Reorders `speeds` in place.
+///
+/// Under a total order the k-th order statistic does not depend on how
+/// the input is permuted, so any caller that gathers the same speed
+/// values gets the same bits back.
+pub fn fast_speed_of(speeds: &mut [f64]) -> f64 {
     if speeds.is_empty() {
         return 0.0;
     }

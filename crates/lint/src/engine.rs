@@ -61,6 +61,9 @@ impl Default for Config {
                 "abr::mpc::MpcController::solve_with_bandwidths",
                 "abr::mpc::MpcController::plan_into",
                 "abr::robust::RobustMpcController::plan_into",
+                // The per-segment client step: prediction, Ptile lookup,
+                // bandwidth estimate and the controller call.
+                "core::client::SessionRunner::plan_segment",
                 "support::parallel::parallel_map_indexed",
                 // Telemetry emission paths: windowed stamps, timestamped
                 // registry writes, and exemplar offers run once per

@@ -139,63 +139,6 @@ impl RidgeRegression {
         })
     }
 
-    /// Fits a single-feature ridge model without the matrix machinery.
-    ///
-    /// Bit-for-bit identical to `fit` called with one-element rows: every
-    /// accumulation below mirrors the generic path's operation order for
-    /// `d == 1` — gram and Xᵀy fold from `0.0` in sample order, the 1×1
-    /// Cholesky divides by `sqrt(gram)` twice rather than once by `gram`,
-    /// and the intercept dot product keeps the iterator sum's `0.0` seed.
-    /// The hot viewport predictor calls this once per coordinate per
-    /// segment, so it must not allocate per-sample feature rows.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`RidgeRegression::fit`].
-    pub fn fit_single(xs: &[f64], ys: &[f64], lambda: f64) -> Result<Self, RidgeError> {
-        if xs.is_empty() || ys.is_empty() {
-            return Err(RidgeError::EmptyTrainingSet);
-        }
-        if xs.len() != ys.len() {
-            return Err(RidgeError::ShapeMismatch);
-        }
-        if lambda < 0.0 {
-            return Err(RidgeError::NegativeLambda);
-        }
-        let n = xs.len();
-        let mut x_mean = 0.0f64;
-        for v in xs {
-            x_mean += v;
-        }
-        x_mean /= n as f64;
-        let y_mean = ys.iter().sum::<f64>() / n as f64;
-
-        let mut gram = 0.0f64;
-        for v in xs {
-            let c = v - x_mean;
-            gram += c * c;
-        }
-        gram += lambda.max(1e-12);
-
-        let xty = xs
-            .iter()
-            .zip(ys)
-            .map(|(v, &y)| (v - x_mean) * (y - y_mean))
-            .sum::<f64>();
-
-        if gram <= 0.0 || !gram.is_finite() {
-            return Err(RidgeError::Singular);
-        }
-        let l = gram.sqrt();
-        let w = (xty / l) / l;
-        let intercept = y_mean - (0.0f64 + w * x_mean);
-        Ok(Self {
-            weights: vec![w],
-            intercept,
-            lambda,
-        })
-    }
-
     /// Predicts the target for one feature row.
     ///
     /// # Panics
@@ -239,6 +182,76 @@ impl RidgeRegression {
             })
             .sum::<f64>()
             / xs.len() as f64
+    }
+}
+
+/// A fitted single-feature ridge model `y ≈ w·x + b`, held by value.
+///
+/// Bit-for-bit identical to [`RidgeRegression::fit`] called with
+/// one-element rows: every accumulation below mirrors the generic path's
+/// operation order for `d == 1` — gram and Xᵀy fold from `0.0` in sample
+/// order, the 1×1 Cholesky divides by `sqrt(gram)` twice rather than once
+/// by `gram`, and the intercept dot product keeps the iterator sum's `0.0`
+/// seed. The hot viewport predictor fits one per coordinate per segment,
+/// so neither fitting nor predicting allocates.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct SingleRidge {
+    /// The fitted slope.
+    pub weight: f64,
+    /// The fitted intercept.
+    pub intercept: f64,
+}
+
+impl SingleRidge {
+    /// Fits the model to samples `xs` and targets `ys`.
+    ///
+    /// # Errors
+    ///
+    /// Same contract as [`RidgeRegression::fit`].
+    pub fn fit(xs: &[f64], ys: &[f64], lambda: f64) -> Result<Self, RidgeError> {
+        if xs.is_empty() || ys.is_empty() {
+            return Err(RidgeError::EmptyTrainingSet);
+        }
+        if xs.len() != ys.len() {
+            return Err(RidgeError::ShapeMismatch);
+        }
+        if lambda < 0.0 {
+            return Err(RidgeError::NegativeLambda);
+        }
+        let n = xs.len();
+        let mut x_mean = 0.0f64;
+        for v in xs {
+            x_mean += v;
+        }
+        x_mean /= n as f64;
+        let y_mean = ys.iter().sum::<f64>() / n as f64;
+
+        let mut gram = 0.0f64;
+        for v in xs {
+            let c = v - x_mean;
+            gram += c * c;
+        }
+        gram += lambda.max(1e-12);
+
+        let xty = xs
+            .iter()
+            .zip(ys)
+            .map(|(v, &y)| (v - x_mean) * (y - y_mean))
+            .sum::<f64>();
+
+        if gram <= 0.0 || !gram.is_finite() {
+            return Err(RidgeError::Singular);
+        }
+        let l = gram.sqrt();
+        let weight = (xty / l) / l;
+        let intercept = y_mean - (0.0f64 + weight * x_mean);
+        Ok(Self { weight, intercept })
+    }
+
+    /// Predicts the target at `x`, with the same operations as
+    /// [`RidgeRegression::predict`] on a one-element row.
+    pub fn predict(&self, x: f64) -> f64 {
+        self.intercept + std::iter::once(self.weight * x).sum::<f64>()
     }
 }
 
@@ -343,7 +356,7 @@ mod tests {
         }
 
         #[test]
-        fn fit_single_matches_generic_bit_for_bit(
+        fn single_ridge_matches_generic_bit_for_bit(
             n in 2usize..40,
             seed in 0u64..5000,
             lambda in 0.0f64..10.0,
@@ -358,14 +371,16 @@ mod tests {
             let ts: Vec<f64> = (0..n).map(|_| next()).collect();
             let ys: Vec<f64> = (0..n).map(|_| next()).collect();
             let rows: Vec<Vec<f64>> = ts.iter().map(|&t| vec![t]).collect();
+            let x = next();
             let generic = RidgeRegression::fit(&rows, &ys, lambda);
-            let single = RidgeRegression::fit_single(&ts, &ys, lambda);
+            let single = SingleRidge::fit(&ts, &ys, lambda);
             match (generic, single) {
                 (Ok(g), Ok(s)) => {
-                    prop_assert_eq!(g.weights()[0].to_bits(), s.weights()[0].to_bits());
-                    prop_assert_eq!(g.intercept().to_bits(), s.intercept().to_bits());
+                    prop_assert_eq!(g.weights()[0].to_bits(), s.weight.to_bits());
+                    prop_assert_eq!(g.intercept().to_bits(), s.intercept.to_bits());
+                    prop_assert_eq!(g.predict(&[x]).to_bits(), s.predict(x).to_bits());
                 }
-                (g, s) => prop_assert_eq!(g, s),
+                (g, s) => prop_assert_eq!(g.err(), s.err()),
             }
         }
 

@@ -6,7 +6,6 @@
 
 use std::collections::VecDeque;
 
-use ee360_numeric::stats::harmonic_mean;
 use ee360_support::quantile::QuantileSketch;
 
 /// A windowed bandwidth estimator fed one throughput sample per downloaded
@@ -85,8 +84,10 @@ impl BandwidthEstimator for HarmonicMeanEstimator {
         if self.samples.is_empty() {
             None
         } else {
-            let v: Vec<f64> = self.samples.iter().copied().collect();
-            Some(harmonic_mean(&v))
+            // `harmonic_mean`'s arithmetic over the window in place: the
+            // samples were validated positive when observed.
+            let n = self.samples.len() as f64;
+            Some(n / self.samples.iter().map(|x| 1.0 / x).sum::<f64>())
         }
     }
 
@@ -320,6 +321,20 @@ mod tests {
             e.observe(s);
         }
         assert!((e.estimate().unwrap() - 3.6e6).abs() < 1e-3);
+    }
+
+    #[test]
+    fn harmonic_estimate_matches_stats_harmonic_mean_bit_for_bit() {
+        // Enough observations to wrap the ring, so the window's storage
+        // is split when it is summed.
+        let samples = [3.1e6, 4.4e6, 2.9e6, 5.0e6, 3.8e6, 0.7e6, 9.3e6, 1.1e6];
+        let mut e = HarmonicMeanEstimator::new(5);
+        for (i, &s) in samples.iter().enumerate() {
+            e.observe(s);
+            let window = &samples[(i + 1).saturating_sub(5)..=i];
+            let expected = ee360_numeric::stats::harmonic_mean(window);
+            assert_eq!(e.estimate().unwrap().to_bits(), expected.to_bits());
+        }
     }
 
     #[test]

@@ -11,7 +11,7 @@ use std::fmt;
 
 use ee360_geom::switching::SwitchingSample;
 use ee360_geom::viewport::ViewCenter;
-use ee360_numeric::ridge::RidgeRegression;
+use ee360_numeric::ridge::{RidgeRegression, SingleRidge};
 use ee360_support::quantile::QuantileSketch;
 
 /// Why a predictor could not be built or a prediction could not be made.
@@ -173,7 +173,23 @@ impl ViewportPredictor {
     ///
     /// Panics if `horizon_sec` is negative or non-finite.
     pub fn predict(&self, history: &[SwitchingSample], horizon_sec: f64) -> Option<ViewCenter> {
-        match self.try_predict(history, horizon_sec) {
+        self.predict_with(history, horizon_sec, &mut PredictorWorkspace::default())
+    }
+
+    /// [`Self::predict`] over a caller-owned [`PredictorWorkspace`]: the
+    /// same value, bit for bit, and with a warm workspace the default
+    /// ridge predictor allocates nothing.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `horizon_sec` is negative or non-finite.
+    pub fn predict_with(
+        &self,
+        history: &[SwitchingSample],
+        horizon_sec: f64,
+        ws: &mut PredictorWorkspace,
+    ) -> Option<ViewCenter> {
+        match self.try_predict_with(history, horizon_sec, ws) {
             Ok(c) => c,
             // lint:allow(no-panic-paths, "documented panic: infallible wrapper; try_predict is the graceful API")
             Err(e) => panic!("invalid prediction request: {e}"),
@@ -188,14 +204,28 @@ impl ViewportPredictor {
         history: &[SwitchingSample],
         horizon_sec: f64,
     ) -> Result<Option<ViewCenter>, PredictError> {
+        self.try_predict_with(history, horizon_sec, &mut PredictorWorkspace::default())
+    }
+
+    fn try_predict_with(
+        &self,
+        history: &[SwitchingSample],
+        horizon_sec: f64,
+        ws: &mut PredictorWorkspace,
+    ) -> Result<Option<ViewCenter>, PredictError> {
         if !(horizon_sec.is_finite() && horizon_sec >= 0.0) {
             return Err(PredictError::InvalidHorizon { horizon_sec });
         }
-        Ok(self.predict_inner(history, horizon_sec))
+        Ok(self.predict_inner(history, horizon_sec, ws))
     }
 
     /// The regression core, reached only with a validated horizon.
-    fn predict_inner(&self, history: &[SwitchingSample], horizon_sec: f64) -> Option<ViewCenter> {
+    fn predict_inner(
+        &self,
+        history: &[SwitchingSample],
+        horizon_sec: f64,
+        ws: &mut PredictorWorkspace,
+    ) -> Option<ViewCenter> {
         let last = history.last()?;
         if matches!(self.kind, PredictorKind::LastSample) || history.len() == 1 {
             return Some(last.center);
@@ -203,24 +233,29 @@ impl ViewportPredictor {
         // Restrict to the recent window.
         let t_end = last.t_sec;
         let start = t_end - self.window_sec;
-        let window: Vec<&SwitchingSample> =
-            history.iter().filter(|s| s.t_sec >= start - 1e-9).collect();
-        if window.len() < 2 {
+        let window = || history.iter().filter(move |s| s.t_sec >= start - 1e-9);
+        let mut samples = window();
+        let (Some(first), Some(_)) = (samples.next(), samples.next()) else {
             return Some(last.center);
-        }
+        };
 
+        // Regress against time relative to the window start (conditioning).
+        let t0 = first.t_sec;
+        ws.ts.clear();
+        ws.ts.extend(window().map(|s| s.t_sec - t0));
+        ws.pitch.clear();
+        ws.pitch.extend(window().map(|s| s.center.pitch_deg()));
         // Unwrap yaw into a continuous series.
-        let mut yaw_unwrapped = Vec::with_capacity(window.len());
-        let mut acc = window[0].center.yaw_deg();
-        yaw_unwrapped.push(acc);
-        for pair in window.windows(2) {
-            let step = ee360_geom::angles::signed_yaw_diff_deg(
-                pair[1].center.yaw_deg(),
-                pair[0].center.yaw_deg(),
-            );
-            acc += step;
-            yaw_unwrapped.push(acc);
-        }
+        let mut prev = first.center.yaw_deg();
+        let mut acc = prev;
+        ws.yaw.clear();
+        ws.yaw
+            .extend(std::iter::once(acc).chain(window().skip(1).map(|s| {
+                let yaw = s.center.yaw_deg();
+                acc += ee360_geom::angles::signed_yaw_diff_deg(yaw, prev);
+                prev = yaw;
+                acc
+            })));
 
         let lambda = match self.kind {
             PredictorKind::Ridge | PredictorKind::RidgeQuadratic => self.lambda,
@@ -228,34 +263,18 @@ impl ViewportPredictor {
             // total without a panic path.
             PredictorKind::OrdinaryLeastSquares | PredictorKind::LastSample => 0.0,
         };
-        // Regress against time relative to the window start (conditioning).
-        let t0 = window[0].t_sec;
-        let pitch_series: Vec<f64> = window.iter().map(|s| s.center.pitch_deg()).collect();
         let t_pred = (t_end - t0) + horizon_sec;
         if matches!(self.kind, PredictorKind::RidgeQuadratic) {
-            let xs: Vec<Vec<f64>> = window
-                .iter()
-                .map(|s| {
-                    let t = s.t_sec - t0;
-                    vec![t, t * t]
-                })
-                .collect();
-            let yaw_model = RidgeRegression::fit(&xs, &yaw_unwrapped, lambda).ok()?;
-            let pitch_model = RidgeRegression::fit(&xs, &pitch_series, lambda).ok()?;
-            let x_pred = [t_pred, t_pred * t_pred];
-            return Some(ViewCenter::new(
-                yaw_model.predict(&x_pred),
-                pitch_model.predict(&x_pred),
-            ));
+            // lint:allow(hot-path-alloc, "non-default RidgeQuadratic ablation: the paper predictor is single-feature Ridge")
+            return ws.predict_quadratic(lambda, t_pred);
         }
         // Single time feature: the allocation-free fast path, bit-identical
-        // to `fit` on one-element rows (see `RidgeRegression::fit_single`).
-        let ts: Vec<f64> = window.iter().map(|s| s.t_sec - t0).collect();
-        let yaw_model = RidgeRegression::fit_single(&ts, &yaw_unwrapped, lambda).ok()?;
-        let pitch_model = RidgeRegression::fit_single(&ts, &pitch_series, lambda).ok()?;
+        // to `fit` on one-element rows (see `SingleRidge`).
+        let yaw_model = SingleRidge::fit(&ws.ts, &ws.yaw, lambda).ok()?;
+        let pitch_model = SingleRidge::fit(&ws.ts, &ws.pitch, lambda).ok()?;
         Some(ViewCenter::new(
-            yaw_model.predict(&[t_pred]),
-            pitch_model.predict(&[t_pred]),
+            yaw_model.predict(t_pred),
+            pitch_model.predict(t_pred),
         ))
     }
 
@@ -286,6 +305,33 @@ impl ViewportPredictor {
             center,
             error_quantile_deg: tracker.width_deg(),
         })
+    }
+}
+
+/// Caller-owned scratch for [`ViewportPredictor::predict_with`]: the
+/// window's relative times, unwrapped yaw and pitch series. Every call
+/// clears and refills it, so it carries no state between predictions;
+/// keeping one per session recycles the allocations the way
+/// `abr::plan::PlanBuffers` does for the controller.
+#[derive(Debug, Clone, Default)]
+pub struct PredictorWorkspace {
+    ts: Vec<f64>,
+    yaw: Vec<f64>,
+    pitch: Vec<f64>,
+}
+
+impl PredictorWorkspace {
+    /// The `[t, t²]` ridge fit of the [`PredictorKind::RidgeQuadratic`]
+    /// ablation over the filled series.
+    fn predict_quadratic(&self, lambda: f64, t_pred: f64) -> Option<ViewCenter> {
+        let xs: Vec<Vec<f64>> = self.ts.iter().map(|&t| vec![t, t * t]).collect();
+        let yaw_model = RidgeRegression::fit(&xs, &self.yaw, lambda).ok()?;
+        let pitch_model = RidgeRegression::fit(&xs, &self.pitch, lambda).ok()?;
+        let x_pred = [t_pred, t_pred * t_pred];
+        Some(ViewCenter::new(
+            yaw_model.predict(&x_pred),
+            pitch_model.predict(&x_pred),
+        ))
     }
 }
 
@@ -410,6 +456,27 @@ mod tests {
                 SwitchingSample::new(t, ViewCenter::new(speed_deg_s * t, 5.0))
             })
             .collect()
+    }
+
+    #[test]
+    fn recycled_workspace_predicts_the_same_bits() {
+        // One workspace reused across windows of different lengths and
+        // kinds gives exactly what a fresh one gives.
+        let mut ws = PredictorWorkspace::default();
+        for kind in [
+            PredictorKind::Ridge,
+            PredictorKind::RidgeQuadratic,
+            PredictorKind::OrdinaryLeastSquares,
+        ] {
+            let p = ViewportPredictor::new(kind, 0.1, 2.0);
+            for (speed, n) in [(170.0, 40), (-35.0, 3), (12.0, 21), (400.0, 2)] {
+                let h = pan_history(speed, n, 0.1);
+                let fresh = p.predict(&h, 1.0).unwrap();
+                let reused = p.predict_with(&h, 1.0, &mut ws).unwrap();
+                assert_eq!(fresh.yaw_deg().to_bits(), reused.yaw_deg().to_bits());
+                assert_eq!(fresh.pitch_deg().to_bits(), reused.pitch_deg().to_bits());
+            }
+        }
     }
 
     #[test]

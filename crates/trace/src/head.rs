@@ -22,12 +22,16 @@
 
 use std::error::Error;
 use std::fmt;
+use std::ops::Range;
 
 use ee360_support::rng::StdRng;
 
 use ee360_geom::angles::{lerp_yaw_deg, wrap_yaw_deg};
 use ee360_geom::sphere::Orientation;
-use ee360_geom::switching::{fast_switching_speed, mean_switching_speed, SwitchingSample};
+use ee360_geom::switching::{
+    fast_speed_of, fast_switching_speed, mean_switching_speed, switching_speed_deg_per_sec,
+    SwitchingSample,
+};
 use ee360_geom::viewport::ViewCenter;
 use ee360_video::catalog::{BehaviorProfile, VideoSpec};
 
@@ -204,13 +208,45 @@ impl HeadTrace {
     /// is a contiguous run found by two binary searches, and only that run
     /// is converted: the cost is O(log n + window), not O(n). The values
     /// equal [`Self::switching_samples`] filtered to `t_lo ≤ t ≤ t_hi`.
-    pub fn switching_window_into(&self, t_lo: f64, t_hi: f64, out: &mut Vec<SwitchingSample>) {
+    ///
+    /// Returns the stored-sample indices of the window (see
+    /// [`Self::sample_range`]), so callers can key per-sample work by them.
+    pub fn switching_window_into(
+        &self,
+        t_lo: f64,
+        t_hi: f64,
+        out: &mut Vec<SwitchingSample>,
+    ) -> Range<usize> {
+        let range = self.sample_range(t_lo, t_hi);
+        out.clear();
+        let window = self.samples.get(range.start..range.end).unwrap_or_default();
+        out.extend(window.iter().map(to_switching_sample));
+        range
+    }
+
+    /// Indices of the stored samples whose time lies in the closed
+    /// interval `[t_lo, t_hi]`: two binary searches (`t < t_lo`,
+    /// `t <= t_hi`) over the strictly increasing timestamps. An inverted
+    /// interval gives an empty range.
+    pub fn sample_range(&self, t_lo: f64, t_hi: f64) -> Range<usize> {
         let lo = self.samples.partition_point(|s| s.0 < t_lo);
         let hi = self.samples.partition_point(|s| s.0 <= t_hi);
-        // An inverted interval (`hi < lo`) is an empty window.
-        let window = self.samples.get(lo..hi).unwrap_or_default();
-        out.clear();
-        out.extend(window.iter().map(to_switching_sample));
+        lo..hi.max(lo)
+    }
+
+    /// Switching speed (Eq. 5) of the interval between stored samples `i`
+    /// and `i + 1`, degrees per second: the value
+    /// [`ee360_geom::switching::switching_speeds`] gives for that pair of
+    /// any window holding both.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i + 1` is not a stored sample index.
+    pub fn interval_speed(&self, i: usize) -> f64 {
+        switching_speed_deg_per_sec(
+            &to_switching_sample(&self.samples[i]),
+            &to_switching_sample(&self.samples[i + 1]),
+        )
     }
 
     /// The gaze position of the first sample, or `None` for an empty trace.
@@ -247,7 +283,8 @@ impl HeadTrace {
     /// samples.
     fn segment_window(&self, t0: f64) -> Vec<SwitchingSample> {
         let mut window = Vec::new();
-        self.switching_window_into(t0 - 1e-9, t0 + 1.0 + 1e-9, &mut window);
+        let (lo, hi) = segment_bounds(t0);
+        self.switching_window_into(lo, hi, &mut window);
         window
     }
 
@@ -266,6 +303,88 @@ impl HeadTrace {
             return None;
         }
         Some(fast_switching_speed(&self.segment_window(t0)))
+    }
+}
+
+/// The closed time window of segment `t0`'s samples, `[t0 - 1e-9,
+/// t0 + 1 + 1e-9]`: the one definition the per-segment speed views share.
+fn segment_bounds(t0: f64) -> (f64, f64) {
+    (t0 - 1e-9, t0 + 1.0 + 1e-9)
+}
+
+/// Slots in an [`IntervalSpeeds`] window: 64 × (index, speed) = 1 KiB.
+/// At the generator's 10 Hz, the booking window of a segment and the 2 s
+/// planning windows that later reread its intervals lie within ~6 s of
+/// gaze (a 3 s buffer), so a session's intervals are each computed once.
+const SPEED_SLOTS: usize = 64;
+
+/// A session's bounded window of Eq. 5 interval speeds over one trace,
+/// keyed by stored-sample index.
+///
+/// A session asks for the fast (75th-percentile) speed of overlapping
+/// windows: two 2 s planning windows and one booking window cover each
+/// interval. The window computes each interval's speed once, through
+/// [`HeadTrace::interval_speed`], and serves later requests from a
+/// direct-mapped table (slot `i mod 64`). A slot stores its interval
+/// index, so a request that misses (a backwards seek, a jump, a trace
+/// sampled faster than 10 Hz) recomputes the speed: it never returns
+/// another interval's value.
+///
+/// Results are bit-identical to [`fast_switching_speed`] over the same
+/// window: every speed is the same pure function of the same two stored
+/// tuples, and the percentile rule ([`fast_speed_of`]) does not depend on
+/// the order the speeds are gathered in.
+#[derive(Debug, Clone)]
+pub struct IntervalSpeeds<'a> {
+    trace: &'a HeadTrace,
+    /// `(interval index, speed)`; `usize::MAX` marks an empty slot.
+    slots: Box<[(usize, f64); SPEED_SLOTS]>,
+    /// Recycled gather buffer for the percentile selection.
+    scratch: Vec<f64>,
+}
+
+impl<'a> IntervalSpeeds<'a> {
+    /// An empty window over `trace`.
+    pub fn new(trace: &'a HeadTrace) -> Self {
+        Self {
+            trace,
+            slots: Box::new([(usize::MAX, 0.0); SPEED_SLOTS]),
+            scratch: Vec::new(),
+        }
+    }
+
+    /// The fast switching speed of the stored samples `samples` (a range
+    /// from [`HeadTrace::sample_range`]): the 75th percentile of their
+    /// interval speeds, `0.0` with fewer than two samples. Equals
+    /// [`fast_switching_speed`] of the same window, bit for bit.
+    pub fn fast_speed(&mut self, samples: Range<usize>) -> f64 {
+        let Self {
+            trace,
+            slots,
+            scratch,
+        } = self;
+        let intervals = samples.start..samples.end.saturating_sub(1);
+        scratch.clear();
+        scratch.extend(intervals.map(|i| {
+            let slot = &mut slots[i % SPEED_SLOTS];
+            if slot.0 != i {
+                *slot = (i, trace.interval_speed(i));
+            }
+            slot.1
+        }));
+        fast_speed_of(scratch)
+    }
+
+    /// [`HeadTrace::segment_fast_switching_speed`] served from the window:
+    /// `None` past the end of the trace.
+    pub fn segment_fast_speed(&mut self, segment: usize) -> Option<f64> {
+        let t0 = segment as f64;
+        if t0 > self.trace.duration_sec() {
+            return None;
+        }
+        let (lo, hi) = segment_bounds(t0);
+        let samples = self.trace.sample_range(lo, hi);
+        Some(self.fast_speed(samples))
     }
 }
 
@@ -807,6 +926,70 @@ mod tests {
                 prop_assert_eq!(g.t_sec.to_bits(), e.t_sec.to_bits());
                 prop_assert_eq!(g.center.yaw_deg().to_bits(), e.center.yaw_deg().to_bits());
                 prop_assert_eq!(g.center.pitch_deg().to_bits(), e.center.pitch_deg().to_bits());
+            }
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn interval_speeds_match_fast_switching_speed_bit_for_bit(
+            angles in prop::collection::vec(
+                (0.001f64..0.5, -400.0f64..400.0, -120.0f64..120.0),
+                1..300,
+            ),
+            sixty_hz in 0usize..2,
+            t0 in -3.0f64..3.0,
+            requests in prop::collection::vec((0usize..4, 0.0f64..1.0, 0usize..48), 1..60),
+        ) {
+            // Irregular steps, or the same gaze at exactly 60 Hz: a 2 s
+            // window then holds ~120 intervals, more than the window's
+            // slots, so requests evict their own earlier intervals.
+            let trace = if sixty_hz == 1 {
+                let samples = angles
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &(_, y, p))| (t0 + i as f64 / 60.0, y, p))
+                    .collect();
+                HeadTrace::from_samples(0, 0, samples)
+            } else {
+                trace_from_steps(t0, &angles)
+            };
+            let first = trace.switching_samples()[0].t_sec;
+            let span = trace.duration_sec() - first;
+            let mut speeds = IntervalSpeeds::new(&trace);
+            let mut window = Vec::new();
+            let mut pos = first;
+            for &(kind, frac, pick) in &requests {
+                match kind {
+                    // Monotone playback: forward by up to 1 s.
+                    0 => pos += frac,
+                    // Backwards by up to 3 s.
+                    1 => pos -= 3.0 * frac,
+                    // A jump anywhere from before the first sample to past
+                    // the last, usually further than one window.
+                    2 => pos = first - 2.5 + (span + 5.0) * frac,
+                    // A booking request for segment `pick`, which may lie
+                    // past the end of the trace (`None`: the caller falls
+                    // back to its planning estimate).
+                    _ => {
+                        let got = speeds.segment_fast_speed(pick).map(f64::to_bits);
+                        let expected = trace.segment_fast_switching_speed(pick).map(f64::to_bits);
+                        prop_assert_eq!(got, expected);
+                        continue;
+                    }
+                }
+                // The client's 2 s planning window, a single instant (at
+                // most one sample) or a sliver (often empty).
+                let (lo, hi) = match pick % 3 {
+                    0 => (pos - 2.0, pos + 1e-9),
+                    1 => (pos, pos),
+                    _ => (pos - 0.05 * frac, pos),
+                };
+                let range = trace.switching_window_into(lo, hi, &mut window);
+                prop_assert_eq!(range.clone(), trace.sample_range(lo, hi));
+                prop_assert_eq!(range.len(), window.len());
+                let expected = fast_switching_speed(&window);
+                prop_assert_eq!(speeds.fast_speed(range).to_bits(), expected.to_bits());
             }
         }
     }
