@@ -60,28 +60,46 @@ fn main() {
         });
     }
 
-    // The per-segment render-coverage computation (16×16 pixel samples).
+    // The per-segment render coverage (16×16 pixel samples). A trace's
+    // view table runs the sampling pass once per segment ("fill"); every
+    // later booking of that segment sums the stored counts over a region
+    // ("book").
     {
         use ee360_geom::grid::TileGrid;
+        use ee360_geom::projection::{coverage_from_counts, for_each_pixel_tile};
         use ee360_geom::region::TileRegion;
-        use ee360_geom::viewport::{ViewCenter, Viewport};
+        use ee360_geom::viewport::Viewport;
+        use ee360_trace::head::{HeadTrace, VIEW_FOV_DEG, VIEW_SAMPLES};
         let grid = TileGrid::paper_default();
         let region = TileRegion::new(&grid, 1, 3, 3, 3);
-        let vp = Viewport::paper_fov(ViewCenter::new(12.0, -8.0));
-        // One viewport: after the first call every call is a cache hit.
-        bench.run("projection/pixel_coverage_16", || {
-            ee360_geom::projection::pixel_coverage(black_box(&vp), &region, &grid, 16)
+        let trace = HeadTrace::from_samples(
+            0,
+            0,
+            history(200)
+                .iter()
+                .map(|s| (s.t_sec, s.center.yaw_deg(), s.center.pitch_deg()))
+                .collect(),
+        );
+        let segments = (0..)
+            .take_while(|&k| trace.segment_center(k).is_some())
+            .count();
+        let mut k = 0usize;
+        bench.run("projection/view_table_fill_segment", || {
+            k = (k + 1) % segments;
+            let center = trace.segment_center(k).unwrap_or_default();
+            let vp = Viewport::new(center, VIEW_FOV_DEG, VIEW_FOV_DEG);
+            let mut counts = [0u16; 32];
+            for_each_pixel_tile(black_box(&vp), &grid, VIEW_SAMPLES, |t| {
+                counts[grid.flat_index(t)] += 1;
+            });
+            counts
         });
-        // A cycle of distinct viewports longer than the per-thread weights
-        // cache holds, so every call misses and runs the sampling pass.
-        const COLD_CYCLE: usize = 8191;
-        let mut i = 0usize;
-        bench.run("projection/pixel_coverage_16_cold", || {
-            i = (i + 1) % COLD_CYCLE;
-            let yaw = -180.0 + 360.0 * i as f64 / COLD_CYCLE as f64;
-            let pitch = -60.0 + 120.0 * ((i * 37) % COLD_CYCLE) as f64 / COLD_CYCLE as f64;
-            let vp = Viewport::paper_fov(ViewCenter::new(yaw, pitch));
-            ee360_geom::projection::pixel_coverage(black_box(&vp), &region, &grid, 16)
+        bench.run("projection/view_table_book", || {
+            k = (k + 1) % segments;
+            let counts = trace
+                .segment_view_counts(black_box(k), &grid)
+                .unwrap_or(&[]);
+            coverage_from_counts(counts, &region, &grid, VIEW_SAMPLES)
         });
     }
 

@@ -30,6 +30,7 @@ use ee360_abr::mpc::{MpcConfig, MpcController};
 use ee360_abr::plan::{PlanBuffers, SegmentContext, SegmentPlan};
 use ee360_abr::robust::RobustMpcController;
 use ee360_geom::grid::TileGrid;
+use ee360_geom::projection::{coverage_from_counts, pixel_coverage};
 use ee360_geom::region::TileRegion;
 use ee360_geom::switching::SwitchingSample;
 use ee360_geom::viewport::{ViewCenter, Viewport};
@@ -48,7 +49,7 @@ use ee360_sim::resilience::{
     DownloadEnv, DownloadOutcome, DownloadState, RetryPolicy, SessionCore,
 };
 use ee360_trace::fault::FaultPlan;
-use ee360_trace::head::{HeadTrace, IntervalSpeeds};
+use ee360_trace::head::{HeadTrace, IntervalSpeeds, VIEW_FOV_DEG, VIEW_SAMPLES};
 use ee360_trace::network::NetworkTrace;
 use ee360_video::ladder::QualityLevel;
 use ee360_video::segment::SEGMENT_DURATION_SEC;
@@ -87,14 +88,24 @@ pub fn make_controller(scheme: Scheme, phone: Phone) -> Box<dyn Controller> {
     }
 }
 
-/// Pixel-weighted fraction of what the user sees that a region stores —
-/// the rectilinear render mapping of Section II, sampled at 16×16.
+/// Pixel-weighted fraction of what the user sees in segment `k` that a
+/// region stores — the rectilinear render mapping of Section II, sampled
+/// at 16×16. `actual` is the segment's realised viewport. Its sample
+/// counts come from the trace's per-segment table, filled once per
+/// segment for every session over the trace. Without a table entry (no
+/// recorded centre, or a non-paper grid) the viewport is sampled afresh;
+/// both paths give the same bits.
 fn overlap_fraction(
+    user: &HeadTrace,
+    k: usize,
     region: &TileRegion,
-    grid: &ee360_geom::grid::TileGrid,
+    grid: &TileGrid,
     actual: &Viewport,
 ) -> f64 {
-    ee360_geom::projection::pixel_coverage(actual, region, grid, 16)
+    match user.segment_view_counts(k, grid) {
+        Some(counts) => coverage_from_counts(counts, region, grid, VIEW_SAMPLES),
+        None => pixel_coverage(actual, region, grid, VIEW_SAMPLES),
+    }
 }
 
 /// Runs one complete session under a fault plan with the scheme's standard
@@ -736,7 +747,7 @@ impl<'a> SessionRunner<'a> {
             .speeds
             .segment_fast_speed(k)
             .unwrap_or(pending.observed_s_fov);
-        let actual_vp = Viewport::new(actual, 100.0, 100.0);
+        let actual_vp = Viewport::new(actual, VIEW_FOV_DEG, VIEW_FOV_DEG);
         let frac = match (self.scheme, &pending.ptile_region) {
             (Scheme::Nontile, _) => 1.0,
             (Scheme::Ftile, _) => {
@@ -763,26 +774,34 @@ impl<'a> SessionRunner<'a> {
                     (100.0 + 2.0 * w).min(360.0),
                     (100.0 + 2.0 * w).min(180.0),
                 );
-                let guard = self.grid.fov_block(&widened);
+                let guard = self.grid.fov_block_tiles(&widened);
                 let union = TileRegion::from_tiles(&self.grid, region.tiles().chain(guard))
                     // lint:allow(no-panic-paths, "documented invariant: the Ptile region is non-empty")
                     .expect("union of non-empty regions is non-empty");
-                overlap_fraction(&union, &self.grid, &actual_vp)
+                overlap_fraction(self.setup.user, k, &union, &self.grid, &actual_vp)
             }
             (_, Some(region))
                 if used_plan.decode_scheme == ee360_power::model::DecoderScheme::Ptile =>
             {
-                overlap_fraction(region, &self.grid, &actual_vp)
+                overlap_fraction(self.setup.user, k, region, &self.grid, &actual_vp)
             }
             _ => {
                 // Conventional tiles were fetched around the *predicted*
                 // center: the quality the user sees depends on how much of
                 // the actual FoV those tiles cover.
-                let predicted_block = self.grid.fov_block(&Viewport::new(predicted, 100.0, 100.0));
+                let predicted_block = self
+                    .grid
+                    .fov_block_tiles(&Viewport::new(predicted, 100.0, 100.0));
                 let predicted_region = TileRegion::from_tiles(&self.grid, predicted_block)
                     // lint:allow(no-panic-paths, "documented invariant: fov_block always yields >= 1 tile")
                     .expect("FoV block is non-empty");
-                overlap_fraction(&predicted_region, &self.grid, &actual_vp)
+                overlap_fraction(
+                    self.setup.user,
+                    k,
+                    &predicted_region,
+                    &self.grid,
+                    &actual_vp,
+                )
             }
         };
         let a = alpha(actual_s_fov, content.ti());

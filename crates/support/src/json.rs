@@ -313,6 +313,7 @@ pub fn from_str<T: FromJson>(text: &str) -> Result<T, JsonError> {
 /// Returns [`JsonError::Parse`] on malformed input.
 pub fn parse(text: &str) -> Result<Json, JsonError> {
     let mut p = Parser {
+        text,
         bytes: text.as_bytes(),
         pos: 0,
     };
@@ -326,7 +327,10 @@ pub fn parse(text: &str) -> Result<Json, JsonError> {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
+    /// Byte offset of the next unread byte; always a char boundary of
+    /// `text` between tokens and between string characters.
     pos: usize,
 }
 
@@ -483,11 +487,14 @@ impl<'a> Parser<'a> {
                     return Err(self.err("control character in string"));
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so this
-                    // is always well-formed).
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| self.err("invalid UTF-8"))?;
-                    let c = s.chars().next().expect("peeked non-empty");
+                    // Consume one UTF-8 scalar. `pos` is on a char
+                    // boundary, so this reads one char, not the whole
+                    // rest of the input.
+                    let c = self
+                        .text
+                        .get(self.pos..)
+                        .and_then(|rest| rest.chars().next())
+                        .ok_or_else(|| self.err("invalid UTF-8"))?;
                     out.push(c);
                     self.pos += c.len_utf8();
                 }
@@ -496,12 +503,18 @@ impl<'a> Parser<'a> {
     }
 
     fn hex4(&mut self) -> Result<u32, JsonError> {
-        if self.pos + 4 > self.bytes.len() {
-            return Err(self.err("truncated \\u escape"));
-        }
-        let s = std::str::from_utf8(&self.bytes[self.pos..self.pos + 4])
-            .map_err(|_| self.err("invalid \\u escape"))?;
-        let v = u32::from_str_radix(s, 16).map_err(|_| self.err("invalid \\u escape"))?;
+        let digits = self
+            .bytes
+            .get(self.pos..self.pos + 4)
+            .ok_or_else(|| self.err("truncated \\u escape"))?;
+        // Exactly four hex digits: `from_str_radix` alone would also take
+        // a sign (`\u+041`).
+        let v = digits.iter().try_fold(0u32, |acc, &d| {
+            char::from(d)
+                .to_digit(16)
+                .map(|x| acc * 16 + x)
+                .ok_or_else(|| self.err("invalid \\u escape"))
+        })?;
         self.pos += 4;
         Ok(v)
     }
@@ -544,8 +557,10 @@ impl<'a> Parser<'a> {
                 self.pos += 1;
             }
         }
-        let text =
-            std::str::from_utf8(&self.bytes[start..self.pos]).expect("number tokens are ASCII");
+        let text = self
+            .text
+            .get(start..self.pos)
+            .ok_or_else(|| JsonError::Parse(start, "invalid number".into()))?;
         if integral {
             if let Ok(i) = text.parse::<i64>() {
                 return Ok(Json::Int(i));
@@ -861,9 +876,15 @@ pub fn field<T: FromJson>(obj: &Json, name: &str) -> Result<T, JsonError> {
 /// `#[derive(Serialize, Deserialize)]`. Invoke it in the module that
 /// defines the struct (it accesses fields directly, so privacy is
 /// respected).
+///
+/// A trailing `skip { a, b }` names fields that are not serialised
+/// (`#[serde(skip)]`): decoding sets them to `Default::default()`.
 #[macro_export]
 macro_rules! impl_json_struct {
     ($ty:ty { $($field:ident),+ $(,)? }) => {
+        $crate::impl_json_struct!($ty { $($field),+ } skip {});
+    };
+    ($ty:ty { $($field:ident),+ $(,)? } skip { $($skip:ident),* $(,)? }) => {
         impl $crate::json::ToJson for $ty {
             fn to_json(&self) -> $crate::json::Json {
                 $crate::json::Json::Obj(vec![
@@ -880,7 +901,8 @@ macro_rules! impl_json_struct {
                     });
                 }
                 Ok(Self {
-                    $($field: $crate::json::field(v, stringify!($field))?),+
+                    $($field: $crate::json::field(v, stringify!($field))?,)+
+                    $($skip: ::core::default::Default::default(),)*
                 })
             }
         }
@@ -1165,5 +1187,221 @@ mod tests {
         write_value_pretty(&v, 0, &mut pretty).unwrap();
         assert!(pretty.contains('\n'));
         assert_eq!(parse(&pretty).unwrap(), v);
+    }
+}
+
+/// Property fuzzing of the parser: it is the one parser of external
+/// input (imported datasets), so malformed text must come back as `Err`,
+/// never as a panic, and everything the serialiser writes must parse back
+/// to the value it was written from.
+#[cfg(test)]
+mod fuzz {
+    use super::*;
+    use crate::prop::{collection, Strategy};
+    use crate::rng::StdRng;
+    use crate::{prop_assert, prop_assert_eq, proptest};
+
+    /// Characters strings are drawn from: JSON's escapes, control
+    /// characters, and multi-byte UTF-8.
+    const STR_CHARS: [char; 14] = [
+        'a', 'Z', '0', ' ', '"', '\\', '/', '\n', '\t', '\u{1}', '\u{7f}', 'é', '€', '😀',
+    ];
+
+    /// Bytes garbage is drawn from: every byte the grammar gives meaning
+    /// to, plus a few it does not.
+    const GARBAGE: &[u8] = b"{}[]\":,-+.0123456789eEtrufalsnNI\\u \n\tx#";
+
+    /// Tokens JSON has no encoding for, though other writers emit them.
+    const NON_FINITE: [&str; 6] = ["NaN", "nan", "Infinity", "-Infinity", "inf", "1e999"];
+
+    /// Random [`Json`] trees of bounded depth, with finite numbers only.
+    /// Shrinks a container to its children and a scalar to `null`.
+    #[derive(Debug, Clone, Copy)]
+    struct JsonTrees {
+        depth: usize,
+    }
+
+    fn gen_string(rng: &mut StdRng) -> String {
+        let len = rng.gen_range(0usize..9);
+        (0..len)
+            .map(|_| STR_CHARS[rng.gen_range(0..STR_CHARS.len())])
+            .collect()
+    }
+
+    fn gen_number(rng: &mut StdRng) -> Json {
+        match rng.gen_range(0u32..5) {
+            0 => Json::Int(rng.gen_range(-1000i64..1000)),
+            1 => Json::Int(rng.next_u64() as i64),
+            2 => Json::Num(rng.gen_range(-1e6f64..1e6)),
+            3 => Json::Num(rng.gen_range(-1.0f64..1.0) * 10f64.powi(rng.gen_range(-300i32..300))),
+            _ => {
+                let x = f64::from_bits(rng.next_u64());
+                Json::Num(if x.is_finite() { x } else { 0.5 })
+            }
+        }
+    }
+
+    fn gen_tree(rng: &mut StdRng, depth: usize) -> Json {
+        let kinds = if depth == 0 { 4 } else { 6 };
+        match rng.gen_range(0u32..kinds) {
+            0 => Json::Null,
+            1 => Json::Bool(rng.gen_bool(0.5)),
+            2 => gen_number(rng),
+            3 => Json::Str(gen_string(rng)),
+            4 => Json::Arr(
+                (0..rng.gen_range(0usize..5))
+                    .map(|_| gen_tree(rng, depth - 1))
+                    .collect(),
+            ),
+            _ => Json::Obj(
+                (0..rng.gen_range(0usize..5))
+                    .map(|_| (gen_string(rng), gen_tree(rng, depth - 1)))
+                    .collect(),
+            ),
+        }
+    }
+
+    impl Strategy for JsonTrees {
+        type Value = Json;
+
+        fn generate(&self, rng: &mut StdRng) -> Json {
+            gen_tree(rng, self.depth)
+        }
+
+        fn shrink(&self, value: &Json) -> Vec<Json> {
+            match value {
+                Json::Null => Vec::new(),
+                Json::Arr(items) => items.clone(),
+                Json::Obj(pairs) => pairs.iter().map(|(_, v)| v.clone()).collect(),
+                _ => vec![Json::Null],
+            }
+        }
+    }
+
+    /// Every char-boundary prefix of `text` shorter than the whole.
+    fn strict_prefixes(text: &str) -> impl Iterator<Item = &str> {
+        text.char_indices().map(move |(i, _)| &text[..i])
+    }
+
+    proptest! {
+        #[test]
+        fn generated_trees_roundtrip(tree in JsonTrees { depth: 3 }) {
+            let compact = to_string(&tree).unwrap();
+            prop_assert_eq!(parse(&compact).unwrap(), tree.clone());
+            let pretty = to_string_pretty(&tree).unwrap();
+            prop_assert_eq!(parse(&pretty).unwrap(), tree.clone());
+            // Text -> value -> text is a fixed point.
+            prop_assert_eq!(to_string(&parse(&compact).unwrap()).unwrap(), compact);
+        }
+
+        #[test]
+        fn typed_samples_roundtrip_bit_for_bit(
+            samples in collection::vec((-1e4f64..1e4, -180.0f64..180.0, -90.0f64..90.0), 0..40),
+        ) {
+            // The shape a head trace persists: (t, yaw, pitch) triples.
+            let text = to_string(&samples).unwrap();
+            let back: Vec<(f64, f64, f64)> = from_str(&text).unwrap();
+            prop_assert_eq!(back.len(), samples.len());
+            for (a, b) in back.iter().zip(&samples) {
+                prop_assert_eq!(
+                    (a.0.to_bits(), a.1.to_bits(), a.2.to_bits()),
+                    (b.0.to_bits(), b.1.to_bits(), b.2.to_bits())
+                );
+            }
+        }
+
+        #[test]
+        fn truncated_text_is_an_error(tree in JsonTrees { depth: 3 }) {
+            let text = to_string(&tree).unwrap();
+            // A strict prefix of a string, array or object is never a
+            // document; a number's prefix may be one ("12" of "123"), so
+            // only its failing to panic is checked.
+            let must_fail = matches!(tree, Json::Str(_) | Json::Arr(_) | Json::Obj(_));
+            for prefix in strict_prefixes(&text) {
+                let parsed = parse(prefix);
+                prop_assert!(!must_fail || parsed.is_err(), "accepted prefix {:?}", prefix);
+            }
+        }
+
+        #[test]
+        fn non_finite_numbers_are_errors(
+            tree in JsonTrees { depth: 2 },
+            token in 0usize..6,
+        ) {
+            let text = to_string(&tree).unwrap();
+            let bad = NON_FINITE[token];
+            for doc in [
+                format!("[{text},{bad}]"),
+                format!("{{\"k\":{bad},\"v\":{text}}}"),
+                bad.to_owned(),
+            ] {
+                prop_assert!(parse(&doc).is_err(), "accepted {:?}", doc);
+            }
+            // The writer refuses them too.
+            let laden = Json::Arr(vec![tree, Json::Num(f64::NAN)]);
+            prop_assert_eq!(to_string(&laden), Err(JsonError::NonFinite));
+        }
+
+        #[test]
+        fn garbage_never_panics(
+            picks in collection::vec(0usize..GARBAGE.len(), 0..48),
+            raw in collection::vec(0u32..256, 0..32),
+        ) {
+            let grammar: String = picks.iter().map(|&i| char::from(GARBAGE[i])).collect();
+            let bytes: Vec<u8> = raw.iter().map(|&b| b as u8).collect();
+            let lossy = String::from_utf8_lossy(&bytes).into_owned();
+            for text in [grammar, lossy] {
+                // Whatever parses must survive a round trip.
+                if let Ok(value) = parse(&text) {
+                    let again = to_string(&value).unwrap();
+                    prop_assert_eq!(parse(&again).unwrap(), value);
+                }
+            }
+        }
+
+        #[test]
+        fn mutated_documents_never_panic(
+            tree in JsonTrees { depth: 3 },
+            edits in collection::vec((0usize..4096, 0usize..GARBAGE.len()), 1..4),
+        ) {
+            let mut bytes = to_string(&tree).unwrap().into_bytes();
+            for (at, pick) in edits {
+                // Replace one ASCII byte, so the text stays UTF-8.
+                let len = bytes.len().max(1);
+                if let Some(b) = bytes.get_mut(at % len) {
+                    if b.is_ascii() {
+                        *b = GARBAGE[pick];
+                    }
+                }
+            }
+            let text = String::from_utf8(bytes).unwrap();
+            if let Ok(value) = parse(&text) {
+                let again = to_string(&value).unwrap();
+                prop_assert_eq!(parse(&again).unwrap(), value);
+            }
+        }
+    }
+
+    #[test]
+    fn unicode_escapes_take_exactly_four_hex_digits() {
+        assert_eq!(parse(r#""\u0041""#).unwrap(), Json::Str("A".into()));
+        for bad in [
+            r#""\u+041""#,
+            r#""\u-041""#,
+            r#""\u 041""#,
+            r#""\u004""#,
+            r#""\u00g1""#,
+        ] {
+            assert!(parse(bad).is_err(), "accepted {bad}");
+        }
+    }
+
+    #[test]
+    fn long_multibyte_strings_parse() {
+        // Each char is read in O(1). A parser that re-validates the rest
+        // of the input per char takes seconds here, not milliseconds.
+        let long = "é".repeat(200_000);
+        let text = to_string(&long).unwrap();
+        assert_eq!(from_str::<String>(&text).unwrap(), long);
     }
 }

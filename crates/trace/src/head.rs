@@ -23,16 +23,19 @@
 use std::error::Error;
 use std::fmt;
 use std::ops::Range;
+use std::sync::OnceLock;
 
 use ee360_support::rng::StdRng;
 
 use ee360_geom::angles::{lerp_yaw_deg, wrap_yaw_deg};
+use ee360_geom::grid::TileGrid;
+use ee360_geom::projection::for_each_pixel_tile;
 use ee360_geom::sphere::Orientation;
 use ee360_geom::switching::{
     fast_speed_of, fast_switching_speed, mean_switching_speed, switching_speed_deg_per_sec,
     SwitchingSample,
 };
-use ee360_geom::viewport::ViewCenter;
+use ee360_geom::viewport::{ViewCenter, Viewport};
 use ee360_video::catalog::{BehaviorProfile, VideoSpec};
 
 /// Tuning knobs of the gaze simulator.
@@ -83,14 +86,37 @@ impl Default for GazeConfig {
     }
 }
 
+/// Horizontal and vertical FoV, degrees, of the realised viewports whose
+/// pixel counts [`HeadTrace::segment_view_counts`] keeps: the paper's
+/// 100° × 100° HMD view.
+pub const VIEW_FOV_DEG: f64 = 100.0;
+
+/// Pixel samples per axis of those viewports: 16 × 16 rays.
+pub const VIEW_SAMPLES: usize = 16;
+
+/// Tiles of the paper's 4 × 8 grid, the one grid the view table covers.
+const VIEW_TILES: usize = 32;
+
+/// Bound on the view table's slots (about 18 hours of 1 s segments);
+/// later segments get no table entry.
+const MAX_VIEW_SEGMENTS: usize = 1 << 16;
+
+/// One slot per segment, each filled at most once with the per-tile
+/// sample counts of that segment's realised viewport.
+type ViewTable = Box<[OnceLock<[u16; VIEW_TILES]>]>;
+
 /// One user's gaze trace over one video.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Clone)]
 pub struct HeadTrace {
     video_id: usize,
     user_id: usize,
     sample_hz: f64,
     /// (t_sec, yaw_deg, pitch_deg) triples, strictly increasing in time.
     samples: Vec<(f64, f64, f64)>,
+    /// The per-segment view table behind [`Self::segment_view_counts`],
+    /// allocated on first use: a derived cache, not part of the trace's
+    /// value, so equality, `Debug` and JSON ignore it.
+    views: OnceLock<ViewTable>,
 }
 
 ee360_support::impl_json_struct!(HeadTrace {
@@ -98,7 +124,29 @@ ee360_support::impl_json_struct!(HeadTrace {
     user_id,
     sample_hz,
     samples
+} skip {
+    views
 });
+
+impl PartialEq for HeadTrace {
+    fn eq(&self, other: &Self) -> bool {
+        self.video_id == other.video_id
+            && self.user_id == other.user_id
+            && self.sample_hz == other.sample_hz
+            && self.samples == other.samples
+    }
+}
+
+impl fmt::Debug for HeadTrace {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("HeadTrace")
+            .field("video_id", &self.video_id)
+            .field("user_id", &self.user_id)
+            .field("sample_hz", &self.sample_hz)
+            .field("samples", &self.samples)
+            .finish()
+    }
+}
 
 /// A malformed raw head trace (the import path external datasets use).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -169,6 +217,7 @@ impl HeadTrace {
             user_id,
             sample_hz,
             samples,
+            views: OnceLock::new(),
         })
     }
 
@@ -267,6 +316,62 @@ impl HeadTrace {
             .min(self.samples.len() - 1);
         let (_, y, p) = self.samples[idx];
         Some(ViewCenter::new(y, p))
+    }
+
+    /// Per-tile sample counts, in flat-index order, of segment `segment`'s
+    /// realised viewport: `Viewport::new(segment_center(segment),`
+    /// [`VIEW_FOV_DEG`]`, VIEW_FOV_DEG)` sampled at [`VIEW_SAMPLES`]² rays
+    /// by [`for_each_pixel_tile`]. Pass them to
+    /// [`ee360_geom::projection::coverage_from_counts`] for that viewport's
+    /// pixel coverage of any region, bit-identical to
+    /// [`ee360_geom::projection::pixel_coverage`].
+    ///
+    /// The first request for a segment, from any thread, runs the
+    /// sampling pass; every later one reads the stored counts. So all the
+    /// sessions over this trace share one pass per segment.
+    ///
+    /// `None` when `grid` is not the paper's 4 × 8 grid, the segment has no
+    /// [`Self::segment_center`], or it lies past the table's bound of
+    /// 65,536 segments: the caller then samples the viewport itself.
+    pub fn segment_view_counts(&self, segment: usize, grid: &TileGrid) -> Option<&[u16]> {
+        if *grid != TileGrid::paper_default() {
+            return None;
+        }
+        let slot = self
+            .views
+            .get_or_init(|| {
+                (0..self.view_slot_count())
+                    .map(|_| OnceLock::new())
+                    .collect()
+            })
+            .get(segment)?;
+        if let Some(counts) = slot.get() {
+            return Some(counts);
+        }
+        let vp = Viewport::new(self.segment_center(segment)?, VIEW_FOV_DEG, VIEW_FOV_DEG);
+        let counts = slot.get_or_init(|| {
+            let mut counts = [0u16; VIEW_TILES];
+            for_each_pixel_tile(&vp, grid, VIEW_SAMPLES, |t| {
+                if let Some(c) = counts.get_mut(grid.flat_index(t)) {
+                    *c += 1;
+                }
+            });
+            counts
+        });
+        Some(counts)
+    }
+
+    /// Number of segments with a [`Self::segment_center`] (those `k` with
+    /// `k ≤ duration + 1e-9`), capped at [`MAX_VIEW_SEGMENTS`].
+    fn view_slot_count(&self) -> usize {
+        let last = self.duration_sec() + 1e-9;
+        if last >= 0.0 {
+            (last.floor() as usize)
+                .saturating_add(1)
+                .min(MAX_VIEW_SEGMENTS)
+        } else {
+            0
+        }
     }
 
     /// Mean view-switching speed within segment `k`, degrees per second
@@ -643,6 +748,7 @@ impl HeadTraceGenerator {
             user_id,
             sample_hz: self.config.sample_hz,
             samples,
+            views: OnceLock::new(),
         }
     }
 
@@ -990,6 +1096,28 @@ mod tests {
                 prop_assert_eq!(range.len(), window.len());
                 let expected = fast_switching_speed(&window);
                 prop_assert_eq!(speeds.fast_speed(range).to_bits(), expected.to_bits());
+            }
+        }
+    }
+
+    #[test]
+    fn view_table_has_a_slot_for_every_segment_center() {
+        assert_eq!(TileGrid::paper_default().tile_count(), VIEW_TILES);
+        let grid = TileGrid::paper_default();
+        // Ends on, just before, just after and well before a segment
+        // boundary, and before t = 0.
+        for end in [5.0, 5.0 - 1e-10, 5.0 + 1e-10, 4.5, -0.5] {
+            let trace = HeadTrace::from_samples(0, 0, vec![(end - 3.0, 1.0, 2.0), (end, 3.0, 4.0)]);
+            for k in 0..8 {
+                assert_eq!(
+                    trace.segment_view_counts(k, &grid).is_some(),
+                    trace.segment_center(k).is_some(),
+                    "end {end}, segment {k}"
+                );
+            }
+            if let Some(counts) = trace.segment_view_counts(0, &grid) {
+                let total: u16 = counts.iter().sum();
+                assert_eq!(usize::from(total), VIEW_SAMPLES * VIEW_SAMPLES);
             }
         }
     }

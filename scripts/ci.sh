@@ -86,8 +86,12 @@ echo "==> projection equivalence (blocking: sign-test tile classifier vs angle p
 # path. The reduced tile-aligned sweep already ran in the workspace test
 # pass above; this stage adds the #[ignore]d full sweep (six grids, five
 # FoVs, three sample counts, centres on every sixteenth of a tile) in
-# release.
+# release. Booking reads each segment's sample counts from the trace's
+# view table; the view_table tests pin that path to pixel_coverage bit
+# for bit (Ptile, robust-union and FoV-block regions, the fallbacks, and
+# racing fills).
 cargo test --release -q --offline -p ee360-geom --lib projection -- --include-ignored
+cargo test --release -q --offline --test view_table
 
 echo "==> fleet smoke (10k-session event-driven fleet, offline + deterministic)"
 # Runs the sim::fleet scale engine over a seeded chaos plan and exits

@@ -37,7 +37,7 @@ use ee360::sim::decoder::DecoderPipeline;
 use ee360::sim::resilience::RetryPolicy;
 use ee360::trace::dataset::{Dataset, VideoTraces};
 use ee360::trace::fault::FaultPlan;
-use ee360::trace::head::{GazeConfig, HeadTraceGenerator};
+use ee360::trace::head::{GazeConfig, HeadTrace, HeadTraceGenerator};
 use ee360::trace::network::{LteProfile, NetworkTrace};
 use ee360::video::catalog::{BehaviorProfile, VideoCatalog};
 use ee360::video::content::SiTi;
@@ -121,6 +121,36 @@ fn trace_types_roundtrip() {
     let spec = catalog.video(3).unwrap();
     rt(&HeadTraceGenerator::new(GazeConfig::default()).generate(spec, 2, 5));
     rt(&Dataset::generate(&catalog, 3, 13));
+}
+
+#[test]
+fn head_trace_with_filled_view_table_roundtrips() {
+    // The per-segment view table is a cache: filling it changes neither
+    // the JSON text nor equality, and the decoded trace (empty table)
+    // refills to the same counts.
+    let catalog = VideoCatalog::paper_default();
+    let spec = catalog.video(4).unwrap();
+    let gen = HeadTraceGenerator::new(GazeConfig::default());
+    let filled = gen.generate(spec, 1, 8);
+    let grid = TileGrid::paper_default();
+    let segments: Vec<usize> = (0..)
+        .take_while(|&k| filled.segment_center(k).is_some())
+        .collect();
+    for &k in segments.iter().step_by(3) {
+        assert!(filled.segment_view_counts(k, &grid).is_some());
+    }
+    rt(&filled);
+    let text = to_string(&filled).unwrap();
+    assert_eq!(text, to_string(&gen.generate(spec, 1, 8)).unwrap());
+    let back: HeadTrace = from_str(&text).unwrap();
+    assert_eq!(back, filled);
+    for &k in &segments {
+        assert_eq!(
+            back.segment_view_counts(k, &grid),
+            filled.segment_view_counts(k, &grid),
+            "segment {k}"
+        );
+    }
 }
 
 #[test]
