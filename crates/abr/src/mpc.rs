@@ -112,12 +112,37 @@ impl Default for MpcConfig {
 
 /// One candidate (quality, frame-rate) tuple with its precomputed bits.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct Candidate {
-    pub(crate) quality: QualityLevel,
-    pub(crate) fps: f64,
-    pub(crate) bits: f64,
+pub struct Candidate {
+    /// Quality level `v`.
+    pub quality: QualityLevel,
+    /// Frame rate `f`, fps.
+    pub fps: f64,
+    /// Ptile segment size: the tile at `(v, f)` plus the background.
+    pub bits: f64,
     /// Frame-rate-scaled Q_o for constraint (8c).
-    pub(crate) q_vf: f64,
+    pub q_vf: f64,
+}
+
+/// One horizon step's pricing tables and candidate set, refilled by
+/// [`MpcController::candidates_into`]. Reused across steps and plans,
+/// so a refill allocates nothing once the capacities have grown to the
+/// ladder's size.
+#[derive(Debug, Clone, Default)]
+pub struct StepPricing {
+    /// Eq. 4's frame-rate factor `num(f) / den` per ladder rate.
+    rate_factor: Vec<f64>,
+    /// Per quality level: `Q_o(content, v)` and the Ptile prefix
+    /// `R(v) · area · pen(area, v)`.
+    quality_terms: Vec<(f64, f64)>,
+    /// The step's candidates, in ladder order.
+    candidates: Vec<Candidate>,
+}
+
+impl StepPricing {
+    /// The candidates of the last refill, in ladder order.
+    pub fn candidates(&self) -> &[Candidate] {
+        &self.candidates
+    }
 }
 
 /// The deterministic buffer transition the DP and the oracle share.
@@ -154,8 +179,8 @@ struct PricedCandidate {
 /// carries information from one solve to the next except `stats`.
 #[derive(Debug, Clone, Default)]
 struct SolverScratch {
-    /// The current step's candidate set.
-    candidates: Vec<Candidate>,
+    /// The current step's pricing tables and candidate set.
+    step: StepPricing,
     /// The current step's (8c)-feasible candidates, in candidate order.
     priced: Vec<PricedCandidate>,
     /// DP cost per buffer state.
@@ -177,9 +202,11 @@ pub struct MpcController {
     config: MpcConfig,
     sizer: SchemeSizer,
     ladder: EncodingLadder,
-    /// `ladder.variants()`, computed once so candidate construction
-    /// allocates nothing.
+    /// `ladder.variants()`, for the per-variant [`Self::candidates`].
     variants: Vec<(QualityLevel, FrameRate)>,
+    /// Per ladder rate, lowest first: the fps and the size model's
+    /// frame-rate factor `(f / 30)^0.85`, constants of the ladder.
+    rates: Vec<(f64, f64)>,
     qo: QoModel,
     power: PowerModel,
     fallback: RateBasedController,
@@ -198,11 +225,13 @@ impl MpcController {
     /// Creates the controller with a custom configuration.
     pub fn new(config: MpcConfig) -> Self {
         config.validate();
+        let sizer = SchemeSizer::paper_default();
         let ladder = EncodingLadder::paper_default();
         Self {
             config,
-            sizer: SchemeSizer::paper_default(),
             variants: ladder.variants(),
+            rates: rate_table(&ladder, &sizer),
+            sizer,
             ladder,
             qo: QoModel::paper_default(),
             power: PowerModel::for_phone(config.phone),
@@ -216,6 +245,7 @@ impl MpcController {
     /// baseline's ladder).
     pub fn with_ladder(mut self, ladder: EncodingLadder) -> Self {
         self.variants = ladder.variants();
+        self.rates = rate_table(&ladder, &self.sizer);
         self.ladder = ladder;
         self
     }
@@ -226,44 +256,116 @@ impl MpcController {
     }
 
     /// Candidate (v, f) tuples for a segment with the given content,
-    /// switching speed and Ptile geometry.
-    pub(crate) fn candidates(
+    /// switching speed and Ptile geometry, in ladder order.
+    ///
+    /// Prices every variant from scratch through
+    /// [`SchemeSizer::ptile_bits`] and Eq. 4's [`framerate_factor`]. The
+    /// solver prices through [`Self::candidates_into`] instead; this
+    /// per-variant form is what [`crate::reference::solve_reference`],
+    /// the oracle and the budget controller read, so the equivalence
+    /// suite compares two independent pricings.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `area` is outside `(0, 1]`.
+    pub fn candidates(
         &self,
         content: SiTi,
         s_fov: f64,
         area: f64,
         bg_blocks: usize,
     ) -> Vec<Candidate> {
-        let mut out = Vec::new();
-        self.candidates_into(content, s_fov, area, bg_blocks, &mut out);
-        out
+        let a = alpha(s_fov, content.ti());
+        let max_fps = self.ladder.max_frame_rate().fps();
+        self.variants
+            .iter()
+            .map(|&(q, f)| {
+                let bits = self.sizer.ptile_bits(q, f.fps(), area, bg_blocks, content);
+                let q_o = self.qo.q_o(content, self.sizer.effective_bitrate_mbps(q));
+                let q_vf = q_o * framerate_factor(f.fps(), max_fps, a);
+                Candidate {
+                    quality: q,
+                    fps: f.fps(),
+                    bits,
+                    q_vf,
+                }
+            })
+            .collect()
     }
 
-    /// [`Self::candidates`] into a caller-recycled buffer, in ladder
-    /// order.
+    /// The solver's pricing of one horizon step: the same candidates as
+    /// [`Self::candidates`], bit for bit, with each distinct
+    /// subexpression computed once per step instead of once per variant.
+    ///
+    /// Per step: `α` and Eq. 4's `den = 1 − e^{−α}`, the background
+    /// region's bits, and the content's encoding difficulty. Per frame
+    /// rate: `num(f) / den`. Per quality: `Q_o(content, v)` and the Ptile
+    /// prefix `R(v) · area · pen(area, v)`. The size model's
+    /// `(f / 30)^0.85` is a constant of the ladder. A candidate is then
+    /// `prefix · sff · difficulty · L (+ background)` and `Q_o · factor`:
+    /// the operands of [`SizeModel::region_bits`] and
+    /// [`framerate_factor`] in their left-to-right order, so every
+    /// rounding step matches.
+    ///
+    /// [`SizeModel::region_bits`]: ee360_video::size_model::SizeModel::region_bits
+    ///
+    /// # Panics
+    ///
+    /// Panics if `area` is outside `(0, 1]`.
     // lint:allow(hot-path-alloc, "amortised: refills a cleared scratch Vec whose capacity is retained across plans")
-    fn candidates_into(
+    pub fn candidates_into(
         &self,
         content: SiTi,
         s_fov: f64,
         area: f64,
         bg_blocks: usize,
-        out: &mut Vec<Candidate>,
+        step: &mut StepPricing,
     ) {
+        assert!(area > 0.0 && area <= 1.0, "ptile area must be in (0, 1]");
+        let model = self.sizer.model();
         let a = alpha(s_fov, content.ti());
+        assert!(a.is_finite() && a > 0.0, "alpha must be positive");
         let max_fps = self.ladder.max_frame_rate().fps();
-        out.clear();
-        out.extend(self.variants.iter().map(|&(q, f)| {
-            let bits = self.sizer.ptile_bits(q, f.fps(), area, bg_blocks, content);
-            let q_o = self.qo.q_o(content, self.sizer.effective_bitrate_mbps(q));
-            let q_vf = q_o * framerate_factor(f.fps(), max_fps, a);
-            Candidate {
-                quality: q,
-                fps: f.fps(),
-                bits,
-                q_vf,
-            }
+        let den = 1.0 - (-a).exp();
+        let difficulty = content.encoding_difficulty();
+        let background = (area < 1.0 - 1e-12).then(|| {
+            model.region_bits(
+                1.0 - area,
+                bg_blocks.max(1),
+                QualityLevel::Q1,
+                model.reference_fps(),
+                content,
+            )
+        });
+
+        step.rate_factor.clear();
+        step.rate_factor.extend(self.rates.iter().map(|&(fps, _)| {
+            let num = 1.0 - (-a * fps / max_fps).exp();
+            num / den
         }));
+        step.quality_terms.clear();
+        step.quality_terms
+            .extend(QualityLevel::ALL.iter().map(|&q| {
+                let q_o = self.qo.q_o(content, self.sizer.effective_bitrate_mbps(q));
+                let prefix = model.whole_frame_bps(q) * area * model.penalty(area, q);
+                (q_o, prefix)
+            }));
+
+        step.candidates.clear();
+        for (&q, &(q_o, prefix)) in QualityLevel::ALL.iter().zip(&step.quality_terms) {
+            for (&(fps, sff), &factor) in self.rates.iter().zip(&step.rate_factor) {
+                let mut bits = prefix * sff * difficulty * SEGMENT_DURATION_SEC;
+                if let Some(bg) = background {
+                    bits += bg;
+                }
+                step.candidates.push(Candidate {
+                    quality: q,
+                    fps,
+                    bits,
+                    q_vf: q_o * factor,
+                });
+            }
+        }
     }
 
     /// The (8c) reference quality `Q(v_m, f_m)`: the best candidate quality
@@ -335,14 +437,14 @@ impl MpcController {
     ///
     /// The same relaxation as [`crate::reference::solve_reference`], in
     /// the same order, so the property suite can pin the two
-    /// bit-identical. Per horizon step it builds the candidate set into
-    /// reused scratch, computes the (8c) floor and each feasible
-    /// candidate's download seconds and energy once instead of once per
-    /// live state, then relaxes every live buffer state with the
-    /// reference's strict-`<` rule. Hoisting changes no float
-    /// operation's inputs: the floor depends only on the candidate set
-    /// and the bandwidth, and each price only on the candidate and the
-    /// bandwidth.
+    /// bit-identical. Per horizon step it prices the candidate set once
+    /// into reused scratch ([`Self::candidates_into`]), computes the
+    /// (8c) floor and each feasible candidate's download seconds and
+    /// energy once instead of once per live state, then relaxes every
+    /// live buffer state with the reference's strict-`<` rule. Hoisting
+    /// changes no float operation's inputs: the floor depends only on
+    /// the candidate set and the bandwidth, and each price only on the
+    /// candidate and the bandwidth.
     // lint:allow(hot-path-alloc, "amortised: every push refills a cleared scratch Vec whose capacity is retained across plans")
     pub(crate) fn solve_with_bandwidths(
         &self,
@@ -386,12 +488,13 @@ impl MpcController {
                 ctx.switching_speed_deg_s,
                 area,
                 ctx.background_blocks,
-                &mut sc.candidates,
+                &mut sc.step,
             );
             sc.stats.memo_misses += 1;
-            let floor = (1.0 - cfg.epsilon) * self.reference_quality(&sc.candidates, bandwidth);
+            let floor =
+                (1.0 - cfg.epsilon) * self.reference_quality(&sc.step.candidates, bandwidth);
             sc.priced.clear();
-            for c in &sc.candidates {
+            for c in &sc.step.candidates {
                 // Constraint (8c).
                 if c.q_vf + 1e-9 < floor {
                     continue;
@@ -408,7 +511,7 @@ impl MpcController {
                 if sc.cost[s].is_infinite() {
                     continue;
                 }
-                sc.stats.states_expanded += sc.candidates.len() as u64;
+                sc.stats.states_expanded += sc.step.candidates.len() as u64;
                 let b = s as f64 * gran;
                 for c in &sc.priced {
                     let (stall, b_next) =
@@ -443,9 +546,10 @@ impl MpcController {
                     ctx.switching_speed_deg_s,
                     area,
                     ctx.background_blocks,
-                    &mut sc.candidates,
+                    &mut sc.step,
                 );
                 let c = sc
+                    .step
                     .candidates
                     .iter()
                     .min_by(|a, b| a.bits.total_cmp(&b.bits))
@@ -455,6 +559,27 @@ impl MpcController {
             }
         }
     }
+}
+
+/// Per ladder rate, lowest first: the fps and the size model's
+/// frame-rate factor. Checks each rate against Eq. 4's domain here, once
+/// per ladder, because the per-step pricing evaluates the factor's
+/// numerator without [`framerate_factor`]'s checks (the ladder itself
+/// guarantees a positive `f_m`).
+fn rate_table(ladder: &EncodingLadder, sizer: &SchemeSizer) -> Vec<(f64, f64)> {
+    let max_fps = ladder.max_frame_rate().fps();
+    ladder
+        .frame_rates()
+        .iter()
+        .map(|f| {
+            let fps = f.fps();
+            assert!(
+                fps.is_finite() && fps > 0.0 && fps <= max_fps + 1e-9,
+                "fps must be in (0, max_fps], got {fps} of {max_fps}"
+            );
+            (fps, sizer.model().framerate_factor(fps))
+        })
+        .collect()
 }
 
 impl Controller for MpcController {
@@ -705,6 +830,88 @@ mod tests {
         let snap = c.solver_stats().expect("snapshot");
         let _ = c.plan(&no_ptile);
         assert_eq!(c.solver_stats(), Some(snap));
+    }
+
+    /// A candidate's fields as raw bits, so a comparison sees every ulp.
+    fn field_bits(c: &Candidate) -> (usize, u64, u64, u64) {
+        (
+            c.quality.index(),
+            c.fps.to_bits(),
+            c.bits.to_bits(),
+            c.q_vf.to_bits(),
+        )
+    }
+
+    #[test]
+    fn step_pricing_matches_per_variant_candidates_bit_for_bit() {
+        use ee360_support::prelude::StdRng;
+
+        let calm = SiTi::new(1.0, 0.5);
+        let busy = SiTi::new(200.0, 100.0);
+        assert_eq!(calm.encoding_difficulty().to_bits(), 0.4f64.to_bits());
+        assert_eq!(busy.encoding_difficulty().to_bits(), 2.0f64.to_bits());
+        let content = SiTi::new(60.0, 25.0);
+        // (content, s_fov, area, background blocks): the full frame (no
+        // background term), just inside the no-background threshold, the
+        // FoV clamp, no background blocks, a still gaze (the α floor),
+        // and content at both ends of the encoding-difficulty clamp.
+        let mut cases = vec![
+            (content, 8.0, 1.0, 3),
+            (content, 8.0, 1.0 - 1e-13, 3),
+            (content, 8.0, FOV_AREA_FRACTION, 3),
+            (content, 8.0, 12.0 / 32.0, 0),
+            (content, 0.0, FOV_AREA_FRACTION, 3),
+            (calm, 8.0, 12.0 / 32.0, 3),
+            (busy, 8.0, 12.0 / 32.0, 3),
+        ];
+        let mut rng = StdRng::seed_from_u64(0x5eed_0019);
+        for _ in 0..300 {
+            cases.push((
+                SiTi::new(rng.gen_range(0.0..150.0), rng.gen_range(0.1..100.0)),
+                rng.gen_range(0.0..90.0),
+                rng.gen_range(FOV_AREA_FRACTION..=1.0),
+                rng.gen_range(0..8usize),
+            ));
+        }
+        let ladders = [
+            EncodingLadder::paper_default(),
+            EncodingLadder::single_rate(30.0),
+            EncodingLadder::new(60.0, vec![0.05, 0.15, 0.25, 0.4, 0.5, 0.65]),
+        ];
+        // One recycled table set across ladders of different sizes, as a
+        // controller's scratch would be after `with_ladder`.
+        let mut step = StepPricing::default();
+        for ladder in ladders {
+            let rates = ladder.frame_rate_count();
+            let c = MpcController::paper_default().with_ladder(ladder);
+            for &(content, s_fov, area, bg) in &cases {
+                c.candidates_into(content, s_fov, area, bg, &mut step);
+                let hot: Vec<_> = step.candidates().iter().map(field_bits).collect();
+                let per_variant: Vec<_> = c
+                    .candidates(content, s_fov, area, bg)
+                    .iter()
+                    .map(field_bits)
+                    .collect();
+                assert_eq!(hot.len(), 5 * rates);
+                assert_eq!(
+                    hot, per_variant,
+                    "{content:?} s_fov {s_fov} area {area} bg {bg} over {rates} rates"
+                );
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "ptile area must be in (0, 1]")]
+    fn step_pricing_rejects_an_empty_area() {
+        let mut step = StepPricing::default();
+        MpcController::paper_default().candidates_into(
+            SiTi::new(60.0, 25.0),
+            8.0,
+            0.0,
+            3,
+            &mut step,
+        );
     }
 
     #[test]

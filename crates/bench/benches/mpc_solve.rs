@@ -7,7 +7,7 @@
 use std::hint::black_box;
 
 use ee360_abr::controller::Controller;
-use ee360_abr::mpc::{MpcConfig, MpcController};
+use ee360_abr::mpc::{MpcConfig, MpcController, StepPricing};
 use ee360_abr::oracle::brute_force_optimum;
 use ee360_abr::plan::SegmentContext;
 use ee360_bench::bench_harness;
@@ -43,6 +43,32 @@ fn main() {
         let ctx = context(h);
         bench.run(&format!("mpc_dp/plan/{h}"), || ctrl.plan(black_box(&ctx)));
     }
+
+    // One horizon step's candidate set: the solver's hoisted pricing vs
+    // the per-variant pricing the reference solver reads. Both build the
+    // same 20 candidates bit for bit.
+    let ctrl = controller(5);
+    let ctx = context(5);
+    let area = ctx.ptile_area_frac;
+    let mut step = StepPricing::default();
+    bench.run("mpc_dp/candidates_step/hot", || {
+        ctrl.candidates_into(
+            black_box(ctx.content()),
+            black_box(ctx.switching_speed_deg_s),
+            black_box(area),
+            ctx.background_blocks,
+            &mut step,
+        );
+        step.candidates().len()
+    });
+    bench.run("mpc_dp/candidates_step/reference", || {
+        ctrl.candidates(
+            black_box(ctx.content()),
+            black_box(ctx.switching_speed_deg_s),
+            black_box(area),
+            ctx.background_blocks,
+        )
+    });
 
     // The exponential oracle, for the speed-up story (kept tiny).
     for h in [1usize, 2, 3] {
