@@ -36,7 +36,9 @@ fn main() {
 
     // The fast (p75) switching speed of the 2 s planning window: computed
     // from scratch (every interval's Eq. 5 speed), and served by a warm
-    // per-session window (every interval already computed once).
+    // per-session window (every interval already computed once). Then a
+    // booking window's speed on a fresh per-session window: ten new
+    // intervals, whose shared endpoints are each converted once.
     {
         use ee360_geom::switching::fast_switching_speed;
         use ee360_trace::head::{HeadTrace, IntervalSpeeds};
@@ -57,6 +59,11 @@ fn main() {
         let mut speeds = IntervalSpeeds::new(&trace);
         bench.run("switching/fast_speed_2s_session_warm", || {
             speeds.fast_speed(black_box(range.clone()))
+        });
+        let mut k = 0usize;
+        bench.run("switching/booking_window_cold", || {
+            k = (k + 1) % 19;
+            IntervalSpeeds::new(&trace).segment_fast_speed(black_box(k))
         });
     }
 

@@ -428,22 +428,30 @@ const SPEED_SLOTS: usize = 64;
 ///
 /// A session asks for the fast (75th-percentile) speed of overlapping
 /// windows: two 2 s planning windows and one booking window cover each
-/// interval. The window computes each interval's speed once, through
-/// [`HeadTrace::interval_speed`], and serves later requests from a
-/// direct-mapped table (slot `i mod 64`). A slot stores its interval
-/// index, so a request that misses (a backwards seek, a jump, a trace
-/// sampled faster than 10 Hz) recomputes the speed: it never returns
-/// another interval's value.
+/// interval. The window computes each interval's speed once and serves
+/// later requests from a direct-mapped table (slot `i mod 64`). A slot
+/// stores its interval index, so a request that misses (a backwards seek,
+/// a jump, a trace sampled faster than 10 Hz) recomputes the speed: it
+/// never returns another interval's value.
+///
+/// Adjacent intervals share a sample, so the window also remembers the
+/// orientation of the last right endpoint it converted, keyed by sample
+/// index. Interval `i`'s left endpoint reuses it when that index is `i`,
+/// which on forward playback converts each sample once instead of twice.
 ///
 /// Results are bit-identical to [`fast_switching_speed`] over the same
-/// window: every speed is the same pure function of the same two stored
-/// tuples, and the percentile rule ([`fast_speed_of`]) does not depend on
-/// the order the speeds are gathered in.
+/// window: every speed runs [`switching_speed_deg_per_sec`]'s operations
+/// on the same two stored tuples, a sample's orientation is a pure
+/// function of its tuple, and the percentile rule ([`fast_speed_of`])
+/// does not depend on the order the speeds are gathered in.
 #[derive(Debug, Clone)]
 pub struct IntervalSpeeds<'a> {
     trace: &'a HeadTrace,
     /// `(interval index, speed)`; `usize::MAX` marks an empty slot.
     slots: Box<[(usize, f64); SPEED_SLOTS]>,
+    /// `(sample index, orientation)` of the last right endpoint converted;
+    /// `usize::MAX` before the first.
+    last: (usize, Orientation),
     /// Recycled gather buffer for the percentile selection.
     scratch: Vec<f64>,
 }
@@ -454,6 +462,7 @@ impl<'a> IntervalSpeeds<'a> {
         Self {
             trace,
             slots: Box::new([(usize::MAX, 0.0); SPEED_SLOTS]),
+            last: (usize::MAX, Orientation::new(1.0, 0.0, 0.0)),
             scratch: Vec::new(),
         }
     }
@@ -466,6 +475,7 @@ impl<'a> IntervalSpeeds<'a> {
         let Self {
             trace,
             slots,
+            last,
             scratch,
         } = self;
         let intervals = samples.start..samples.end.saturating_sub(1);
@@ -473,7 +483,7 @@ impl<'a> IntervalSpeeds<'a> {
         scratch.extend(intervals.map(|i| {
             let slot = &mut slots[i % SPEED_SLOTS];
             if slot.0 != i {
-                *slot = (i, trace.interval_speed(i));
+                *slot = (i, interval_speed_reusing(&trace.samples, i, last));
             }
             slot.1
         }));
@@ -491,6 +501,30 @@ impl<'a> IntervalSpeeds<'a> {
         let samples = self.trace.sample_range(lo, hi);
         Some(self.fast_speed(samples))
     }
+}
+
+/// [`HeadTrace::interval_speed`] of interval `i` over `samples`, taking
+/// the left endpoint's orientation from `last` when it holds sample `i`,
+/// and leaving sample `i + 1`'s orientation in `last`. The operations are
+/// [`switching_speed_deg_per_sec`]'s, in its order, so the speed is
+/// bit-identical.
+fn interval_speed_reusing(
+    samples: &[(f64, f64, f64)],
+    i: usize,
+    last: &mut (usize, Orientation),
+) -> f64 {
+    let prev = to_switching_sample(&samples[i]);
+    let next = to_switching_sample(&samples[i + 1]);
+    let dt = next.t_sec - prev.t_sec;
+    assert!(dt > 0.0, "samples must be strictly increasing in time");
+    let o0 = if last.0 == i {
+        last.1
+    } else {
+        Orientation::from_view_center(prev.center)
+    };
+    let o1 = Orientation::from_view_center(next.center);
+    *last = (i + 1, o1);
+    o0.angle_to_deg(&o1) / dt
 }
 
 /// One stored `(t, yaw, pitch)` tuple as a [`SwitchingSample`] — the single
@@ -1045,7 +1079,7 @@ mod tests {
             ),
             sixty_hz in 0usize..2,
             t0 in -3.0f64..3.0,
-            requests in prop::collection::vec((0usize..4, 0.0f64..1.0, 0usize..48), 1..60),
+            requests in prop::collection::vec((0usize..5, 0.0f64..1.0, 0usize..48), 1..60),
         ) {
             // Irregular steps, or the same gaze at exactly 60 Hz: a 2 s
             // window then holds ~120 intervals, more than the window's
@@ -1060,11 +1094,13 @@ mod tests {
             } else {
                 trace_from_steps(t0, &angles)
             };
-            let first = trace.switching_samples()[0].t_sec;
+            let all = trace.switching_samples();
+            let first = all[0].t_sec;
             let span = trace.duration_sec() - first;
             let mut speeds = IntervalSpeeds::new(&trace);
             let mut window = Vec::new();
             let mut pos = first;
+            let mut booked = None;
             for &(kind, frac, pick) in &requests {
                 match kind {
                     // Monotone playback: forward by up to 1 s.
@@ -1074,13 +1110,32 @@ mod tests {
                     // A jump anywhere from before the first sample to past
                     // the last, usually further than one window.
                     2 => pos = first - 2.5 + (span + 5.0) * frac,
+                    // A window starting one sample past the remembered
+                    // endpoint, so its first interval must not take it.
+                    4 if pick % 3 == 2 => {
+                        let start = speeds.last.0.saturating_add(1).min(all.len());
+                        let end = (start + 1 + pick).min(all.len());
+                        let expected = fast_switching_speed(&all[start..end]);
+                        let got = speeds.fast_speed(start..end).to_bits();
+                        prop_assert_eq!(got, expected.to_bits());
+                        continue;
+                    }
                     // A booking request for segment `pick`, which may lie
                     // past the end of the trace (`None`: the caller falls
-                    // back to its planning estimate).
+                    // back to its planning estimate). Kind 4 instead books
+                    // the segment after the last booked one (the windows
+                    // abut), or the last booked segment again, whose slots
+                    // a 60 Hz window has since evicted.
                     _ => {
-                        let got = speeds.segment_fast_speed(pick).map(f64::to_bits);
-                        let expected = trace.segment_fast_switching_speed(pick).map(f64::to_bits);
+                        let k = match (kind, booked) {
+                            (4, Some(b)) if pick % 3 == 0 => b + 1,
+                            (4, Some(b)) => b,
+                            _ => pick,
+                        };
+                        let got = speeds.segment_fast_speed(k).map(f64::to_bits);
+                        let expected = trace.segment_fast_switching_speed(k).map(f64::to_bits);
                         prop_assert_eq!(got, expected);
+                        booked = Some(k);
                         continue;
                     }
                 }

@@ -93,6 +93,14 @@ echo "==> projection equivalence (blocking: sign-test tile classifier vs angle p
 cargo test --release -q --offline -p ee360-geom --lib projection -- --include-ignored
 cargo test --release -q --offline --test view_table
 
+echo "==> interval-speed equivalence (blocking: compute-once Eq. 5 window vs per-window speeds)"
+# IntervalSpeeds caches each interval's speed and reuses the shared
+# endpoint's orientation between adjacent intervals; every fast speed it
+# serves must equal fast_switching_speed over the same window bit for
+# bit. The workspace pass above runs the property at its default case
+# count; this stage runs it at 2,000 cases in release.
+EE360_PROP_CASES=2000 cargo test --release -q --offline -p ee360-trace --lib interval_speeds
+
 echo "==> fleet smoke (10k-session event-driven fleet, offline + deterministic)"
 # Runs the sim::fleet scale engine over a seeded chaos plan and exits
 # non-zero unless every slot completes, two same-seed runs and every
