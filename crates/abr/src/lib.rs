@@ -38,7 +38,6 @@
 
 pub mod baselines;
 pub mod controller;
-pub mod dual;
 pub mod mpc;
 pub mod oracle;
 pub mod plan;
@@ -48,7 +47,6 @@ pub mod sizer;
 
 pub use baselines::RateBasedController;
 pub use controller::{Controller, RobustStats, Scheme};
-pub use dual::EnergyBudgetController;
 pub use mpc::{MpcConfig, MpcController};
 pub use plan::{SegmentContext, SegmentPlan};
 pub use robust::RobustMpcController;

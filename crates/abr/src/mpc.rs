@@ -261,9 +261,9 @@ impl MpcController {
     /// Prices every variant from scratch through
     /// [`SchemeSizer::ptile_bits`] and Eq. 4's [`framerate_factor`]. The
     /// solver prices through [`Self::candidates_into`] instead; this
-    /// per-variant form is what [`crate::reference::solve_reference`],
-    /// the oracle and the budget controller read, so the equivalence
-    /// suite compares two independent pricings.
+    /// per-variant form is what [`crate::reference::solve_reference`]
+    /// and the oracle read, so the equivalence suite compares two
+    /// independent pricings.
     ///
     /// # Panics
     ///

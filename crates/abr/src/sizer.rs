@@ -166,6 +166,8 @@ impl Default for SchemeSizer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ee360_video::catalog::VideoCatalog;
+    use ee360_video::segment::SegmentTimeline;
 
     fn sizer() -> SchemeSizer {
         SchemeSizer::paper_default()
@@ -228,6 +230,32 @@ mod tests {
         let bits = s.ptile_bits(QualityLevel::Q3, 30.0, 1.0, 3, content());
         let whole = s.nontile_bits(QualityLevel::Q3, content());
         assert!((bits - whole).abs() < 1e-6);
+    }
+
+    #[test]
+    fn ptile_bits_split_into_fov_and_background_regions() {
+        // Below a full frame, the Ptile total is the one-tile FoV region at
+        // (q, fps) plus three lowest-quality background blocks at 30 fps.
+        let catalog = VideoCatalog::paper_default();
+        let timeline = SegmentTimeline::for_video(catalog.video(3).unwrap());
+        let s = sizer();
+        let model = s.model();
+        let area = 12.0 / 32.0;
+        for k in [0usize, 50, 200] {
+            let c = timeline.segment(k).unwrap().si_ti;
+            for q in QualityLevel::ALL {
+                for fps in [21.0, 30.0] {
+                    let fov = model.region_bits(area, 1, q, fps, c);
+                    let bg = model.region_bits(1.0 - area, 3, QualityLevel::Q1, 30.0, c);
+                    let total = s.ptile_bits(q, fps, area, 3, c);
+                    assert!(
+                        (total - (fov + bg)).abs() < 1e-6,
+                        "segment {k} {q:?}@{fps}: sizer {total} vs regions {}",
+                        fov + bg
+                    );
+                }
+            }
+        }
     }
 
     #[test]

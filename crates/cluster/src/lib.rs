@@ -40,11 +40,9 @@ pub mod coverage;
 pub mod ftile;
 pub mod kmeans;
 pub mod ptile;
-pub mod stability;
 
 pub use algorithm1::{cluster_viewing_centers, ClusteringParams};
 pub use coverage::{CoverageStats, SegmentCoverage};
 pub use ftile::{FtileLayout, FTILE_TILE_COUNT};
 pub use kmeans::kmeans_two;
 pub use ptile::{background_blocks, build_ptiles, Ptile, PtileConfig};
-pub use stability::{churn, region_iou, ChurnStats, RegionSmoother};

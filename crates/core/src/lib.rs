@@ -42,4 +42,4 @@ pub use experiment::{run_video_scheme, ExperimentConfig, SchemeOutcome};
 pub use fleet::{fleet_sessions_traced, run_fleet_traced, FleetSessionDriver};
 pub use parallel::{default_threads, run_matrix};
 pub use report::{normalize_to, BarChart, TableWriter};
-pub use server::VideoServer;
+pub use server::{PrepareError, VideoServer};

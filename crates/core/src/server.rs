@@ -7,6 +7,9 @@
 //! request time answers: *does a Ptile cover this predicted viewport, and
 //! how big is it?*
 
+use std::error::Error;
+use std::fmt;
+
 use ee360_cluster::coverage::{segment_coverage, CoverageStats};
 use ee360_cluster::ftile::FtileLayout;
 use ee360_cluster::ptile::{background_blocks, build_ptiles, Ptile, PtileConfig};
@@ -15,6 +18,34 @@ use ee360_geom::viewport::{ViewCenter, Viewport};
 use ee360_trace::head::HeadTrace;
 use ee360_video::catalog::VideoSpec;
 use ee360_video::segment::SegmentTimeline;
+
+/// Why [`VideoServer::try_prepare`] refused its training set.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PrepareError {
+    /// No training traces were given.
+    EmptyTraining,
+    /// A training trace belongs to another video.
+    ForeignTrace {
+        /// The id of the video being prepared.
+        expected: usize,
+        /// The id of the first trace that does not match.
+        found: usize,
+    },
+}
+
+impl fmt::Display for PrepareError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            PrepareError::EmptyTraining => write!(f, "need at least one training trace"),
+            PrepareError::ForeignTrace { expected, found } => write!(
+                f,
+                "training traces must belong to video {expected}, found one of video {found}"
+            ),
+        }
+    }
+}
+
+impl Error for PrepareError {}
 
 /// The prepared server state for one video.
 #[derive(Debug, Clone)]
@@ -36,19 +67,38 @@ impl VideoServer {
     ///
     /// # Panics
     ///
-    /// Panics if `training` is empty or a trace belongs to another video.
+    /// Panics if `training` is empty or a trace belongs to another video;
+    /// [`Self::try_prepare`] returns those cases as a [`PrepareError`].
     pub fn prepare(
         spec: &VideoSpec,
         training: &[&HeadTrace],
         grid: TileGrid,
         config: PtileConfig,
     ) -> Self {
-        assert!(!training.is_empty(), "need at least one training trace");
-        assert!(
-            training.iter().all(|t| t.video_id() == spec.id),
-            "training traces must belong to video {}",
-            spec.id
-        );
+        match Self::try_prepare(spec, training, grid, config) {
+            Ok(server) => server,
+            // lint:allow(no-panic-paths, "documented panic: prepare() requires a non-empty training set of this video")
+            Err(e) => panic!("{e}"),
+        }
+    }
+
+    /// Fallible [`Self::prepare`]: rejects an empty training set and
+    /// traces of another video instead of panicking.
+    pub fn try_prepare(
+        spec: &VideoSpec,
+        training: &[&HeadTrace],
+        grid: TileGrid,
+        config: PtileConfig,
+    ) -> Result<Self, PrepareError> {
+        if training.is_empty() {
+            return Err(PrepareError::EmptyTraining);
+        }
+        if let Some(t) = training.iter().find(|t| t.video_id() != spec.id) {
+            return Err(PrepareError::ForeignTrace {
+                expected: spec.id,
+                found: t.video_id(),
+            });
+        }
         let timeline = SegmentTimeline::for_video(spec);
         let n = spec.segment_count();
         let mut ptiles = Vec::with_capacity(n);
@@ -73,7 +123,7 @@ impl VideoServer {
             ptiles.push(built);
             ftile_layouts.push(FtileLayout::build(&centers));
         }
-        Self {
+        Ok(Self {
             video_id: spec.id,
             grid,
             config,
@@ -81,7 +131,7 @@ impl VideoServer {
             ptiles,
             ptile_costs,
             ftile_layouts,
-        }
+        })
     }
 
     /// The video this server serves.
@@ -279,6 +329,45 @@ mod tests {
             TileGrid::paper_default(),
             PtileConfig::paper_default(),
         );
+    }
+
+    #[test]
+    fn try_prepare_rejects_an_empty_training_set() {
+        let catalog = VideoCatalog::paper_default();
+        let spec = catalog.video(1).unwrap();
+        let err = VideoServer::try_prepare(
+            spec,
+            &[],
+            TileGrid::paper_default(),
+            PtileConfig::paper_default(),
+        )
+        .unwrap_err();
+        assert_eq!(err, PrepareError::EmptyTraining);
+        assert!(err.to_string().contains("at least one training trace"));
+    }
+
+    #[test]
+    fn try_prepare_names_the_foreign_trace() {
+        let catalog = VideoCatalog::paper_default();
+        let spec2 = catalog.video(2).unwrap();
+        let spec3 = catalog.video(3).unwrap();
+        let traces = VideoTraces::generate(spec3, 4, 1, GazeConfig::default());
+        let refs: Vec<&HeadTrace> = traces.traces().iter().collect();
+        let err = VideoServer::try_prepare(
+            spec2,
+            &refs,
+            TileGrid::paper_default(),
+            PtileConfig::paper_default(),
+        )
+        .unwrap_err();
+        assert_eq!(
+            err,
+            PrepareError::ForeignTrace {
+                expected: 2,
+                found: 3
+            }
+        );
+        let _: &dyn Error = &err;
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! The registry is the aggregate half of the observability layer: hot
 //! paths bump counters and observe histogram samples, and per-session
 //! registries are merged — in deterministic index order — across the
-//! threaded fan-outs in `core::experiment` and `sim::multiclient`.
+//! threaded fan-outs in `core::experiment` and `core::fleet`.
 //!
 //! Histograms use power-of-two buckets whose index is derived from the
 //! IEEE-754 exponent bits of the sample, so bucketing is exact and

@@ -246,8 +246,8 @@ pub fn shard_ranges(n: usize, shards: usize) -> Vec<Range<usize>> {
 
 /// Decorrelation stride between fleet sessions sharing one
 /// [`FaultPlan`]: session `i` keys its per-attempt faults at
-/// `i * FLEET_FAULT_STRIDE + segment` (the same stride the shared-link
-/// multiclient uses), so no realistic session length overlaps another
+/// `i * FLEET_FAULT_STRIDE + segment`. The stride is far longer than any
+/// video's segment count, so no session's fault keys overlap another
 /// session's fault stream.
 pub const FLEET_FAULT_STRIDE: usize = 100_000;
 

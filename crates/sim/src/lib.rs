@@ -20,7 +20,6 @@
 //!   skip-with-blackout when a segment's deadline is exhausted — the
 //!   paper's benign world is the same engine with no faults and the
 //!   wait-forever policy,
-//! * [`multiclient`] — many clients sharing one bottleneck link,
 //! * [`fleet`] — the discrete-event fleet engine: many sessions on one
 //!   logical-time queue with O(100 B) hot state each, deterministically
 //!   sharded and bit-identical to the loop engine at any thread count.
@@ -43,7 +42,6 @@ pub mod decoder;
 pub mod error;
 pub mod fleet;
 pub mod metrics;
-pub mod multiclient;
 pub mod resilience;
 
 pub use buffer::{BufferStep, PlaybackBuffer};
@@ -54,7 +52,6 @@ pub use fleet::{
     FleetReport, Scheduler, SessionDriver, SessionSummary,
 };
 pub use metrics::{SegmentRecord, SegmentTiming, SessionMetrics};
-pub use multiclient::{simulate_shared_link, ClientOutcome, MulticlientConfig};
 pub use resilience::{
     DownloadEnv, DownloadOutcome, DownloadState, ResilienceCounters, RetryPolicy, SessionCore,
 };

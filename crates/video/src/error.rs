@@ -1,4 +1,4 @@
-//! Failure taxonomy of the catalog/manifest layer.
+//! Failure taxonomy of the video catalog.
 //!
 //! Mirrors the simulator's `SimError` style: construction problems that
 //! the seed treated as panics become values a caller can route — a CLI
@@ -23,14 +23,6 @@ pub enum VideoError {
         /// The requested id.
         id: usize,
     },
-    /// A manifest build was given the wrong number of per-segment
-    /// Ptile-area lists.
-    PtileAreaMismatch {
-        /// Timeline length (lists required).
-        expected: usize,
-        /// Lists provided.
-        got: usize,
-    },
 }
 
 impl fmt::Display for VideoError {
@@ -44,10 +36,6 @@ impl fmt::Display for VideoError {
                 )
             }
             VideoError::UnknownVideo { id } => write!(f, "no video with id {id} in the catalog"),
-            VideoError::PtileAreaMismatch { expected, got } => write!(
-                f,
-                "need one Ptile-area list per segment: timeline has {expected}, got {got}"
-            ),
         }
     }
 }
@@ -62,12 +50,6 @@ mod tests {
     fn display_names_the_id() {
         let e = VideoError::UnknownVideo { id: 9 };
         assert!(e.to_string().contains("id 9"));
-        let e = VideoError::PtileAreaMismatch {
-            expected: 5,
-            got: 3,
-        };
-        let s = e.to_string();
-        assert!(s.contains('5') && s.contains('3'), "{s}");
     }
 
     #[test]

@@ -35,7 +35,6 @@ pub mod catalog;
 pub mod content;
 pub mod error;
 pub mod ladder;
-pub mod manifest;
 pub mod segment;
 pub mod size_model;
 
@@ -43,6 +42,5 @@ pub use catalog::{BehaviorProfile, VideoCatalog, VideoSpec};
 pub use content::SiTi;
 pub use error::VideoError;
 pub use ladder::{EncodingLadder, FrameRate, QualityLevel};
-pub use manifest::{Representation, RepresentationKind, SegmentManifest, VideoManifest};
 pub use segment::{SegmentContent, SegmentTimeline, SEGMENT_DURATION_SEC};
 pub use size_model::SizeModel;

@@ -16,7 +16,6 @@ use ee360::abr::sizer::SchemeSizer;
 use ee360::cluster::algorithm1::ClusteringParams;
 use ee360::cluster::ftile::FtileLayout;
 use ee360::cluster::ptile::{build_ptiles, PtileConfig};
-use ee360::cluster::stability::RegionSmoother;
 use ee360::core::client::{run_session_resilient, SessionSetup};
 use ee360::core::experiment::ExperimentConfig;
 use ee360::core::server::VideoServer;
@@ -42,8 +41,6 @@ use ee360::trace::network::{LteProfile, NetworkTrace};
 use ee360::video::catalog::{BehaviorProfile, VideoCatalog};
 use ee360::video::content::SiTi;
 use ee360::video::ladder::{EncodingLadder, FrameRate, QualityLevel};
-use ee360::video::manifest::{RepresentationKind, VideoManifest};
-use ee360::video::segment::SegmentTimeline;
 use ee360::video::size_model::SizeModel;
 use ee360_support::json::{from_str, to_string, FromJson, JsonError, ToJson};
 
@@ -77,39 +74,6 @@ fn video_types_roundtrip() {
     let catalog = VideoCatalog::paper_default();
     rt(&catalog);
     rt(catalog.video(2).unwrap());
-}
-
-/// `RepresentationKind` is the one data-carrying enum; all four variants
-/// must survive, including the externally-tagged struct variants.
-#[test]
-fn representation_kind_all_variants_roundtrip() {
-    rt(&RepresentationKind::WholeFrame);
-    rt(&RepresentationKind::ConventionalTile { tile_area: 0.03125 });
-    rt(&RepresentationKind::Ptile { area: 0.375 });
-    rt(&RepresentationKind::BackgroundBlock { area: 0.125 });
-}
-
-#[test]
-fn manifest_roundtrips_through_generation() {
-    let catalog = VideoCatalog::paper_default();
-    let spec = catalog.video(6).unwrap();
-    let timeline = SegmentTimeline::for_video(spec);
-    let ptile_areas: Vec<Vec<f64>> = (0..timeline.len())
-        .map(|i| {
-            if i % 3 == 0 {
-                vec![]
-            } else {
-                vec![0.375, 0.25]
-            }
-        })
-        .collect();
-    let manifest = VideoManifest::build(
-        &timeline,
-        &SizeModel::paper_default(),
-        &EncodingLadder::paper_default(),
-        &ptile_areas,
-    );
-    rt(&manifest);
 }
 
 #[test]
@@ -196,7 +160,6 @@ fn predict_types_roundtrip() {
 fn cluster_types_roundtrip() {
     rt(&ClusteringParams::paper_default());
     rt(&PtileConfig::paper_default());
-    rt(&RegionSmoother::paper_extension_default());
     let centers: Vec<ViewCenter> = (0..20)
         .map(|i| ViewCenter::new(f64::from(i) * 15.0 - 150.0, f64::from(i % 5) * 8.0 - 16.0))
         .collect();
