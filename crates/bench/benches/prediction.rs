@@ -68,14 +68,13 @@ fn main() {
     }
 
     // The per-segment render coverage (16×16 pixel samples). A trace's
-    // view table runs the sampling pass once per segment ("fill"); every
-    // later booking of that segment sums the stored counts over a region
-    // ("book").
+    // view table runs the sampling pass once per segment ("fill") through
+    // a sampler built once per process; every later booking of that
+    // segment sums the stored counts over a region ("book").
     {
         use ee360_geom::grid::TileGrid;
-        use ee360_geom::projection::{coverage_from_counts, for_each_pixel_tile};
+        use ee360_geom::projection::{coverage_from_counts, PixelSampler};
         use ee360_geom::region::TileRegion;
-        use ee360_geom::viewport::Viewport;
         use ee360_trace::head::{HeadTrace, VIEW_FOV_DEG, VIEW_SAMPLES};
         let grid = TileGrid::paper_default();
         let region = TileRegion::new(&grid, 1, 3, 3, 3);
@@ -90,13 +89,13 @@ fn main() {
         let segments = (0..)
             .take_while(|&k| trace.segment_center(k).is_some())
             .count();
+        let sampler = PixelSampler::new(&grid, VIEW_FOV_DEG, VIEW_FOV_DEG, VIEW_SAMPLES);
         let mut k = 0usize;
         bench.run("projection/view_table_fill_segment", || {
             k = (k + 1) % segments;
             let center = trace.segment_center(k).unwrap_or_default();
-            let vp = Viewport::new(center, VIEW_FOV_DEG, VIEW_FOV_DEG);
             let mut counts = [0u16; 32];
-            for_each_pixel_tile(black_box(&vp), &grid, VIEW_SAMPLES, |t| {
+            sampler.for_each_tile(black_box(center), |t| {
                 counts[grid.flat_index(t)] += 1;
             });
             counts

@@ -24,6 +24,9 @@
 //! The paper's benign world is the same loop under [`FaultPlan::none`]
 //! and [`RetryPolicy::disabled`]: no fault fires and no timer expires.
 
+use std::error::Error;
+use std::fmt;
+
 use ee360_abr::baselines::RateBasedController;
 use ee360_abr::controller::{Controller, Scheme};
 use ee360_abr::mpc::{MpcConfig, MpcController};
@@ -46,7 +49,7 @@ use ee360_qoe::quality::QoModel;
 use ee360_sim::decoder::DecoderPipeline;
 use ee360_sim::metrics::{SegmentRecord, SegmentTiming, SessionMetrics};
 use ee360_sim::resilience::{
-    DownloadEnv, DownloadOutcome, DownloadState, RetryPolicy, SessionCore,
+    DownloadEnv, DownloadOutcome, DownloadState, PolicyError, RetryPolicy, SessionCore,
 };
 use ee360_trace::fault::FaultPlan;
 use ee360_trace::head::{HeadTrace, IntervalSpeeds, VIEW_FOV_DEG, VIEW_SAMPLES};
@@ -69,6 +72,44 @@ pub struct SessionSetup<'a> {
     pub phone: Phone,
     /// Optional cap on the number of segments (for fast tests).
     pub max_segments: Option<usize>,
+}
+
+/// Why a session refused to start.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SessionError {
+    /// The user's trace and the server describe different videos.
+    VideoMismatch {
+        /// The video id of the user's trace.
+        trace: usize,
+        /// The video id of the server.
+        server: usize,
+    },
+    /// The retry policy is malformed.
+    Policy(PolicyError),
+}
+
+impl fmt::Display for SessionError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            SessionError::VideoMismatch { trace, server } => write!(
+                f,
+                "user trace and server must describe the same video \
+                 (trace of video {trace}, server of video {server})"
+            ),
+            SessionError::Policy(e) => write!(f, "{e}"),
+        }
+    }
+}
+
+impl Error for SessionError {}
+
+/// The value of a session entry point whose panicking form was called.
+fn or_panic<T>(result: Result<T, SessionError>) -> T {
+    match result {
+        Ok(value) => value,
+        // lint:allow(no-panic-paths, "documented panic: the panicking session entry points reject a mismatched trace or a malformed policy")
+        Err(e) => panic!("{e}"),
+    }
 }
 
 /// Builds the controller for a scheme.
@@ -119,7 +160,8 @@ fn overlap_fraction(
 /// # Panics
 ///
 /// Panics if the user's trace belongs to a different video than the server,
-/// or the retry policy is malformed.
+/// or the retry policy is malformed; [`try_run_session_resilient`] returns
+/// those cases as a [`SessionError`].
 pub fn run_session_resilient(
     scheme: Scheme,
     setup: &SessionSetup,
@@ -130,13 +172,26 @@ pub fn run_session_resilient(
     run_session_resilient_with(controller.as_mut(), setup, faults, policy)
 }
 
+/// Fallible [`run_session_resilient`]: a mismatched trace or a malformed
+/// retry policy is an error instead of a panic.
+pub fn try_run_session_resilient(
+    scheme: Scheme,
+    setup: &SessionSetup,
+    faults: &FaultPlan,
+    policy: &RetryPolicy,
+) -> Result<SessionMetrics, SessionError> {
+    let mut controller = make_controller(scheme, setup.phone);
+    try_run_session_resilient_with(controller.as_mut(), setup, faults, policy)
+}
+
 /// [`run_session_resilient`] with a caller-supplied controller (used by
 /// the ablation benches: custom ε, custom frame-rate ladder, …).
 ///
 /// # Panics
 ///
 /// Panics if the user's trace belongs to a different video than the server,
-/// or the retry policy is malformed.
+/// or the retry policy is malformed; [`try_run_session_resilient_with`]
+/// returns those cases as a [`SessionError`].
 pub fn run_session_resilient_with(
     controller: &mut dyn Controller,
     setup: &SessionSetup,
@@ -144,6 +199,16 @@ pub fn run_session_resilient_with(
     policy: &RetryPolicy,
 ) -> SessionMetrics {
     run_session_traced(controller, setup, faults, policy, &mut NoopRecorder)
+}
+
+/// Fallible [`run_session_resilient_with`].
+pub fn try_run_session_resilient_with(
+    controller: &mut dyn Controller,
+    setup: &SessionSetup,
+    faults: &FaultPlan,
+    policy: &RetryPolicy,
+) -> Result<SessionMetrics, SessionError> {
+    try_run_session_traced(controller, setup, faults, policy, &mut NoopRecorder)
 }
 
 /// The session loop: [`SessionRunner`] driven to completion. Every other
@@ -166,7 +231,8 @@ pub fn run_session_resilient_with(
 /// # Panics
 ///
 /// Panics if the user's trace belongs to a different video than the server,
-/// or the retry policy is malformed.
+/// or the retry policy is malformed; [`try_run_session_traced`] returns
+/// those cases as a [`SessionError`].
 pub fn run_session_traced(
     controller: &mut dyn Controller,
     setup: &SessionSetup,
@@ -174,12 +240,26 @@ pub fn run_session_traced(
     policy: &RetryPolicy,
     rec: &mut dyn Record,
 ) -> SessionMetrics {
-    let mut runner = SessionRunner::new(controller.scheme(), setup, faults, policy);
+    or_panic(try_run_session_traced(
+        controller, setup, faults, policy, rec,
+    ))
+}
+
+/// Fallible [`run_session_traced`]: checks the setup and the policy
+/// before the session starts, so an error leaves `rec` untouched.
+pub fn try_run_session_traced(
+    controller: &mut dyn Controller,
+    setup: &SessionSetup,
+    faults: &FaultPlan,
+    policy: &RetryPolicy,
+    rec: &mut dyn Record,
+) -> Result<SessionMetrics, SessionError> {
+    let mut runner = SessionRunner::try_new(controller.scheme(), setup, faults, policy)?;
     runner.start(rec);
     while runner.plan_segment(controller, rec) {
         while runner.step_download(controller, rec).is_none() {}
     }
-    runner.finish(rec)
+    Ok(runner.finish(rec))
 }
 
 /// The in-flight download a [`SessionRunner`] is waiting on: the plan,
@@ -257,19 +337,31 @@ impl<'a> SessionRunner<'a> {
     /// # Panics
     ///
     /// Panics if the user's trace belongs to a different video than the
-    /// server, or the retry policy is malformed.
+    /// server, or the retry policy is malformed; [`Self::try_new`] returns
+    /// those cases as a [`SessionError`].
     pub fn new(
         scheme: Scheme,
         setup: &SessionSetup<'a>,
         faults: &FaultPlan,
         policy: &RetryPolicy,
     ) -> Self {
-        assert_eq!(
-            setup.user.video_id(),
-            setup.server.video_id(),
-            "user trace and server must describe the same video"
-        );
-        policy.validate();
+        or_panic(Self::try_new(scheme, setup, faults, policy))
+    }
+
+    /// Fallible [`Self::new`].
+    pub fn try_new(
+        scheme: Scheme,
+        setup: &SessionSetup<'a>,
+        faults: &FaultPlan,
+        policy: &RetryPolicy,
+    ) -> Result<Self, SessionError> {
+        if setup.user.video_id() != setup.server.video_id() {
+            return Err(SessionError::VideoMismatch {
+                trace: setup.user.video_id(),
+                server: setup.server.video_id(),
+            });
+        }
+        policy.check().map_err(SessionError::Policy)?;
         let horizon = 5usize;
         let n = setup
             .max_segments
@@ -278,7 +370,7 @@ impl<'a> SessionRunner<'a> {
             });
         let q1_bitrate =
             ee360_abr::sizer::SchemeSizer::paper_default().effective_bitrate_mbps(QualityLevel::Q1);
-        Self {
+        Ok(Self {
             setup: *setup,
             scheme,
             power: PowerModel::for_phone(setup.phone),
@@ -305,7 +397,7 @@ impl<'a> SessionRunner<'a> {
             gaze_window: Vec::new(),
             predictor_ws: PredictorWorkspace::default(),
             speeds: IntervalSpeeds::new(setup.user),
-        }
+        })
     }
 
     /// The download engine and the inputs it runs over. The network is
@@ -1083,5 +1175,73 @@ mod tests {
             max_segments: Some(5),
         };
         let _ = benign(Scheme::Ctile, &setup);
+    }
+
+    #[test]
+    fn try_entry_points_report_a_video_mismatch() {
+        let (server, _, network) = setup_video(2, 8, 5);
+        let catalog = VideoCatalog::paper_default();
+        let other = catalog.video(3).unwrap();
+        let other_traces = VideoTraces::generate(other, 4, 5, GazeConfig::default());
+        let setup = SessionSetup {
+            server: &server,
+            user: &other_traces.traces()[0],
+            network: &network,
+            phone: Phone::Pixel3,
+            max_segments: Some(5),
+        };
+        let err = SessionError::VideoMismatch {
+            trace: other.id,
+            server: server.video_id(),
+        };
+        let (faults, policy) = (FaultPlan::none(), RetryPolicy::disabled());
+        assert_eq!(
+            SessionRunner::try_new(Scheme::Ctile, &setup, &faults, &policy).err(),
+            Some(err)
+        );
+        assert_eq!(
+            try_run_session_resilient(Scheme::Ctile, &setup, &faults, &policy).err(),
+            Some(err)
+        );
+        assert!(err.to_string().contains("same video"));
+    }
+
+    #[test]
+    fn try_entry_points_report_a_malformed_policy() {
+        let (server, traces, network) = setup_video(2, 8, 5);
+        let setup = SessionSetup {
+            server: &server,
+            user: traces.traces().last().unwrap(),
+            network: &network,
+            phone: Phone::Pixel3,
+            max_segments: Some(5),
+        };
+        let policy = RetryPolicy {
+            segment_deadline_sec: 0.0,
+            ..RetryPolicy::default_mobile()
+        };
+        let err = SessionError::Policy(PolicyError::SegmentDeadline);
+        let mut controller = make_controller(Scheme::Ours, setup.phone);
+        let mut rec = ee360_obs::Recorder::new(Level::Detail);
+        assert_eq!(
+            try_run_session_traced(
+                controller.as_mut(),
+                &setup,
+                &FaultPlan::none(),
+                &policy,
+                &mut rec
+            )
+            .err(),
+            Some(err)
+        );
+        assert_eq!(err.to_string(), "segment deadline must be positive");
+        // A valid policy still runs the session.
+        assert!(try_run_session_resilient(
+            Scheme::Ours,
+            &setup,
+            &FaultPlan::none(),
+            &RetryPolicy::default_mobile()
+        )
+        .is_ok());
     }
 }

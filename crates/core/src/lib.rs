@@ -37,7 +37,10 @@ pub mod parallel;
 pub mod report;
 pub mod server;
 
-pub use client::{make_controller, run_session_resilient, run_session_traced, SessionSetup};
+pub use client::{
+    make_controller, run_session_resilient, run_session_traced, try_run_session_resilient,
+    try_run_session_traced, SessionError, SessionSetup,
+};
 pub use experiment::{run_video_scheme, ExperimentConfig, SchemeOutcome};
 pub use fleet::{fleet_sessions_traced, run_fleet_traced, FleetSessionDriver};
 pub use parallel::{default_threads, run_matrix};

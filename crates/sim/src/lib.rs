@@ -53,5 +53,6 @@ pub use fleet::{
 };
 pub use metrics::{SegmentRecord, SegmentTiming, SessionMetrics};
 pub use resilience::{
-    DownloadEnv, DownloadOutcome, DownloadState, ResilienceCounters, RetryPolicy, SessionCore,
+    DownloadEnv, DownloadOutcome, DownloadState, PolicyError, ResilienceCounters, RetryPolicy,
+    SessionCore,
 };

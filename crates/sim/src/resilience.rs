@@ -36,6 +36,9 @@
 //! seed and the policy arithmetic is plain `f64`, so same-seed replays
 //! serialize byte-identically.
 
+use std::error::Error;
+use std::fmt;
+
 use ee360_obs::{Event, Level, Record};
 use ee360_trace::fault::{FaultPlan, FaultyLink};
 use ee360_trace::network::NetworkTrace;
@@ -127,24 +130,60 @@ impl RetryPolicy {
     /// # Panics
     ///
     /// Panics if a timeout or deadline is not positive, or a backoff
-    /// parameter is negative or the factor is below 1.
+    /// parameter is negative or the factor is below 1; [`Self::check`]
+    /// returns those cases as a [`PolicyError`].
     pub fn validate(&self) {
-        assert!(
-            self.attempt_timeout_sec > 0.0,
-            "attempt timeout must be positive"
-        );
-        assert!(
-            self.segment_deadline_sec > 0.0,
-            "segment deadline must be positive"
-        );
-        assert!(
-            self.backoff_base_sec >= 0.0
-                && self.backoff_factor >= 1.0
-                && self.backoff_cap_sec >= 0.0,
-            "backoff parameters must be non-negative with factor >= 1"
-        );
+        if let Err(e) = self.check() {
+            // lint:allow(no-panic-paths, "documented panic: validate() rejects a malformed policy")
+            panic!("{e}");
+        }
+    }
+
+    /// Fallible [`Self::validate`]: the first malformed field, if any.
+    pub fn check(&self) -> Result<(), PolicyError> {
+        // Each condition is false on NaN, so a NaN field is malformed too.
+        let rules = [
+            (self.attempt_timeout_sec > 0.0, PolicyError::AttemptTimeout),
+            (
+                self.segment_deadline_sec > 0.0,
+                PolicyError::SegmentDeadline,
+            ),
+            (
+                self.backoff_base_sec >= 0.0
+                    && self.backoff_factor >= 1.0
+                    && self.backoff_cap_sec >= 0.0,
+                PolicyError::Backoff,
+            ),
+        ];
+        match rules.into_iter().find(|&(ok, _)| !ok) {
+            Some((_, e)) => Err(e),
+            None => Ok(()),
+        }
     }
 }
+
+/// Why [`RetryPolicy::check`] rejected a policy.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PolicyError {
+    /// The per-attempt timeout is not positive.
+    AttemptTimeout,
+    /// The per-segment deadline is not positive.
+    SegmentDeadline,
+    /// A backoff parameter is negative, or the factor is below 1.
+    Backoff,
+}
+
+impl fmt::Display for PolicyError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(match self {
+            PolicyError::AttemptTimeout => "attempt timeout must be positive",
+            PolicyError::SegmentDeadline => "segment deadline must be positive",
+            PolicyError::Backoff => "backoff parameters must be non-negative with factor >= 1",
+        })
+    }
+}
+
+impl Error for PolicyError {}
 
 impl Default for RetryPolicy {
     fn default() -> Self {
@@ -1071,6 +1110,43 @@ mod tests {
             ..RetryPolicy::default_mobile()
         }
         .validate();
+    }
+
+    #[test]
+    fn check_names_each_malformed_field() {
+        let ok = RetryPolicy::default_mobile();
+        assert_eq!(ok.check(), Ok(()));
+        assert_eq!(RetryPolicy::disabled().check(), Ok(()));
+        let cases = [
+            (
+                RetryPolicy {
+                    attempt_timeout_sec: f64::NAN,
+                    ..ok
+                },
+                PolicyError::AttemptTimeout,
+            ),
+            (
+                RetryPolicy {
+                    segment_deadline_sec: -1.0,
+                    ..ok
+                },
+                PolicyError::SegmentDeadline,
+            ),
+            (
+                RetryPolicy {
+                    backoff_factor: 0.5,
+                    ..ok
+                },
+                PolicyError::Backoff,
+            ),
+        ];
+        for (policy, err) in cases {
+            assert_eq!(policy.check(), Err(err));
+        }
+        assert_eq!(
+            PolicyError::SegmentDeadline.to_string(),
+            "segment deadline must be positive"
+        );
     }
 
     #[test]

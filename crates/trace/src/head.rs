@@ -29,13 +29,13 @@ use ee360_support::rng::StdRng;
 
 use ee360_geom::angles::{lerp_yaw_deg, wrap_yaw_deg};
 use ee360_geom::grid::TileGrid;
-use ee360_geom::projection::for_each_pixel_tile;
+use ee360_geom::projection::PixelSampler;
 use ee360_geom::sphere::Orientation;
 use ee360_geom::switching::{
     fast_speed_of, fast_switching_speed, mean_switching_speed, switching_speed_deg_per_sec,
     SwitchingSample,
 };
-use ee360_geom::viewport::{ViewCenter, Viewport};
+use ee360_geom::viewport::ViewCenter;
 use ee360_video::catalog::{BehaviorProfile, VideoSpec};
 
 /// Tuning knobs of the gaze simulator.
@@ -93,6 +93,10 @@ pub const VIEW_FOV_DEG: f64 = 100.0;
 
 /// Pixel samples per axis of those viewports: 16 × 16 rays.
 pub const VIEW_SAMPLES: usize = 16;
+
+/// The sampler of those viewports on the paper's grid, built on first
+/// use and shared by every trace's view table.
+static VIEW_SAMPLER: OnceLock<PixelSampler> = OnceLock::new();
 
 /// Tiles of the paper's 4 × 8 grid, the one grid the view table covers.
 const VIEW_TILES: usize = 32;
@@ -321,7 +325,8 @@ impl HeadTrace {
     /// Per-tile sample counts, in flat-index order, of segment `segment`'s
     /// realised viewport: `Viewport::new(segment_center(segment),`
     /// [`VIEW_FOV_DEG`]`, VIEW_FOV_DEG)` sampled at [`VIEW_SAMPLES`]² rays
-    /// by [`for_each_pixel_tile`]. Pass them to
+    /// by one process-wide [`PixelSampler`], the same pass as
+    /// [`ee360_geom::projection::for_each_pixel_tile`]. Pass them to
     /// [`ee360_geom::projection::coverage_from_counts`] for that viewport's
     /// pixel coverage of any region, bit-identical to
     /// [`ee360_geom::projection::pixel_coverage`].
@@ -348,10 +353,12 @@ impl HeadTrace {
         if let Some(counts) = slot.get() {
             return Some(counts);
         }
-        let vp = Viewport::new(self.segment_center(segment)?, VIEW_FOV_DEG, VIEW_FOV_DEG);
+        let center = self.segment_center(segment)?;
         let counts = slot.get_or_init(|| {
+            let sampler = VIEW_SAMPLER
+                .get_or_init(|| PixelSampler::new(grid, VIEW_FOV_DEG, VIEW_FOV_DEG, VIEW_SAMPLES));
             let mut counts = [0u16; VIEW_TILES];
-            for_each_pixel_tile(&vp, grid, VIEW_SAMPLES, |t| {
+            sampler.for_each_tile(center, |t| {
                 if let Some(c) = counts.get_mut(grid.flat_index(t)) {
                     *c += 1;
                 }

@@ -89,9 +89,13 @@ echo "==> projection equivalence (blocking: sign-test tile classifier vs angle p
 # release. Booking reads each segment's sample counts from the trace's
 # view table; the view_table tests pin that path to pixel_coverage bit
 # for bit (Ptile, robust-union and FoV-block regions, the fallbacks, and
-# racing fills).
+# racing fills). The view table fills through one PixelSampler reused
+# for every centre (table-normalised rays); the reused-sampler property
+# pins it to the angle path over random grids, FoVs up to 360 x 180 and
+# 1-24 samples, at 2,000 cases here.
 cargo test --release -q --offline -p ee360-geom --lib projection -- --include-ignored
 cargo test --release -q --offline --test view_table
+EE360_PROP_CASES=2000 cargo test --release -q --offline -p ee360-geom --lib reused_sampler
 
 echo "==> interval-speed equivalence (blocking: compute-once Eq. 5 window vs per-window speeds)"
 # IntervalSpeeds caches each interval's speed and reuses the shared
