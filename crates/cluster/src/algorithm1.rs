@@ -11,8 +11,6 @@
 //!   "the distance between any two viewing centers in the cluster should
 //!   not be farther than σ".
 
-use std::collections::VecDeque;
-
 use ee360_geom::viewport::ViewCenter;
 
 use crate::kmeans::kmeans_two;
@@ -80,6 +78,12 @@ pub fn diameter_deg(centers: &[ViewCenter], members: &[usize]) -> f64 {
 /// Returns clusters as lists of indices into `centers`; every index appears
 /// in exactly one cluster. The empty input yields no clusters.
 ///
+/// The δ-neighbourhoods are bit rows of `⌈n/64⌉` words, so the seed's
+/// degree in U is a popcount of `N(i) & U` and BFS growth walks the set
+/// bits of `N(u) & U` in ascending order. That is the order the paper's
+/// neighbour lists hold, so clusters, their member order and every seed
+/// choice match the list form exactly.
+///
 /// # Example
 ///
 /// ```
@@ -99,7 +103,100 @@ pub fn cluster_viewing_centers(
     if centers.is_empty() {
         return Vec::new();
     }
-    // Line 1: precompute δ-neighbourhoods on the full node set.
+    // Line 1: precompute δ-neighbourhoods on the full node set, as bit
+    // rows of `words` words each: bit j of row i is set when j ∈ N(i).
+    let n = centers.len();
+    let words = n.div_ceil(64);
+    let mut neighbors = vec![0u64; n * words];
+    for i in 0..n {
+        for j in (i + 1)..n {
+            if centers[i].distance_deg(&centers[j]) <= params.delta_deg {
+                neighbors[i * words + j / 64] |= 1 << (j % 64);
+                neighbors[j * words + i / 64] |= 1 << (i % 64);
+            }
+        }
+    }
+    let row = |i: usize| &neighbors[i * words..(i + 1) * words];
+    let degree_in = |i: usize, u: &[u64]| -> u32 {
+        row(i)
+            .iter()
+            .zip(u)
+            .map(|(a, b)| (a & b).count_ones())
+            .sum()
+    };
+
+    // Membership in the remaining set U, one bit per node.
+    let mut in_u = vec![0u64; words];
+    for i in 0..n {
+        in_u[i / 64] |= 1 << (i % 64);
+    }
+    let mut clusters = Vec::new();
+
+    loop {
+        // Line 14: seed at the remaining node with the most neighbours in
+        // U (ties broken towards the lower index for determinism).
+        let mut best: Option<(usize, u32)> = None;
+        for i in in_u
+            .iter()
+            .enumerate()
+            .flat_map(|(w, &word)| set_bits(w, word))
+        {
+            let degree = degree_in(i, &in_u);
+            if best.is_none_or(|(_, most)| degree > most) {
+                best = Some((i, degree));
+            }
+        }
+        let Some((seed, _)) = best else {
+            break;
+        };
+
+        // Lines 15–28: BFS growth through δ-close remaining nodes. The
+        // cluster doubles as the BFS queue: nodes are appended in the
+        // order they are dequeued.
+        in_u[seed / 64] &= !(1 << (seed % 64));
+        let mut cluster = vec![seed];
+        let mut head = 0;
+        while let Some(&u) = cluster.get(head) {
+            head += 1;
+            for (w, (nbr, u_word)) in row(u).iter().zip(in_u.iter_mut()).enumerate() {
+                let fresh = nbr & *u_word;
+                *u_word &= !fresh;
+                cluster.extend(set_bits(w, fresh));
+            }
+        }
+
+        // Lines 4–9: recursive σ split.
+        split_by_sigma(centers, cluster, params.sigma_deg, &mut clusters);
+    }
+    clusters
+}
+
+/// Indices of the set bits of `word`, the `w`-th word of a bitset,
+/// ascending.
+fn set_bits(w: usize, mut word: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (word != 0).then(|| {
+            let bit = word.trailing_zeros() as usize;
+            word &= word - 1;
+            w * 64 + bit
+        })
+    })
+}
+
+/// The list form of [`cluster_viewing_centers`], as the paper's
+/// pseudocode reads: `Vec` neighbour lists, a seed scan that recounts
+/// each node's neighbours still in U, and a `VecDeque` BFS. The bitset
+/// version must reproduce it exactly, member order included.
+#[cfg(test)]
+fn cluster_viewing_centers_reference(
+    centers: &[ViewCenter],
+    params: &ClusteringParams,
+) -> Vec<Vec<usize>> {
+    use std::collections::VecDeque;
+
+    if centers.is_empty() {
+        return Vec::new();
+    }
     let n = centers.len();
     let mut neighbors: Vec<Vec<usize>> = vec![Vec::new(); n];
     for i in 0..n {
@@ -111,13 +208,11 @@ pub fn cluster_viewing_centers(
         }
     }
 
-    let mut in_u = vec![true; n]; // membership in the remaining set U
+    let mut in_u = vec![true; n];
     let mut remaining = n;
     let mut clusters = Vec::new();
 
     while remaining > 0 {
-        // Line 14: seed at the remaining node with the most neighbours
-        // (ties broken by index for determinism).
         let seed = (0..n)
             .filter(|&i| in_u[i])
             .max_by_key(|&i| {
@@ -128,7 +223,6 @@ pub fn cluster_viewing_centers(
             })
             .expect("remaining > 0 guarantees a seed");
 
-        // Lines 15–28: BFS growth through δ-close remaining nodes.
         let mut cluster = vec![seed];
         in_u[seed] = false;
         remaining -= 1;
@@ -144,7 +238,6 @@ pub fn cluster_viewing_centers(
             }
         }
 
-        // Lines 4–9: recursive σ split.
         split_by_sigma(centers, cluster, params.sigma_deg, &mut clusters);
     }
     clusters
@@ -330,6 +423,98 @@ mod tests {
             let clusters = cluster_viewing_centers(&cs, &params());
             let find = |i: usize| clusters.iter().position(|c| c.contains(&i)).unwrap();
             prop_assert_eq!(find(0), find(1));
+        }
+    }
+
+    /// Points of five kinds, picked by `kind` from two unit draws: spread
+    /// over the sphere, near the antimeridian, near a pole, a duplicate of
+    /// an earlier point, or packed around one hotspot.
+    fn mixed_population(draws: &[(usize, f64, f64)]) -> Vec<ViewCenter> {
+        let mut out: Vec<ViewCenter> = Vec::with_capacity(draws.len());
+        for &(kind, a, b) in draws {
+            let c = match kind {
+                0 => ViewCenter::new(-180.0 + 360.0 * a, -90.0 + 180.0 * b),
+                1 => ViewCenter::new(170.0 + 20.0 * a, -20.0 + 40.0 * b),
+                2 => ViewCenter::new(
+                    -180.0 + 360.0 * a,
+                    if b < 0.5 {
+                        80.0 + 20.0 * b
+                    } else {
+                        -70.0 - 20.0 * b
+                    },
+                ),
+                3 if !out.is_empty() => out[((a * out.len() as f64) as usize).min(out.len() - 1)],
+                _ => ViewCenter::new(30.0 + 25.0 * a, 10.0 + 15.0 * b),
+            };
+            out.push(c);
+        }
+        out
+    }
+
+    fn assert_matches_reference(cs: &[ViewCenter], params: &ClusteringParams) {
+        assert_eq!(
+            cluster_viewing_centers(cs, params),
+            cluster_viewing_centers_reference(cs, params),
+            "{} centers, {params:?}",
+            cs.len()
+        );
+    }
+
+    #[test]
+    fn bitset_matches_reference_at_word_edges() {
+        for n in [63, 64, 65, 127, 128, 129] {
+            // A δ-close chain (one BFS tree spanning every word) ...
+            let chain: Vec<ViewCenter> = (0..n)
+                .map(|i| ViewCenter::new(-179.0 + i as f64 * 2.7, (i % 5) as f64))
+                .collect();
+            assert_matches_reference(&chain, &params());
+            // ... and a dense pack whose seeds tie on degree.
+            let pack: Vec<ViewCenter> = (0..n)
+                .map(|i| ViewCenter::new((i % 8) as f64 * 4.0, (i / 8) as f64 * 4.0))
+                .collect();
+            assert_matches_reference(&pack, &params());
+            assert_matches_reference(&pack, &ClusteringParams::new(6.0, 20.0));
+        }
+    }
+
+    #[test]
+    fn bitset_matches_reference_on_generated_segments() {
+        use ee360_trace::dataset::{VideoTraces, PAPER_TRAIN_USERS};
+        use ee360_trace::head::GazeConfig;
+        use ee360_video::catalog::VideoCatalog;
+
+        let catalog = VideoCatalog::paper_default();
+        for (id, seed) in [(2, 3), (7, 5)] {
+            let spec = catalog.video(id).unwrap();
+            let traces =
+                VideoTraces::generate(spec, PAPER_TRAIN_USERS, seed, GazeConfig::default());
+            for k in 0..spec.segment_count() {
+                let cs: Vec<ViewCenter> = traces
+                    .traces()
+                    .iter()
+                    .filter_map(|t| t.segment_center(k))
+                    .collect();
+                assert_matches_reference(&cs, &params());
+            }
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn bitset_matches_list_reference(
+            draws in ee360_support::prop::collection::vec(
+                (0usize..5, 0.0f64..1.0, 0.0f64..1.0), 0..130
+            ),
+            delta in 1.0f64..40.0,
+            sigma_factor in 1.0f64..6.0,
+        ) {
+            let cs = mixed_population(&draws);
+            for p in [params(), ClusteringParams::new(delta, delta * sigma_factor)] {
+                prop_assert_eq!(
+                    cluster_viewing_centers(&cs, &p),
+                    cluster_viewing_centers_reference(&cs, &p)
+                );
+            }
         }
     }
 }

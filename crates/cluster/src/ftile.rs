@@ -63,17 +63,7 @@ impl FtileLayout {
     /// rectangle.
     pub fn build(centers: &[ViewCenter]) -> Self {
         let block_grid = TileGrid::new(FTILE_BLOCK_ROWS, FTILE_BLOCK_COLS);
-        // Per-block view weight: how many users' viewports cover the block
-        // (plus a small floor so empty regions still split sanely).
-        let mut weights = vec![vec![0.05f64; FTILE_BLOCK_COLS]; FTILE_BLOCK_ROWS];
-        let mut covered = Vec::new();
-        for c in centers {
-            let vp = Viewport::new(*c, 100.0, 100.0);
-            block_grid.tiles_covering_into(&vp, &mut covered);
-            for b in &covered {
-                weights[b.row][b.col] += 1.0;
-            }
-        }
+        let weights = block_weights(&block_grid, centers);
 
         // Each rect carries its weight, computed once at creation — a
         // rect's weight never changes, so recomputing it for every
@@ -161,6 +151,34 @@ impl FtileLayout {
     }
 }
 
+/// Per-block view weight: how many users' 100°×100° viewports cover the
+/// block, plus a small floor so empty regions still split sanely.
+///
+/// A viewport covers a block at most once, so the counts are summed as
+/// integers over each viewport's column runs ([`TileGrid::covering_span`])
+/// and a block seen k times gets `0.05 + 1.0 + … + 1.0` (k additions, in
+/// that order): the same double a per-block `+= 1.0` fill produces.
+fn block_weights(block_grid: &TileGrid, centers: &[ViewCenter]) -> Vec<Vec<f64>> {
+    let mut counts = vec![vec![0usize; block_grid.cols()]; block_grid.rows()];
+    for c in centers {
+        let span = block_grid.covering_span(&Viewport::new(*c, 100.0, 100.0));
+        for row in &mut counts[span.rows] {
+            for cols in &span.cols {
+                for count in &mut row[cols.clone()] {
+                    *count += 1;
+                }
+            }
+        }
+    }
+    let floor_plus: Vec<f64> = std::iter::successors(Some(0.05f64), |w| Some(w + 1.0))
+        .take(centers.len() + 1)
+        .collect();
+    counts
+        .iter()
+        .map(|row| row.iter().map(|&k| floor_plus[k]).collect())
+        .collect()
+}
+
 /// Splits a rectangle at the weighted median of its longer axis.
 /// `rect_weight` is the caller's cached `rect.weight(w)`.
 fn split_rect(rect: &Rect, rect_weight: f64, w: &[Vec<f64>]) -> (Rect, Rect) {
@@ -200,6 +218,7 @@ fn split_rect(rect: &Rect, rect_weight: f64, w: &[Vec<f64>]) -> (Rect, Rect) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ee360_support::prelude::*;
 
     fn cluster_at(yaw: f64, pitch: f64, n: usize) -> Vec<ViewCenter> {
         (0..n)
@@ -313,5 +332,61 @@ mod tests {
         let json = ee360_support::json::to_string(&layout).unwrap();
         let back: FtileLayout = ee360_support::json::from_str(&json).unwrap();
         assert_eq!(back, layout);
+    }
+
+    /// The block weights as `build` filled them before the run counts:
+    /// `+= 1.0` per covered block per viewport, over `tiles_covering_into`.
+    fn per_block_weights(centers: &[ViewCenter]) -> Vec<Vec<f64>> {
+        let block_grid = TileGrid::new(FTILE_BLOCK_ROWS, FTILE_BLOCK_COLS);
+        let mut weights = vec![vec![0.05f64; FTILE_BLOCK_COLS]; FTILE_BLOCK_ROWS];
+        let mut covered = Vec::new();
+        for c in centers {
+            let vp = Viewport::new(*c, 100.0, 100.0);
+            block_grid.tiles_covering_into(&vp, &mut covered);
+            for b in &covered {
+                weights[b.row][b.col] += 1.0;
+            }
+        }
+        weights
+    }
+
+    fn bits(weights: &[Vec<f64>]) -> Vec<Vec<u64>> {
+        weights
+            .iter()
+            .map(|row| row.iter().map(|w| w.to_bits()).collect())
+            .collect()
+    }
+
+    #[test]
+    fn run_counted_weights_of_no_centers_are_the_floor() {
+        let grid = TileGrid::new(FTILE_BLOCK_ROWS, FTILE_BLOCK_COLS);
+        assert_eq!(
+            bits(&block_weights(&grid, &[])),
+            bits(&per_block_weights(&[]))
+        );
+    }
+
+    proptest! {
+        #[test]
+        fn run_counted_weights_match_per_block_fill(
+            draws in ee360_support::prop::collection::vec(
+                (-180.0f64..180.0, -90.0f64..=90.0, 0usize..4), 0..65
+            ),
+        ) {
+            // One draw in four repeats the previous centre.
+            let mut centers: Vec<ViewCenter> = Vec::new();
+            for &(y, p, dup) in &draws {
+                let c = match centers.last() {
+                    Some(&last) if dup == 0 => last,
+                    _ => ViewCenter::new(y, p),
+                };
+                centers.push(c);
+            }
+            let grid = TileGrid::new(FTILE_BLOCK_ROWS, FTILE_BLOCK_COLS);
+            prop_assert_eq!(
+                bits(&block_weights(&grid, &centers)),
+                bits(&per_block_weights(&centers))
+            );
+        }
     }
 }

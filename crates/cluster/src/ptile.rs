@@ -7,7 +7,7 @@
 //! encoded at the lowest quality and shipped alongside the Ptile so a
 //! surprise view switch degrades quality instead of stalling.
 
-use ee360_geom::grid::{TileGrid, TileId};
+use ee360_geom::grid::TileGrid;
 use ee360_geom::region::TileRegion;
 use ee360_geom::viewport::{ViewCenter, Viewport};
 
@@ -106,11 +106,13 @@ pub fn build_ptiles(centers: &[ViewCenter], grid: &TileGrid, config: &PtileConfi
         if members.len() < config.min_users {
             continue;
         }
-        let mut tiles: Vec<TileId> = Vec::new();
-        for &m in &members {
-            let vp = Viewport::new(centers[m], config.fov_h_deg, config.fov_v_deg);
-            tiles.extend(grid.fov_block(&vp));
-        }
+        let tiles = members.iter().flat_map(|&m| {
+            grid.fov_block_tiles(&Viewport::new(
+                centers[m],
+                config.fov_h_deg,
+                config.fov_v_deg,
+            ))
+        });
         let region = TileRegion::from_tiles(grid, tiles).expect("members is non-empty");
         ptiles.push(Ptile { region, members });
     }

@@ -104,12 +104,8 @@ impl VideoServer {
         let mut ptiles = Vec::with_capacity(n);
         let mut ptile_costs = Vec::with_capacity(n);
         let mut ftile_layouts = Vec::with_capacity(n);
-        for k in 0..n {
-            let centers: Vec<ViewCenter> = training
-                .iter()
-                .filter_map(|t| t.segment_center(k))
-                .collect();
-            let built = build_ptiles(&centers, &grid, &config);
+        for_each_segment(training, n, |_, centers| {
+            let built = build_ptiles(centers, &grid, &config);
             ptile_costs.push(
                 built
                     .iter()
@@ -121,8 +117,8 @@ impl VideoServer {
                     .collect(),
             );
             ptiles.push(built);
-            ftile_layouts.push(FtileLayout::build(&centers));
-        }
+            ftile_layouts.push(FtileLayout::build(centers));
+        });
         Ok(Self {
             video_id: spec.id,
             grid,
@@ -194,18 +190,39 @@ impl VideoServer {
     /// many Ptiles exist and which fraction of the users they cover.
     pub fn coverage_stats(&self, users: &[&HeadTrace]) -> CoverageStats {
         let mut stats = CoverageStats::new();
-        for k in 0..self.segment_count() {
-            let centers: Vec<ViewCenter> =
-                users.iter().filter_map(|t| t.segment_center(k)).collect();
+        for_each_segment(users, self.segment_count(), |k, centers| {
             stats.push(segment_coverage(
-                &centers,
+                centers,
                 self.ptiles(k),
                 &self.grid,
                 self.config.fov_h_deg,
                 self.config.fov_v_deg,
             ));
-        }
+        });
         stats
+    }
+}
+
+/// Calls `visit(k, centers)` for segments `k` in `0..segments`, in
+/// order, with the viewing centres of the traces that reach segment k,
+/// in trace order: the centres collecting every trace's
+/// `segment_center(k)` gives.
+///
+/// Each trace is read in one forward walk ([`HeadTrace::segment_centers`])
+/// whose k-th step is its `segment_center(k)`; a trace too short for
+/// segment k has ended its walk, as `segment_center(k)` is `None`. The
+/// centres of a segment go into one buffer reused for every segment.
+fn for_each_segment(
+    traces: &[&HeadTrace],
+    segments: usize,
+    mut visit: impl FnMut(usize, &[ViewCenter]),
+) {
+    let mut walks: Vec<_> = traces.iter().map(|t| t.segment_centers()).collect();
+    let mut centers = Vec::with_capacity(traces.len());
+    for k in 0..segments {
+        centers.clear();
+        centers.extend(walks.iter_mut().filter_map(Iterator::next));
+        visit(k, &centers);
     }
 }
 

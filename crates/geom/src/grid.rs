@@ -6,6 +6,8 @@
 //! between (yaw, pitch) coordinates and tile indices, and computes which
 //! tiles a viewport needs.
 
+use std::ops::{Range, RangeInclusive};
+
 use crate::angles::wrap_yaw_deg;
 use crate::viewport::{ViewCenter, Viewport};
 
@@ -25,6 +27,28 @@ impl TileId {
     /// Creates a tile id.
     pub fn new(row: usize, col: usize) -> Self {
         Self { row, col }
+    }
+}
+
+/// The tiles a viewport box intersects, from [`TileGrid::covering_span`]:
+/// every row in `rows`, and in each of them the columns of `cols[0]`
+/// followed by those of `cols[1]`. Columns go west to east from the
+/// viewport's first column; `cols[1]` is the part that wraps past the
+/// last column to column 0, empty unless the viewport crosses the
+/// antimeridian.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct TileSpan {
+    /// Covered rows, top to bottom.
+    pub rows: RangeInclusive<usize>,
+    /// Covered columns of each row, as at most two ascending ranges.
+    pub cols: [Range<usize>; 2],
+}
+
+impl TileSpan {
+    /// Number of tiles in the span.
+    pub fn tile_count(&self) -> usize {
+        (self.rows.end() + 1).saturating_sub(*self.rows.start())
+            * self.cols.iter().map(ExactSizeIterator::len).sum::<usize>()
     }
 }
 
@@ -146,6 +170,19 @@ impl TileGrid {
     /// `tiles_covering` exactly.
     pub fn tiles_covering_into(&self, vp: &Viewport, out: &mut Vec<TileId>) {
         out.clear();
+        let span = self.covering_span(vp);
+        out.reserve(span.tile_count());
+        for row in span.rows.clone() {
+            for cols in &span.cols {
+                out.extend(cols.clone().map(|col| TileId::new(row, col)));
+            }
+        }
+    }
+
+    /// The tiles [`Self::tiles_covering`] lists, as runs: the same columns
+    /// in every covered row, split where the run wraps past the last
+    /// column. This is the one definition of a viewport's exact coverage.
+    pub fn covering_span(&self, vp: &Viewport) -> TileSpan {
         let w = self.tile_width_deg();
         let h = self.tile_height_deg();
         // Column range (wrapping).
@@ -159,16 +196,19 @@ impl TileGrid {
         };
         let first_col =
             (((yaw_min + 180.0) / w).floor() as isize).rem_euclid(self.cols as isize) as usize;
+        let end_col = first_col + span_cols;
+        let cols = if end_col <= self.cols {
+            [first_col..end_col, 0..0]
+        } else {
+            [first_col..self.cols, 0..end_col - self.cols]
+        };
         // Row range (clamped).
         let row_top = (((90.0 - vp.pitch_max_deg()) / h).floor() as usize).min(self.rows - 1);
         let row_bot =
             (((90.0 - vp.pitch_min_deg() - 1e-9) / h).floor() as usize).min(self.rows - 1);
-
-        out.reserve((row_bot - row_top + 1) * span_cols);
-        for row in row_top..=row_bot {
-            for dc in 0..span_cols {
-                out.push(TileId::new(row, (first_col + dc) % self.cols));
-            }
+        TileSpan {
+            rows: row_top..=row_bot,
+            cols,
         }
     }
 
@@ -348,6 +388,43 @@ mod tests {
         let _ = TileGrid::new(0, 8);
     }
 
+    /// `tiles_covering_into` as it read before the span helper: the
+    /// reference the span runs must reproduce, tile for tile and in order.
+    fn old_tiles_covering(g: &TileGrid, vp: &Viewport) -> Vec<TileId> {
+        let mut out = Vec::new();
+        let w = g.tile_width_deg();
+        let h = g.tile_height_deg();
+        let yaw_min = vp.center().yaw_deg() - vp.fov_h_deg() / 2.0;
+        let span_cols = if vp.fov_h_deg() >= 360.0 {
+            g.cols()
+        } else {
+            let first = ((yaw_min + 180.0) / w).floor();
+            let last = ((yaw_min + vp.fov_h_deg() + 180.0 - 1e-9) / w).floor();
+            ((last - first) as usize + 1).min(g.cols())
+        };
+        let first_col =
+            (((yaw_min + 180.0) / w).floor() as isize).rem_euclid(g.cols() as isize) as usize;
+        let row_top = (((90.0 - vp.pitch_max_deg()) / h).floor() as usize).min(g.rows() - 1);
+        let row_bot = (((90.0 - vp.pitch_min_deg() - 1e-9) / h).floor() as usize).min(g.rows() - 1);
+        for row in row_top..=row_bot {
+            for dc in 0..span_cols {
+                out.push(TileId::new(row, (first_col + dc) % g.cols()));
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn covering_span_wraps_at_the_antimeridian() {
+        let g = TileGrid::paper_default();
+        let span = g.covering_span(&Viewport::paper_fov(ViewCenter::new(179.0, 0.0)));
+        assert_eq!(span.rows, 0..=3);
+        assert_eq!(span.cols, [6..8, 0..2]);
+        assert_eq!(span.tile_count(), 16);
+        let inside = g.covering_span(&Viewport::paper_fov(ViewCenter::new(0.0, 0.0)));
+        assert_eq!(inside.cols[1], 0..0);
+    }
+
     proptest! {
         #[test]
         fn tile_at_in_range(
@@ -377,6 +454,30 @@ mod tests {
             let covering = g.tiles_covering(&vp);
             // Exact covering has between 9 and 16 tiles for a 100° FoV on 45° tiles.
             prop_assert!(covering.len() >= 6 && covering.len() <= 16);
+        }
+
+        #[test]
+        fn covering_span_matches_old_covering(
+            (grid_pick, pole, full) in (0usize..3, 0usize..4, 0usize..6),
+            y in -180.0f64..180.0,
+            p in -90.0f64..=90.0,
+            fov_h in 1.0f64..=360.0,
+            fov_v in 1.0f64..=180.0,
+        ) {
+            let g = [TileGrid::new(4, 8), TileGrid::new(15, 30), TileGrid::new(6, 12)][grid_pick];
+            // A quarter of the viewports sit on or next to a pole, and a
+            // few span the full yaw or pitch range.
+            let pitch = match pole {
+                0 => 90.0 - (p + 90.0) / 180.0,
+                1 => if p < 0.0 { -90.0 } else { 90.0 },
+                _ => p,
+            };
+            let fov_h = if full == 0 { 360.0 } else { fov_h };
+            let fov_v = if full == 1 { 180.0 } else { fov_v };
+            let vp = Viewport::new(ViewCenter::new(y, pitch), fov_h, fov_v);
+            let old = old_tiles_covering(&g, &vp);
+            prop_assert_eq!(g.covering_span(&vp).tile_count(), old.len());
+            prop_assert_eq!(g.tiles_covering(&vp), old);
         }
     }
 }

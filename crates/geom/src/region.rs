@@ -78,25 +78,41 @@ impl TileRegion {
     /// Columns are treated circularly: the bounding arc is the shortest
     /// contiguous column range containing every tile's column. Returns
     /// `None` for an empty tile set.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a tile's column lies outside `grid`.
     pub fn from_tiles<I>(grid: &TileGrid, tiles: I) -> Option<Self>
     where
         I: IntoIterator<Item = TileId>,
     {
-        let tiles: Vec<TileId> = tiles.into_iter().collect();
-        if tiles.is_empty() {
-            return None;
+        // One pass: the row bounds, and which columns hold a tile.
+        let n = grid.cols();
+        let mut occupied = vec![false; n];
+        let mut rows = None;
+        for t in tiles {
+            assert!(
+                t.col < n,
+                "tile column {} outside the {n}-column grid",
+                t.col
+            );
+            if let Some(seen) = occupied.get_mut(t.col) {
+                *seen = true;
+            }
+            rows = Some(rows.map_or((t.row, t.row), |(lo, hi): (usize, usize)| {
+                (lo.min(t.row), hi.max(t.row))
+            }));
         }
-        let (row_min, row_max) = tiles.iter().fold((usize::MAX, 0), |(lo, hi), t| {
-            (lo.min(t.row), hi.max(t.row))
-        });
+        let (row_min, row_max) = rows?;
 
         // Find the shortest circular arc of columns covering all tile columns:
         // equivalently, remove the largest gap between consecutive occupied
-        // columns (sorted circularly).
-        let mut cols: Vec<usize> = tiles.iter().map(|t| t.col).collect();
-        cols.sort_unstable();
-        cols.dedup();
-        let n = grid.cols();
+        // columns (in ascending order, circularly).
+        let cols: Vec<usize> = occupied
+            .iter()
+            .enumerate()
+            .filter_map(|(c, &seen)| seen.then_some(c))
+            .collect();
         if cols.len() == n {
             return Some(Self::new(grid, row_min, row_max, 0, n));
         }
@@ -271,6 +287,38 @@ mod tests {
         let _ = TileRegion::new(&grid(), 0, 0, 0, 0);
     }
 
+    /// `from_tiles` as it read before the occupancy scan: rows by fold,
+    /// columns sorted and deduplicated.
+    fn sorted_columns_region(grid: &TileGrid, tiles: &[TileId]) -> Option<TileRegion> {
+        if tiles.is_empty() {
+            return None;
+        }
+        let (row_min, row_max) = tiles.iter().fold((usize::MAX, 0), |(lo, hi), t| {
+            (lo.min(t.row), hi.max(t.row))
+        });
+        let mut cols: Vec<usize> = tiles.iter().map(|t| t.col).collect();
+        cols.sort_unstable();
+        cols.dedup();
+        let n = grid.cols();
+        if cols.len() == n {
+            return Some(TileRegion::new(grid, row_min, row_max, 0, n));
+        }
+        let mut best_gap = 0usize;
+        let mut best_after = 0usize;
+        for i in 0..cols.len() {
+            let next = cols[(i + 1) % cols.len()];
+            let gap = (next + n - cols[i] - 1) % n;
+            if gap > best_gap {
+                best_gap = gap;
+                best_after = (i + 1) % cols.len();
+            }
+        }
+        let col_start = cols[best_after];
+        let col_end = cols[(best_after + cols.len() - 1) % cols.len()];
+        let col_span = (col_end + n - col_start) % n + 1;
+        Some(TileRegion::new(grid, row_min, row_max, col_start, col_span))
+    }
+
     proptest! {
         #[test]
         fn bounding_region_contains_inputs(
@@ -306,6 +354,24 @@ mod tests {
             let row_max = (row_min + extra).min(3);
             let r = TileRegion::new(&g, row_min, row_max, col_start, span);
             prop_assert_eq!(r.tiles().count(), r.tile_count());
+        }
+
+        #[test]
+        fn occupancy_scan_matches_sorted_columns(
+            dims in (1usize..8, 1usize..40),
+            cells in ee360_support::prop::collection::vec((0.0f64..1.0, 0.0f64..1.0), 0..60),
+        ) {
+            let g = TileGrid::new(dims.0, dims.1);
+            let ids: Vec<TileId> = cells
+                .iter()
+                .map(|&(r, c)| {
+                    TileId::new((r * dims.0 as f64) as usize, (c * dims.1 as f64) as usize)
+                })
+                .collect();
+            prop_assert_eq!(
+                TileRegion::from_tiles(&g, ids.iter().copied()),
+                sorted_columns_region(&g, &ids)
+            );
         }
     }
 }

@@ -29,13 +29,9 @@ impl VideoTraces {
     /// Generates traces for `user_count` users watching `spec`.
     pub fn generate(spec: &VideoSpec, user_count: usize, seed: u64, config: GazeConfig) -> Self {
         assert!(user_count > 0, "need at least one user");
-        let generator = HeadTraceGenerator::new(config);
-        let traces = (0..user_count)
-            .map(|u| generator.generate(spec, u, seed))
-            .collect();
         Self {
             video_id: spec.id,
-            traces,
+            traces: HeadTraceGenerator::new(config).generate_users(spec, user_count, seed),
         }
     }
 

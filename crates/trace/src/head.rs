@@ -322,6 +322,35 @@ impl HeadTrace {
         Some(ViewCenter::new(y, p))
     }
 
+    /// [`Self::segment_center`] of segments `0, 1, 2, …` in one forward
+    /// walk, ending at the first segment without a centre.
+    ///
+    /// The sample `segment_center(k)` picks is the first with `t ≥ k −
+    /// 1e-9`; that index never decreases in `k`, so a cursor that only
+    /// moves forward finds it, and the walk stops at the same `k ≤
+    /// duration + 1e-9` bound. The centres are bit-identical to the
+    /// per-segment lookups at O(samples + segments) in all.
+    pub fn segment_centers(&self) -> impl Iterator<Item = ViewCenter> + '_ {
+        let last = self.duration_sec() + 1e-9;
+        let mut cursor = 0;
+        (0usize..).map_while(move |segment| {
+            let t = segment as f64;
+            if t > last {
+                return None;
+            }
+            cursor += self
+                .samples
+                .get(cursor..)?
+                .iter()
+                .take_while(|s| s.0 < t - 1e-9)
+                .count();
+            let &(_, y, p) = self
+                .samples
+                .get(cursor.min(self.samples.len().saturating_sub(1)))?;
+            Some(ViewCenter::new(y, p))
+        })
+    }
+
     /// Per-tile sample counts, in flat-index order, of segment `segment`'s
     /// realised viewport: `Viewport::new(segment_center(segment),`
     /// [`VIEW_FOV_DEG`]`, VIEW_FOV_DEG)` sampled at [`VIEW_SAMPLES`]² rays
@@ -558,6 +587,54 @@ impl Hotspot {
     }
 }
 
+/// The per-video half of a trace: every hotspot's position at every
+/// sample step. It depends only on the video, the seed and the sample
+/// rate, so [`HeadTraceGenerator::generate_users`] builds it once and
+/// every user reads it instead of re-running the hotspots' `sin`s.
+struct HotspotTable {
+    /// Samples per trace: positions per hotspot.
+    sample_count: usize,
+    /// `positions[h * sample_count + step]` is hotspot `h` at time
+    /// `step · dt`.
+    positions: Vec<ViewCenter>,
+}
+
+impl HotspotTable {
+    /// The hotspot layout of `spec` under `seed` (from the video RNG, keyed
+    /// by (video, seed) only), tabulated at `t = step as f64 * dt` for
+    /// `step` in `0..sample_count`: the times a trace samples.
+    fn new(spec: &VideoSpec, seed: u64, dt: f64, sample_count: usize) -> Self {
+        let mut video_rng = StdRng::seed_from_u64(
+            seed.wrapping_mul(0x2545F4914F6CDD1D)
+                .wrapping_add(spec.id as u64),
+        );
+        let positions = HeadTraceGenerator::hotspots(spec, &mut video_rng)
+            .iter()
+            .flat_map(|h| (0..sample_count).map(move |step| h.position(step as f64 * dt)))
+            .collect();
+        Self {
+            sample_count,
+            positions,
+        }
+    }
+
+    /// Number of hotspots.
+    fn count(&self) -> usize {
+        self.positions.len() / self.sample_count
+    }
+
+    /// Where a target lies at sample step `step`.
+    fn target_position(&self, target: &Target, step: usize) -> ViewCenter {
+        match target {
+            Target::Hotspot { index, offset } => {
+                let h = self.positions[index * self.sample_count + step];
+                ViewCenter::new(h.yaw_deg() + offset.0, h.pitch_deg() + offset.1)
+            }
+            Target::Point(p) => *p,
+        }
+    }
+}
+
 /// What the simulated user is currently doing.
 enum GazeState {
     /// Dwelling on a target until the given time.
@@ -638,19 +715,54 @@ impl HeadTraceGenerator {
     /// Generates one user's trace. Deterministic in `(spec.id, user_id,
     /// seed)`.
     pub fn generate(&self, spec: &VideoSpec, user_id: usize, seed: u64) -> HeadTrace {
+        let (dt, sample_count) = self.sampling(spec);
+        self.generate_user(
+            spec,
+            &HotspotTable::new(spec, seed, dt, sample_count),
+            user_id,
+            seed,
+        )
+    }
+
+    /// The traces of users `0..user_count` of `spec`, equal to
+    /// [`Self::generate`] of each: the hotspot positions all of them
+    /// track are tabulated once for the video.
+    pub(crate) fn generate_users(
+        &self,
+        spec: &VideoSpec,
+        user_count: usize,
+        seed: u64,
+    ) -> Vec<HeadTrace> {
+        let (dt, sample_count) = self.sampling(spec);
+        let table = HotspotTable::new(spec, seed, dt, sample_count);
+        (0..user_count)
+            .map(|u| self.generate_user(spec, &table, u, seed))
+            .collect()
+    }
+
+    /// The sample interval and the number of samples of a trace over
+    /// `spec`: one at every `step · dt` for `step` in `0..=duration · hz`.
+    fn sampling(&self, spec: &VideoSpec) -> (f64, usize) {
+        let dt = 1.0 / self.config.sample_hz;
+        let steps = (spec.duration_sec as f64 * self.config.sample_hz) as usize;
+        (dt, steps + 1)
+    }
+
+    /// The per-user half of [`Self::generate`]: one user's gaze over the
+    /// video's hotspot `table`. The user RNG is the only source of draws.
+    fn generate_user(
+        &self,
+        spec: &VideoSpec,
+        table: &HotspotTable,
+        user_id: usize,
+        seed: u64,
+    ) -> HeadTrace {
         let mut mix = seed
             .wrapping_mul(0x9E3779B97F4A7C15)
             .wrapping_add((spec.id as u64) << 32)
             .wrapping_add(user_id as u64);
         mix = (mix ^ (mix >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
         let mut rng = StdRng::seed_from_u64(mix);
-        // The hotspot layout must be shared by all users of a video, so it
-        // uses its own RNG keyed by (video, seed) only.
-        let mut video_rng = StdRng::seed_from_u64(
-            seed.wrapping_mul(0x2545F4914F6CDD1D)
-                .wrapping_add(spec.id as u64),
-        );
-        let hotspots = Self::hotspots(spec, &mut video_rng);
 
         let exploratory = spec.behavior == BehaviorProfile::Exploratory;
         let offset_sigma = if exploratory {
@@ -667,12 +779,11 @@ impl HeadTraceGenerator {
         // personal delay, which keeps the pack together during transits.
         let reaction_delay = rng.gen_range(0.0..0.8);
 
-        let dt = 1.0 / self.config.sample_hz;
-        let steps = (spec.duration_sec as f64 * self.config.sample_hz) as usize;
+        let (dt, sample_count) = self.sampling(spec);
 
         // Initial target.
         let initial_idx = if exploratory {
-            self.zipf_hotspot(hotspots.len(), &mut rng)
+            self.zipf_hotspot(table.count(), &mut rng)
         } else {
             Self::focused_active_hotspot(spec, 0.0)
         };
@@ -683,13 +794,13 @@ impl HeadTraceGenerator {
             },
             until: self.sample_dwell(spec, &mut rng),
         };
-        let start = Self::target_position(&hotspots, &state_target(&state), 0.0);
+        let start = table.target_position(&state_target(&state), 0);
         let mut pos = start;
         let mut jitter = (0.0f64, 0.0f64);
         let mut flick = (0.0f64, 0.0f64);
-        let mut samples = Vec::with_capacity(steps + 1);
+        let mut samples = Vec::with_capacity(sample_count);
 
-        for step in 0..=steps {
+        for step in 0..sample_count {
             let t = step as f64 * dt;
             // Ornstein–Uhlenbeck jitter around the nominal gaze point.
             let theta = 1.2 * dt;
@@ -700,7 +811,7 @@ impl HeadTraceGenerator {
 
             match &mut state {
                 GazeState::Fixate { target, until } => {
-                    let nominal = Self::target_position(&hotspots, target, t);
+                    let nominal = table.target_position(target, step);
                     // Track the (slowly moving) hotspot.
                     pos = ViewCenter::new(
                         lerp_yaw_deg(pos.yaw_deg(), nominal.yaw_deg(), (3.0 * dt).min(1.0)),
@@ -726,11 +837,11 @@ impl HeadTraceGenerator {
                             exploratory,
                             user_offset,
                             t,
-                            &hotspots,
+                            table.count(),
                             current,
                             &mut rng,
                         );
-                        let next_pos = Self::target_position(&hotspots, &next, t);
+                        let next_pos = table.target_position(&next, step);
                         let dist = Orientation::from_view_center(pos)
                             .angle_to_deg(&Orientation::from_view_center(next_pos));
                         if dist > 5.0 {
@@ -749,7 +860,7 @@ impl HeadTraceGenerator {
                     }
                 }
                 GazeState::Travel { target, speed } => {
-                    let goal = Self::target_position(&hotspots, target, t);
+                    let goal = table.target_position(target, step);
                     let here = Orientation::from_view_center(pos);
                     let there = Orientation::from_view_center(goal);
                     let remaining = here.angle_to_deg(&there);
@@ -806,7 +917,7 @@ impl HeadTraceGenerator {
         exploratory: bool,
         user_offset: (f64, f64),
         t: f64,
-        hotspots: &[Hotspot],
+        hotspot_count: usize,
         current_hotspot: Option<usize>,
         rng: &mut StdRng,
     ) -> Target {
@@ -832,7 +943,7 @@ impl HeadTraceGenerator {
                 }
             }
             Target::Hotspot {
-                index: self.zipf_hotspot(hotspots.len(), rng),
+                index: self.zipf_hotspot(hotspot_count, rng),
                 offset: user_offset,
             }
         } else {
@@ -840,16 +951,6 @@ impl HeadTraceGenerator {
                 index: Self::focused_active_hotspot(spec, t),
                 offset: user_offset,
             }
-        }
-    }
-
-    fn target_position(hotspots: &[Hotspot], target: &Target, t: f64) -> ViewCenter {
-        match target {
-            Target::Hotspot { index, offset } => {
-                let h = hotspots[*index].position(t);
-                ViewCenter::new(h.yaw_deg() + offset.0, h.pitch_deg() + offset.1)
-            }
-            Target::Point(p) => *p,
         }
     }
 }
@@ -1192,5 +1293,99 @@ mod tests {
             ..GazeConfig::default()
         };
         let _ = HeadTraceGenerator::new(cfg);
+    }
+
+    fn center_bits(centers: &[ViewCenter]) -> Vec<(u64, u64)> {
+        centers
+            .iter()
+            .map(|c| (c.yaw_deg().to_bits(), c.pitch_deg().to_bits()))
+            .collect()
+    }
+
+    proptest! {
+        #[test]
+        fn segment_centers_match_per_segment_lookup(
+            steps in prop::collection::vec(
+                (0.0f64..0.45, -400.0f64..400.0, -120.0f64..120.0),
+                1..400,
+            ),
+            hz in 1.0f64..=60.0,
+            t0 in -1.0f64..3.0,
+            mode in 0usize..4,
+        ) {
+            // Integer rates from an integer start (samples on segment
+            // boundaries), jittered timestamps from any start, a clean
+            // grid starting after t = 0, and samples 1e-9 before the
+            // boundaries.
+            let (hz, t0, jitter) = match mode {
+                0 => (hz.round(), t0.round().abs(), false),
+                1 => (hz, t0, true),
+                2 => (hz, t0.abs(), false),
+                _ => (2.0, -1e-9, false),
+            };
+            let samples = steps
+                .iter()
+                .enumerate()
+                .map(|(i, &(j, y, p))| {
+                    let offset = if jitter { j } else { 0.0 };
+                    (t0 + (i as f64 + offset) / hz, y, p)
+                })
+                .collect();
+            let trace = HeadTrace::try_from_samples(0, 0, samples).unwrap();
+            let walked: Vec<ViewCenter> = trace.segment_centers().collect();
+            let looked_up: Vec<ViewCenter> =
+                (0..).map_while(|k| trace.segment_center(k)).collect();
+            prop_assert_eq!(center_bits(&walked), center_bits(&looked_up));
+        }
+    }
+
+    /// FNV-1a over the little-endian bytes of every stored sample's
+    /// `(t, yaw, pitch)` bits, for `users` users of every catalog video.
+    fn generator_fingerprint(users: usize, seed: u64) -> u64 {
+        let mut hash: u64 = 0xCBF2_9CE4_8422_2325;
+        for spec in VideoCatalog::paper_default().videos() {
+            let traces =
+                crate::dataset::VideoTraces::generate(spec, users, seed, GazeConfig::default());
+            for trace in traces.traces() {
+                for &(t, y, p) in &trace.samples {
+                    for word in [t.to_bits(), y.to_bits(), p.to_bits()] {
+                        for b in word.to_le_bytes() {
+                            hash ^= u64::from(b);
+                            hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
+                        }
+                    }
+                }
+            }
+        }
+        hash
+    }
+
+    #[test]
+    fn generator_output_is_pinned_bit_for_bit() {
+        // Recorded from the per-user generator that recomputed every
+        // hotspot position itself: 48 users over the eight catalog videos.
+        assert_eq!(generator_fingerprint(48, 7), 0x18dd_8a6d_451f_588e);
+        assert_eq!(generator_fingerprint(48, 2022), 0xdfd2_7b63_b5c8_11dc);
+    }
+
+    #[test]
+    fn single_user_generation_matches_the_population() {
+        let gen = generator();
+        for id in [1, 4, 7] {
+            let spec = video(id);
+            let population =
+                crate::dataset::VideoTraces::generate(&spec, 6, 31, GazeConfig::default());
+            for (u, trace) in population.traces().iter().enumerate() {
+                let alone = gen.generate(&spec, u, 31);
+                let bits = |t: &HeadTrace| {
+                    t.samples
+                        .iter()
+                        .map(|&(t, y, p)| (t.to_bits(), y.to_bits(), p.to_bits()))
+                        .collect::<Vec<_>>()
+                };
+                assert_eq!(bits(&alone), bits(trace), "video {id}, user {u}");
+                assert_eq!(alone, *trace);
+            }
+        }
     }
 }

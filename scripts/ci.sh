@@ -105,6 +105,22 @@ echo "==> interval-speed equivalence (blocking: compute-once Eq. 5 window vs per
 # count; this stage runs it at 2,000 cases in release.
 EE360_PROP_CASES=2000 cargo test --release -q --offline -p ee360-trace --lib interval_speeds
 
+echo "==> set-up equivalence (blocking: per-video preparation rewrites vs their references)"
+# Server preparation and trace generation were rewritten bit for bit:
+# Algorithm 1 on bitset neighbourhoods against the retained list form,
+# Ftile block weights from run counts against the per-block += 1.0 fill,
+# TileGrid::covering_span against the old tiles_covering loop,
+# TileRegion::from_tiles' column-occupancy scan against the old sorted
+# columns, and the one-walk HeadTrace::segment_centers against
+# per-segment lookups. The workspace pass above runs these properties
+# at their default case count (and the generator fingerprint once);
+# this stage runs them at 2,000 cases in release.
+EE360_PROP_CASES=2000 cargo test --release -q --offline -p ee360-cluster --lib -- \
+  bitset_matches run_counted_weights
+EE360_PROP_CASES=2000 cargo test --release -q --offline -p ee360-geom --lib -- \
+  covering_span occupancy_scan
+EE360_PROP_CASES=2000 cargo test --release -q --offline -p ee360-trace --lib segment_centers
+
 echo "==> fleet smoke (10k-session event-driven fleet, offline + deterministic)"
 # Runs the sim::fleet scale engine over a seeded chaos plan and exits
 # non-zero unless every slot completes, two same-seed runs and every
