@@ -2,7 +2,8 @@
 //!
 //! The server runs this once per segment over the training population
 //! (40 users in the paper), so the 40-point case is the production load;
-//! larger populations show the quadratic neighbourhood build.
+//! larger populations show the quadratic neighbourhood build. The Ftile
+//! rows time the client's per-segment lookups on one built layout.
 
 use std::hint::black_box;
 
@@ -49,6 +50,29 @@ fn main() {
     bench.run("ftile_layout/40users", || {
         ee360_cluster::ftile::FtileLayout::build(black_box(&centers))
     });
+
+    // The Ftile baseline's two per-segment lookups on that layout: the
+    // tiles a predicted 100°×100° viewport needs (planning), and the share
+    // of an actual viewport those tiles cover (booking). The viewports are
+    // the population's own centres, so both hits and misses occur.
+    {
+        use ee360_geom::viewport::Viewport;
+        let layout = ee360_cluster::ftile::FtileLayout::build(&centers);
+        let views: Vec<Viewport> = population(97)
+            .into_iter()
+            .map(Viewport::paper_fov)
+            .collect();
+        let mut k = 0usize;
+        bench.run("ftile/tiles_for_viewport", || {
+            k = (k + 1) % views.len();
+            layout.tiles_for_viewport(black_box(&views[k]))
+        });
+        let (chosen, _) = layout.tiles_for_viewport(&views[0]);
+        bench.run("ftile/coverage_fraction", || {
+            k = (k + 1) % views.len();
+            layout.coverage_fraction(chosen, black_box(&views[k]))
+        });
+    }
 
     bench.print_table();
 }

@@ -1,7 +1,8 @@
 //! Bench: end-to-end session throughput.
 //!
 //! How fast the simulator chews through segments — this bounds the cost of
-//! the full Figs. 9–11 sweeps (8 videos × 5 schemes × 2 traces × 8 users).
+//! the full Figs. 9–11 sweeps (8 videos × 5 schemes × 2 traces × 8 users) —
+//! and what the per-segment Ptile lookup costs on its own.
 
 use std::hint::black_box;
 
@@ -34,6 +35,32 @@ fn main() {
     let user = traces.traces().last().unwrap();
 
     let mut bench = bench_harness();
+
+    // The per-segment Ptile lookup: the first Ptile whose region holds
+    // the predicted viewport's FoV block. The session server above has
+    // 10 training users, and most of its segments have no Ptile at all;
+    // this one is built from the paper's 40 (two Ptiles per segment on
+    // average) and looked up at a 41st user's segment centres, each of
+    // which finds a Ptile.
+    let population = VideoTraces::generate(spec, 41, 7, GazeConfig::default());
+    let members: Vec<_> = population.traces().iter().collect();
+    let ptile_server = VideoServer::prepare(
+        spec,
+        &members[..40],
+        TileGrid::paper_default(),
+        PtileConfig::paper_default(),
+    );
+    let centers: Vec<_> = (0..ptile_server.segment_count())
+        .map_while(|k| members[40].segment_center(k))
+        .collect();
+    let mut k = 0usize;
+    bench.run("server/covering_ptile", || {
+        k = (k + 1) % centers.len();
+        ptile_server
+            .covering_ptile(black_box(k), centers[k])
+            .map(|(_, area, bg)| (area, bg))
+    });
+
     for scheme in Scheme::ALL {
         let setup = SessionSetup {
             server: &server,

@@ -32,6 +32,7 @@ use ee360_abr::controller::{Controller, Scheme};
 use ee360_abr::mpc::{MpcConfig, MpcController};
 use ee360_abr::plan::{PlanBuffers, SegmentContext, SegmentPlan};
 use ee360_abr::robust::RobustMpcController;
+use ee360_cluster::ftile::FtileSet;
 use ee360_geom::grid::TileGrid;
 use ee360_geom::projection::{coverage_from_counts, pixel_coverage};
 use ee360_geom::region::TileRegion;
@@ -275,7 +276,7 @@ struct PendingDownload {
     predicted: ViewCenter,
     observed_s_fov: f64,
     ptile_region: Option<TileRegion>,
-    ftile_selection: Option<(Vec<usize>, f64)>,
+    ftile_selection: Option<(FtileSet, f64)>,
     /// FoV widening (degrees) the robust controller applied to this plan;
     /// 0.0 for point plans, so the booking path is untouched for them.
     robust_width_deg: f64,
@@ -382,7 +383,7 @@ impl<'a> SessionRunner<'a> {
             faults: faults.clone(),
             policy: *policy,
             decoder: DecoderPipeline::paper_default(),
-            metrics: SessionMetrics::new(),
+            metrics: SessionMetrics::with_capacity(n),
             grid: *setup.server.grid(),
             horizon,
             n,
@@ -511,22 +512,20 @@ impl<'a> SessionRunner<'a> {
         };
         // Ftile layout lookup (which variable-size tiles the predicted
         // viewport needs). Only the Ftile controller and the Ftile QoE
-        // branch read the selection, so other schemes skip the (pricey)
-        // layout walk; their context carries the same `(0, 0.0)` the
+        // branch read the selection, so other schemes skip the layout
+        // walk; their context carries the same `(0, 0.0)` the
         // selection-less path always produced.
         let predicted_vp = Viewport::new(predicted, 100.0, 100.0);
         let ftile_selection = if self.scheme == Scheme::Ftile {
             self.setup
                 .server
                 .ftile_layout(k)
-                // lint:allow(hot-path-alloc, "Ftile scheme only: the Ptile and MPC schemes never select variable-size tiles")
                 .map(|layout| layout.tiles_for_viewport(&predicted_vp))
         } else {
             None
         };
         let (ftile_fov_tiles, ftile_fov_area) = ftile_selection
-            .as_ref()
-            .map(|(chosen, area)| (chosen.len(), *area))
+            .map(|(chosen, area)| (chosen.len(), area))
             .unwrap_or((0, 0.0));
 
         // --- 3. bandwidth estimate ------------------------------------
@@ -845,7 +844,7 @@ impl<'a> SessionRunner<'a> {
             (Scheme::Ftile, _) => {
                 // The Ftile layout knows exactly which blocks the chosen
                 // variable-size tiles cover.
-                match (self.setup.server.ftile_layout(k), &pending.ftile_selection) {
+                match (self.setup.server.ftile_layout(k), pending.ftile_selection) {
                     (Some(layout), Some((chosen, _))) => {
                         layout.coverage_fraction(chosen, &actual_vp)
                     }
@@ -880,13 +879,11 @@ impl<'a> SessionRunner<'a> {
             _ => {
                 // Conventional tiles were fetched around the *predicted*
                 // center: the quality the user sees depends on how much of
-                // the actual FoV those tiles cover.
-                let predicted_block = self
+                // the actual FoV those tiles cover. Coverage reads only
+                // the region's tile set, which is the block's.
+                let predicted_region = self
                     .grid
-                    .fov_block_tiles(&Viewport::new(predicted, 100.0, 100.0));
-                let predicted_region = TileRegion::from_tiles(&self.grid, predicted_block)
-                    // lint:allow(no-panic-paths, "documented invariant: fov_block always yields >= 1 tile")
-                    .expect("FoV block is non-empty");
+                    .fov_block_region(&Viewport::new(predicted, 100.0, 100.0));
                 overlap_fraction(
                     self.setup.user,
                     k,

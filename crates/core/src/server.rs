@@ -168,21 +168,30 @@ impl VideoServer {
     /// segment: the first (most popular) Ptile whose region contains the
     /// viewport's whole FoV tile block. Returns the Ptile, its area
     /// fraction, and its background-block count.
+    ///
+    /// The block is computed once, as a region, when the segment has a
+    /// Ptile at all, and each candidate is tested from the two regions'
+    /// bounds.
     pub fn covering_ptile(
         &self,
         segment: usize,
         predicted: ViewCenter,
     ) -> Option<(&Ptile, f64, usize)> {
+        let ptiles = self.ptiles(segment);
+        if ptiles.is_empty() {
+            return None;
+        }
         let vp = Viewport::new(predicted, self.config.fov_h_deg, self.config.fov_v_deg);
+        let block = self.grid.fov_block_region(&vp);
         let costs = self
             .ptile_costs
             .get(segment)
             .map(|v| v.as_slice())
             .unwrap_or(&[]);
-        self.ptiles(segment)
+        ptiles
             .iter()
             .zip(costs)
-            .find(|(p, _)| self.grid.fov_block_tiles(&vp).all(|t| p.region.contains(t)))
+            .find(|(p, _)| p.region.contains_region(&block))
             .map(|(p, &(area, bg))| (p, area, bg))
     }
 

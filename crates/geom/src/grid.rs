@@ -9,6 +9,7 @@
 use std::ops::{Range, RangeInclusive};
 
 use crate::angles::wrap_yaw_deg;
+use crate::region::TileRegion;
 use crate::viewport::{ViewCenter, Viewport};
 
 /// Identifies one tile in a [`TileGrid`]: row 0 is the top (north pole) row,
@@ -49,6 +50,26 @@ impl TileSpan {
     pub fn tile_count(&self) -> usize {
         (self.rows.end() + 1).saturating_sub(*self.rows.start())
             * self.cols.iter().map(ExactSizeIterator::len).sum::<usize>()
+    }
+
+    /// Number of the span's tiles that lie in `region` (a region of the
+    /// same grid): the row overlap times the column overlap. The span's
+    /// two column runs are disjoint, and so are the region's
+    /// ([`TileRegion::col_runs`]), so the column overlap is the sum of
+    /// the four pairwise run intersections.
+    pub fn overlap(&self, region: &TileRegion) -> usize {
+        let rows = (region.row_max().min(*self.rows.end()) + 1)
+            .saturating_sub(region.row_min().max(*self.rows.start()));
+        let cols: usize = region
+            .col_runs()
+            .iter()
+            .flat_map(|r| {
+                self.cols
+                    .iter()
+                    .map(move |s| r.end.min(s.end).saturating_sub(r.start.max(s.start)))
+            })
+            .sum();
+        rows * cols
     }
 }
 
@@ -158,25 +179,18 @@ impl TileGrid {
     ///
     /// Tiles are half-open in both axes, so a viewport edge exactly on a tile
     /// boundary does not drag in the neighbouring tile.
+    ///
+    /// The per-segment paths work on [`Self::covering_span`] instead; this
+    /// list is its tiles, row by row.
     pub fn tiles_covering(&self, vp: &Viewport) -> Vec<TileId> {
-        let mut out = Vec::new();
-        self.tiles_covering_into(vp, &mut out);
-        out
-    }
-
-    /// [`Self::tiles_covering`] into a caller-owned buffer, for hot loops
-    /// that would otherwise allocate a fresh `Vec` per viewport. The
-    /// buffer is cleared first; contents and order match
-    /// `tiles_covering` exactly.
-    pub fn tiles_covering_into(&self, vp: &Viewport, out: &mut Vec<TileId>) {
-        out.clear();
         let span = self.covering_span(vp);
-        out.reserve(span.tile_count());
+        let mut out = Vec::with_capacity(span.tile_count());
         for row in span.rows.clone() {
             for cols in &span.cols {
                 out.extend(cols.clone().map(|col| TileId::new(row, col)));
             }
         }
+        out
     }
 
     /// The tiles [`Self::tiles_covering`] lists, as runs: the same columns
@@ -234,8 +248,17 @@ impl TileGrid {
     }
 
     /// [`Self::fov_block`] without the `Vec`: the same tiles in the same
-    /// row-major order, generated on demand.
+    /// row-major order, generated on demand from
+    /// [`Self::fov_block_region`].
     pub fn fov_block_tiles(&self, vp: &Viewport) -> impl Iterator<Item = TileId> {
+        self.fov_block_region(vp).tiles()
+    }
+
+    /// The quantised FoV block of [`Self::fov_block`] as a region: rows
+    /// `first_row..first_row + block_rows`, and `block_cols` columns
+    /// eastwards from `first_col`, wrapping. This is the one definition
+    /// of the block; its `tiles()` are [`Self::fov_block_tiles`].
+    pub fn fov_block_region(&self, vp: &Viewport) -> TileRegion {
         let block_cols =
             ((vp.fov_h_deg() / self.tile_width_deg()).ceil() as usize).clamp(1, self.cols);
         let block_rows =
@@ -248,13 +271,13 @@ impl TileGrid {
         first_row = first_row.clamp(0, self.rows as isize - block_rows as isize);
         let first_row = first_row as usize;
 
-        let cols = self.cols;
-        (0..block_rows * block_cols).map(move |i| {
-            TileId::new(
-                first_row + i / block_cols,
-                (first_col + i % block_cols) % cols,
-            )
-        })
+        TileRegion::new(
+            self,
+            first_row,
+            first_row + block_rows - 1,
+            first_col,
+            block_cols,
+        )
     }
 
     /// Iterates over every tile in the grid, row-major.
@@ -388,7 +411,7 @@ mod tests {
         let _ = TileGrid::new(0, 8);
     }
 
-    /// `tiles_covering_into` as it read before the span helper: the
+    /// `tiles_covering` as it read before the span helper: the
     /// reference the span runs must reproduce, tile for tile and in order.
     fn old_tiles_covering(g: &TileGrid, vp: &Viewport) -> Vec<TileId> {
         let mut out = Vec::new();
@@ -412,6 +435,74 @@ mod tests {
             }
         }
         out
+    }
+
+    /// `fov_block_tiles` as it read before the block became a region.
+    fn old_fov_block_tiles(g: &TileGrid, vp: &Viewport) -> Vec<TileId> {
+        let block_cols = ((vp.fov_h_deg() / g.tile_width_deg()).ceil() as usize).clamp(1, g.cols());
+        let block_rows =
+            ((vp.fov_v_deg() / g.tile_height_deg()).ceil() as usize).clamp(1, g.rows());
+        let center = g.tile_at(&vp.center());
+        let first_col = (center.col as isize - (block_cols as isize - 1) / 2)
+            .rem_euclid(g.cols() as isize) as usize;
+        let first_row = (center.row as isize - (block_rows as isize - 1) / 2)
+            .clamp(0, g.rows() as isize - block_rows as isize) as usize;
+        (0..block_rows * block_cols)
+            .map(|i| {
+                TileId::new(
+                    first_row + i / block_cols,
+                    (first_col + i % block_cols) % g.cols(),
+                )
+            })
+            .collect()
+    }
+
+    /// A viewport from draws: two in five sit on or next to a pole, one
+    /// in five next to the antimeridian, and a few span the full yaw or
+    /// pitch range.
+    fn drawn_viewport(
+        y: f64,
+        p: f64,
+        place: usize,
+        fov_h: f64,
+        fov_v: f64,
+        full: usize,
+    ) -> Viewport {
+        let pitch = match place {
+            0 => 90.0 - (p + 90.0) / 180.0,
+            1 => {
+                if p < 0.0 {
+                    -90.0
+                } else {
+                    90.0
+                }
+            }
+            _ => p,
+        };
+        let yaw = if place == 2 {
+            180.0 - y.abs() / 180.0
+        } else {
+            y
+        };
+        let fov_h = if full == 0 { 360.0 } else { fov_h };
+        let fov_v = if full == 1 { 180.0 } else { fov_v };
+        Viewport::new(ViewCenter::new(yaw, pitch), fov_h, fov_v)
+    }
+
+    #[test]
+    fn fov_block_region_at_the_antimeridian_and_full_width() {
+        let g = TileGrid::paper_default();
+        let r = g.fov_block_region(&Viewport::paper_fov(ViewCenter::new(-180.0, 0.0)));
+        assert_eq!(
+            (r.row_min(), r.row_max(), r.col_start(), r.col_span()),
+            (1, 3, 7, 3)
+        );
+        // A full-width block starts at its first column, not at column 0,
+        // so its tiles come in the old order.
+        let full = Viewport::new(ViewCenter::new(10.0, 0.0), 360.0, 100.0);
+        let r = g.fov_block_region(&full);
+        assert_eq!((r.col_start(), r.col_span()), (1, 8));
+        assert_eq!(g.fov_block(&full), old_fov_block_tiles(&g, &full));
     }
 
     #[test]
@@ -454,6 +545,54 @@ mod tests {
             let covering = g.tiles_covering(&vp);
             // Exact covering has between 9 and 16 tiles for a 100° FoV on 45° tiles.
             prop_assert!(covering.len() >= 6 && covering.len() <= 16);
+        }
+
+        #[test]
+        fn fov_block_region_matches_old_block_tiles(
+            (grid_pick, place, full) in (0usize..3, 0usize..5, 0usize..6),
+            y in -180.0f64..180.0,
+            p in -90.0f64..=90.0,
+            fov_h in 1.0f64..=360.0,
+            fov_v in 1.0f64..=180.0,
+        ) {
+            let g = [TileGrid::new(4, 8), TileGrid::new(6, 12), TileGrid::new(15, 30)][grid_pick];
+            let vp = drawn_viewport(y, p, place, fov_h, fov_v, full);
+            let old = old_fov_block_tiles(&g, &vp);
+            // Same tiles in the same order ...
+            prop_assert_eq!(g.fov_block_tiles(&vp).collect::<Vec<_>>(), old.clone());
+            // ... and, as tile sets, the same region `from_tiles` bounds.
+            let region = g.fov_block_region(&vp);
+            let bounded = TileRegion::from_tiles(&g, old.iter().copied()).unwrap();
+            prop_assert_eq!(region.tile_count(), bounded.tile_count());
+            for t in g.iter() {
+                prop_assert_eq!(region.contains(t), bounded.contains(t));
+                prop_assert_eq!(region.contains(t), old.contains(&t));
+            }
+        }
+
+        #[test]
+        fn span_overlap_counts_covered_tiles_in_the_region(
+            (grid_pick, place, full) in (0usize..3, 0usize..5, 0usize..6),
+            y in -180.0f64..180.0,
+            p in -90.0f64..=90.0,
+            fov_h in 1.0f64..=360.0,
+            fov_v in 1.0f64..=180.0,
+            (r0, r1, c0, w) in (0.0f64..1.0, 0.0f64..1.0, 0.0f64..1.0, 0.0f64..=1.0),
+        ) {
+            let g = [TileGrid::new(4, 8), TileGrid::new(6, 12), TileGrid::new(15, 30)][grid_pick];
+            let vp = drawn_viewport(y, p, place, fov_h, fov_v, full);
+            let (a, b) = ((r0 * g.rows() as f64) as usize, (r1 * g.rows() as f64) as usize);
+            let col_span = 1 + (w * (g.cols() - 1) as f64).round() as usize;
+            let region = TileRegion::new(
+                &g,
+                a.min(b),
+                a.max(b),
+                (c0 * g.cols() as f64) as usize,
+                col_span,
+            );
+            let covered = g.tiles_covering(&vp);
+            let inside = covered.iter().filter(|&&t| region.contains(t)).count();
+            prop_assert_eq!(g.covering_span(&vp).overlap(&region), inside);
         }
 
         #[test]

@@ -4,6 +4,8 @@
 //! tile (Section IV-A). [`TileRegion`] represents such a block: a contiguous
 //! range of rows and a contiguous, possibly wrapping, range of columns.
 
+use std::ops::Range;
+
 use crate::grid::{TileGrid, TileId};
 
 /// A rectangular block of tiles on a [`TileGrid`].
@@ -171,18 +173,45 @@ impl TileRegion {
         offset < self.col_span
     }
 
-    /// Returns `true` if every tile of `other` lies inside `self`.
+    /// Returns `true` if every tile of `other` lies inside `self`. Both
+    /// regions must lie on the same grid.
+    ///
+    /// Decided from the bounds, without visiting tiles: the rows must
+    /// nest, and `other`'s columns, counted eastwards from `self`'s first
+    /// column, must end within `self`'s span. A column run that leaves
+    /// the span cannot wrap back into it, because a span short of the
+    /// full width leaves at least one column outside before column
+    /// `col_start` comes round again.
     pub fn contains_region(&self, other: &TileRegion) -> bool {
-        other.tiles().all(|t| self.contains(t))
+        let rows = self.row_min <= other.row_min && other.row_max <= self.row_max;
+        let offset = (other.col_start + self.grid_cols - self.col_start) % self.grid_cols;
+        rows && (self.col_span == self.grid_cols || offset + other.col_span <= self.col_span)
     }
 
-    /// Iterates over the tiles of the region, row-major, west to east.
-    pub fn tiles(&self) -> impl Iterator<Item = TileId> + '_ {
-        let rows = self.row_min..=self.row_max;
-        rows.flat_map(move |row| {
-            (0..self.col_span)
-                .map(move |dc| TileId::new(row, (self.col_start + dc) % self.grid_cols))
+    /// Iterates over the tiles of the region, row-major, west to east
+    /// from `col_start`: in each row the run from `col_start`, then the
+    /// part that wraps to column 0.
+    pub fn tiles(&self) -> impl Iterator<Item = TileId> {
+        let [wrapped, east] = self.col_runs();
+        (self.row_min..=self.row_max).flat_map(move |row| {
+            east.clone()
+                .chain(wrapped.clone())
+                .map(move |col| TileId::new(row, col))
         })
+    }
+
+    /// The region's columns as at most two ascending runs, in flat-index
+    /// order: the part that wraps past the last column (`0..end`, empty
+    /// unless the region crosses the antimeridian) comes first, then
+    /// `col_start..`. Together they hold exactly the columns of
+    /// [`Self::contains`].
+    pub fn col_runs(&self) -> [Range<usize>; 2] {
+        let end = self.col_start + self.col_span;
+        if end <= self.grid_cols {
+            [0..0, self.col_start..end]
+        } else {
+            [0..end - self.grid_cols, self.col_start..self.grid_cols]
+        }
     }
 
     /// Width of the region in degrees of yaw on the given grid.
@@ -282,6 +311,22 @@ mod tests {
     }
 
     #[test]
+    fn contains_region_across_the_antimeridian() {
+        let g = grid();
+        let wrapped = TileRegion::new(&g, 0, 3, 6, 4); // columns 6, 7, 0, 1
+        assert!(wrapped.contains_region(&TileRegion::new(&g, 1, 2, 7, 2)));
+        assert!(wrapped.contains_region(&TileRegion::new(&g, 1, 2, 0, 2)));
+        assert!(!wrapped.contains_region(&TileRegion::new(&g, 1, 2, 1, 2)));
+        assert!(!wrapped.contains_region(&TileRegion::new(&g, 1, 2, 5, 2)));
+        // A full-width region contains every region of its rows.
+        let full = TileRegion::new(&g, 1, 2, 3, 8);
+        assert!(full.contains_region(&TileRegion::new(&g, 1, 2, 5, 8)));
+        assert!(!full.contains_region(&TileRegion::new(&g, 0, 2, 5, 1)));
+        assert_eq!(wrapped.col_runs(), [0..2, 6..8]);
+        assert_eq!(full.col_runs(), [0..3, 3..8]);
+    }
+
+    #[test]
     #[should_panic(expected = "col_span")]
     fn zero_span_panics() {
         let _ = TileRegion::new(&grid(), 0, 0, 0, 0);
@@ -354,6 +399,56 @@ mod tests {
             let row_max = (row_min + extra).min(3);
             let r = TileRegion::new(&g, row_min, row_max, col_start, span);
             prop_assert_eq!(r.tiles().count(), r.tile_count());
+        }
+
+        #[test]
+        fn bounds_containment_matches_tile_by_tile(
+            dims in (1usize..8, 1usize..40),
+            outer in (0.0f64..1.0, 0.0f64..1.0, 0.0f64..1.0, 0.0f64..=1.0),
+            inner in (0.0f64..1.0, 0.0f64..1.0, 0.0f64..1.0, 0.0f64..=1.0),
+        ) {
+            let g = TileGrid::new(dims.0, dims.1);
+            let region = |(r0, r1, c0, w): (f64, f64, f64, f64)| {
+                let (a, b) = ((r0 * dims.0 as f64) as usize, (r1 * dims.0 as f64) as usize);
+                // Spans cover single columns, wrapping runs and the full width.
+                let span = 1 + (w * (dims.1 - 1) as f64).round() as usize;
+                TileRegion::new(&g, a.min(b), a.max(b), (c0 * dims.1 as f64) as usize, span)
+            };
+            let (outer, inner) = (region(outer), region(inner));
+            for (a, b) in [(outer, inner), (inner, outer), (outer, outer)] {
+                prop_assert_eq!(a.contains_region(&b), b.tiles().all(|t| a.contains(t)));
+            }
+        }
+
+        #[test]
+        fn col_runs_are_the_contained_columns_ascending(
+            cols in 1usize..40, c0 in 0.0f64..1.0, w in 0.0f64..=1.0,
+        ) {
+            let g = TileGrid::new(1, cols);
+            let span = 1 + (w * (cols - 1) as f64).round() as usize;
+            let r = TileRegion::new(&g, 0, 0, (c0 * cols as f64) as usize, span);
+            let listed: Vec<usize> = r.col_runs().into_iter().flatten().collect();
+            let expected: Vec<usize> = (0..cols).filter(|&c| r.contains(TileId::new(0, c))).collect();
+            prop_assert_eq!(listed, expected);
+        }
+
+        #[test]
+        fn tiles_run_west_to_east_from_col_start(
+            dims in (1usize..8, 1usize..40),
+            (r0, r1, c0, w) in (0.0f64..1.0, 0.0f64..1.0, 0.0f64..1.0, 0.0f64..=1.0),
+        ) {
+            let (rows, cols) = dims;
+            let g = TileGrid::new(rows, cols);
+            let (a, b) = ((r0 * rows as f64) as usize, (r1 * rows as f64) as usize);
+            let span = 1 + (w * (cols - 1) as f64).round() as usize;
+            let r = TileRegion::new(&g, a.min(b), a.max(b), (c0 * cols as f64) as usize, span);
+            // The modular walk `tiles` used before it iterated the runs.
+            let modular: Vec<TileId> = (r.row_min()..=r.row_max())
+                .flat_map(|row| {
+                    (0..r.col_span()).map(move |dc| TileId::new(row, (r.col_start() + dc) % cols))
+                })
+                .collect();
+            prop_assert_eq!(r.tiles().collect::<Vec<_>>(), modular);
         }
 
         #[test]

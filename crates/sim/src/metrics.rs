@@ -112,6 +112,15 @@ impl SessionMetrics {
         Self::default()
     }
 
+    /// Creates an empty accumulator with room for `segments` records, so
+    /// a session that knows its length books them without regrowing.
+    pub fn with_capacity(segments: usize) -> Self {
+        Self {
+            records: Vec::with_capacity(segments),
+            ..Self::default()
+        }
+    }
+
     /// Appends one segment's record.
     pub fn push(&mut self, record: SegmentRecord) {
         self.records.push(record);

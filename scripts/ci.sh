@@ -121,6 +121,21 @@ EE360_PROP_CASES=2000 cargo test --release -q --offline -p ee360-geom --lib -- \
   covering_span occupancy_scan
 EE360_PROP_CASES=2000 cargo test --release -q --offline -p ee360-trace --lib segment_centers
 
+echo "==> tile-set equivalence (blocking: per-segment tile-set arithmetic vs its references)"
+# The per-segment tile lookups were rewritten bit for bit as span and
+# region arithmetic: Ftile selection and coverage from span overlaps
+# against the retained block-list versions (and the partition invariant
+# of FtileLayout::build they rely on), TileGrid::fov_block_region against
+# the old fov_block_tiles and from_tiles of it, TileSpan::overlap and
+# TileRegion::contains_region against tile-by-tile tests, and the
+# run-ordered coverage_from_counts against the grid-order loop. The
+# workspace pass above runs these properties at their default case
+# count; this stage runs them at 2,000 cases in release.
+EE360_PROP_CASES=2000 cargo test --release -q --offline -p ee360-cluster --lib -- \
+  span_selection built_layouts_partition ftile_set
+EE360_PROP_CASES=2000 cargo test --release -q --offline -p ee360-geom --lib -- \
+  fov_block_region span_overlap bounds_containment contains_region col_runs tiles_run run_ordered_coverage
+
 echo "==> fleet smoke (10k-session event-driven fleet, offline + deterministic)"
 # Runs the sim::fleet scale engine over a seeded chaos plan and exits
 # non-zero unless every slot completes, two same-seed runs and every

@@ -12,7 +12,9 @@
 //! is still live once the call returns) is zero: the gaze window, the
 //! predictor's series, the interval-speed percentile and the Ptile
 //! lookup all run in storage the runner recycles or the server
-//! precomputed, so a warm call allocates nothing it frees again.
+//! precomputed, so a warm call allocates nothing it frees again. The
+//! Ftile baseline's planning is held to the same budget: its tile
+//! selection is a bit set over the segment's layout, not a list.
 //!
 //! The same session is then planned by the MPC controller ("Ours"),
 //! whose solver must keep no per-segment state: the live heap that the
@@ -128,7 +130,7 @@ fn plan_segment_transient_heap_is_bounded_by_the_window() {
         max_segments: None,
     };
 
-    for scheme in [Scheme::Ptile, Scheme::Ours] {
+    for scheme in [Scheme::Ptile, Scheme::Ftile, Scheme::Ours] {
         let heap = drive(scheme, &setup);
         // Transient budget: none. A warm call allocates nothing it frees
         // again (a whole-trace conversion would be 24 B × thousands of
