@@ -36,9 +36,11 @@ fn main() {
 
     // The fast (p75) switching speed of the 2 s planning window: computed
     // from scratch (every interval's Eq. 5 speed), and served by a warm
-    // per-session window (every interval already computed once). Then a
-    // booking window's speed on a fresh per-session window: ten new
-    // intervals, whose shared endpoints are each converted once.
+    // interval-speed table (every interval already computed once). Then a
+    // booking window's speed for a new session: "cold" on a fresh table
+    // (ten new intervals, whose shared endpoints are each converted
+    // once), "shared" on the table another live session over the trace
+    // has already filled.
     {
         use ee360_geom::switching::fast_switching_speed;
         use ee360_trace::head::{HeadTrace, IntervalSpeeds};
@@ -60,8 +62,17 @@ fn main() {
         bench.run("switching/fast_speed_2s_session_warm", || {
             speeds.fast_speed(black_box(range.clone()))
         });
+        drop(speeds);
         let mut k = 0usize;
         bench.run("switching/booking_window_cold", || {
+            k = (k + 1) % 19;
+            IntervalSpeeds::new(&trace).segment_fast_speed(black_box(k))
+        });
+        let mut filler = IntervalSpeeds::new(&trace);
+        for k in 0..19 {
+            filler.segment_fast_speed(k);
+        }
+        bench.run("switching/booking_window_shared", || {
             k = (k + 1) % 19;
             IntervalSpeeds::new(&trace).segment_fast_speed(black_box(k))
         });

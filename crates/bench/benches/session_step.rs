@@ -23,25 +23,15 @@ use ee360_video::catalog::VideoCatalog;
 fn main() {
     let catalog = VideoCatalog::paper_default();
     let spec = catalog.video(6).unwrap(); // shortest video, 164 segments
-    let traces = VideoTraces::generate(spec, 12, 7, GazeConfig::default());
-    let refs: Vec<_> = traces.traces().iter().collect();
-    let server = VideoServer::prepare(
-        spec,
-        &refs[..10],
-        TileGrid::paper_default(),
-        PtileConfig::paper_default(),
-    );
     let network = NetworkTrace::paper_trace2(400, 7);
-    let user = traces.traces().last().unwrap();
 
     let mut bench = bench_harness();
 
-    // The per-segment Ptile lookup: the first Ptile whose region holds
-    // the predicted viewport's FoV block. The session server above has
-    // 10 training users, and most of its segments have no Ptile at all;
-    // this one is built from the paper's 40 (two Ptiles per segment on
-    // average) and looked up at a 41st user's segment centres, each of
-    // which finds a Ptile.
+    // One server built from the paper's 40 training users (two Ptiles per
+    // segment on average), watched by a 41st user. The per-segment Ptile
+    // lookup is the first Ptile whose region holds the predicted
+    // viewport's FoV block; looked up at that user's segment centres,
+    // each finds one.
     let population = VideoTraces::generate(spec, 41, 7, GazeConfig::default());
     let members: Vec<_> = population.traces().iter().collect();
     let ptile_server = VideoServer::prepare(
@@ -61,10 +51,13 @@ fn main() {
             .map(|(_, area, bg)| (area, bg))
     });
 
+    // Whole sessions of the 41st user on that server, so the Ptile and
+    // Ours rows time Ptile sessions rather than the conventional-tile
+    // fallback a server without Ptiles would leave them.
     for scheme in Scheme::ALL {
         let setup = SessionSetup {
-            server: &server,
-            user,
+            server: &ptile_server,
+            user: members[40],
             network: &network,
             phone: Phone::Pixel3,
             max_segments: Some(60),

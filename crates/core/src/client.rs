@@ -326,8 +326,9 @@ pub struct SessionRunner<'a> {
     gaze_window: Vec<SwitchingSample>,
     /// Recycled predictor scratch, same lifecycle as `gaze_window`.
     predictor_ws: PredictorWorkspace,
-    /// The user's interval speeds, each computed once per session and
-    /// shared by the planning and booking windows that overlap on it.
+    /// The user's interval speeds: the table of every live session over
+    /// the trace, where each interval's speed is computed once and read
+    /// by the planning and booking windows that overlap on it.
     speeds: IntervalSpeeds<'a>,
 }
 
@@ -865,10 +866,7 @@ impl<'a> SessionRunner<'a> {
                     (100.0 + 2.0 * w).min(360.0),
                     (100.0 + 2.0 * w).min(180.0),
                 );
-                let guard = self.grid.fov_block_tiles(&widened);
-                let union = TileRegion::from_tiles(&self.grid, region.tiles().chain(guard))
-                    // lint:allow(no-panic-paths, "documented invariant: the Ptile region is non-empty")
-                    .expect("union of non-empty regions is non-empty");
+                let union = region.union(&self.grid.fov_block_region(&widened));
                 overlap_fraction(self.setup.user, k, &union, &self.grid, &actual_vp)
             }
             (_, Some(region))

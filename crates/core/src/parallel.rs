@@ -2,26 +2,33 @@
 //!
 //! The full Figs. 9–11 matrix is 8 videos × 5 schemes × 2 traces × 8
 //! users; every *session* in it is independent, so the sweep is
-//! flattened to (cell, user) work items and load-balanced over a scoped
-//! thread pool at session granularity — a straggler cell (a long video
-//! or an expensive scheme) no longer serialises its whole column behind
-//! one worker, which is what kept the cell-granular sweep flat. Results
+//! flattened to (video, user) work items and load-balanced over a scoped
+//! thread pool — a straggler cell (a long video or an expensive scheme)
+//! no longer serialises its whole column behind one worker, which is
+//! what kept the cell-granular sweep flat. A work item runs one user's
+//! sessions under every scheme back to back, so they share the trace's
+//! interval-speed table ([`ee360_trace::head::IntervalSpeeds`]). Results
 //! are regrouped and returned in deterministic (video, scheme) order
 //! regardless of the execution schedule.
 
 use ee360_abr::controller::Scheme;
 use ee360_sim::metrics::SessionMetrics;
 use ee360_support::parallel::parallel_map_indexed;
+use ee360_trace::head::IntervalSpeeds;
 
 use crate::experiment::{Evaluation, SchemeOutcome};
 
 /// Runs every (video, scheme) cell of the matrix across `threads` workers,
-/// partitioning the work at (cell, user) granularity.
+/// partitioning the work at (video, user) granularity.
+///
+/// Each task holds the user's interval-speed table while it runs that
+/// user's session under every scheme in `schemes` order, so the Eq. 5
+/// speeds are computed once per user rather than once per session. The
+/// table is freed when the task ends.
 ///
 /// Returns outcomes sorted by `(video, scheme-order)`, identical to what a
-/// sequential double loop would produce: sessions are collected in task
-/// order (cell-major, user-minor), so each cell's users aggregate in the
-/// same order as [`Evaluation::run`].
+/// sequential double loop would produce: each cell gathers its sessions
+/// in user order, as [`Evaluation::run`] does.
 ///
 /// # Panics
 ///
@@ -34,30 +41,35 @@ pub fn run_matrix(
     threads: usize,
 ) -> Vec<SchemeOutcome> {
     assert!(threads > 0, "need at least one worker thread");
-    let cells: Vec<(usize, Scheme)> = videos
+    // Flatten to user-granular tasks: (video, user), video-major.
+    let tasks: Vec<(usize, usize)> = videos
         .iter()
-        .flat_map(|v| schemes.iter().map(move |s| (*v, *s)))
+        .flat_map(|&video| (0..eval.eval_users(video).len()).map(move |user| (video, user)))
         .collect();
-    // Flatten to session-granular tasks: (video, scheme, user).
-    let tasks: Vec<(usize, Scheme, usize)> = cells
-        .iter()
-        .flat_map(|&(video, scheme)| {
-            (0..eval.eval_users(video).len()).map(move |user| (video, scheme, user))
-        })
-        .collect();
-    let sessions: Vec<SessionMetrics> = parallel_map_indexed(threads, tasks.len(), |idx| {
-        let (video, scheme, user) = tasks[idx];
-        eval.run_user(video, scheme, user)
+    let sessions: Vec<Vec<SessionMetrics>> = parallel_map_indexed(threads, tasks.len(), |idx| {
+        let (video, user) = tasks[idx];
+        let _table = IntervalSpeeds::new(&eval.eval_users(video)[user]);
+        schemes
+            .iter()
+            .map(|&scheme| eval.run_user(video, scheme, user))
+            .collect()
     });
-    // Regroup the flat session list back into cells: tasks were emitted
-    // cell-major, so each cell owns a contiguous run of `users` entries.
-    let mut outcomes = Vec::with_capacity(cells.len());
-    let mut cursor = 0usize;
-    for (video, scheme) in cells {
+    // Regroup into cells: each video owns a contiguous run of `users`
+    // tasks, and each task holds its sessions in scheme order.
+    let mut outcomes = Vec::with_capacity(videos.len() * schemes.len());
+    let mut tasks = sessions.into_iter();
+    for &video in videos {
         let users = eval.eval_users(video).len();
-        let slice = &sessions[cursor..cursor + users];
-        cursor += users;
-        outcomes.push(SchemeOutcome::from_sessions(scheme, video, slice));
+        let mut cells: Vec<Vec<SessionMetrics>> =
+            schemes.iter().map(|_| Vec::with_capacity(users)).collect();
+        for task in tasks.by_ref().take(users) {
+            for (cell, session) in cells.iter_mut().zip(task) {
+                cell.push(session);
+            }
+        }
+        for (&scheme, cell) in schemes.iter().zip(&cells) {
+            outcomes.push(SchemeOutcome::from_sessions(scheme, video, cell));
+        }
     }
     outcomes
 }

@@ -106,32 +106,33 @@ impl TileRegion {
             }));
         }
         let (row_min, row_max) = rows?;
-
-        // Find the shortest circular arc of columns covering all tile columns:
-        // equivalently, remove the largest gap between consecutive occupied
-        // columns (in ascending order, circularly).
-        let cols: Vec<usize> = occupied
+        let cols = occupied
             .iter()
             .enumerate()
-            .filter_map(|(c, &seen)| seen.then_some(c))
-            .collect();
-        if cols.len() == n {
-            return Some(Self::new(grid, row_min, row_max, 0, n));
-        }
-        let mut best_gap = 0usize;
-        let mut best_after = 0usize; // index into cols: arc starts after this gap
-        for i in 0..cols.len() {
-            let next = cols[(i + 1) % cols.len()];
-            let gap = (next + n - cols[i] - 1) % n;
-            if gap > best_gap {
-                best_gap = gap;
-                best_after = (i + 1) % cols.len();
-            }
-        }
-        let col_start = cols[best_after];
-        let col_end = cols[(best_after + cols.len() - 1) % cols.len()];
-        let col_span = (col_end + n - col_start) % n + 1;
+            .filter_map(|(c, &seen)| seen.then_some(c));
+        let (col_start, col_span) = shortest_arc(n, cols)?;
         Some(Self::new(grid, row_min, row_max, col_start, col_span))
+    }
+
+    /// The minimal region covering every tile of `self` and of `other`:
+    /// the region [`Self::from_tiles`] builds from both regions' tiles,
+    /// found from the bounds without visiting a tile. The rows are the
+    /// hull of both row ranges; the columns are the shortest arc over the
+    /// columns either region holds, chosen by the same largest-gap rule
+    /// as `from_tiles`. Both regions must lie on the same grid.
+    pub fn union(&self, other: &TileRegion) -> TileRegion {
+        let n = self.grid_cols;
+        let cols = (0..n).filter(|&c| self.contains_col(c) || other.contains_col(c));
+        // Both regions hold a column, so the arc exists; the full width
+        // would cover them regardless.
+        let (col_start, col_span) = shortest_arc(n, cols).unwrap_or((0, n));
+        Self {
+            row_min: self.row_min.min(other.row_min),
+            row_max: self.row_max.max(other.row_max),
+            col_start,
+            col_span,
+            grid_cols: n,
+        }
     }
 
     /// First (top) row of the region.
@@ -169,8 +170,12 @@ impl TileRegion {
         if t.row < self.row_min || t.row > self.row_max {
             return false;
         }
-        let offset = (t.col + self.grid_cols - self.col_start) % self.grid_cols;
-        offset < self.col_span
+        self.contains_col(t.col)
+    }
+
+    /// Returns `true` if column `col` lies in the region's column span.
+    fn contains_col(&self, col: usize) -> bool {
+        (col + self.grid_cols - self.col_start) % self.grid_cols < self.col_span
     }
 
     /// Returns `true` if every tile of `other` lies inside `self`. Both
@@ -228,6 +233,37 @@ impl TileRegion {
     pub fn area_fraction(&self, grid: &TileGrid) -> f64 {
         self.tile_count() as f64 / grid.tile_count() as f64
     }
+}
+
+/// The shortest circular run of columns on an `n`-column grid that holds
+/// every column of `occupied` (ascending and distinct), as `(col_start,
+/// col_span)`: everything but the largest gap between consecutive
+/// occupied columns. On a tie the first gap in ascending order wins, and
+/// the gap that wraps from the last occupied column round to the first
+/// counts last. Every column occupied gives `(0, n)`; none gives `None`.
+fn shortest_arc(n: usize, occupied: impl IntoIterator<Item = usize>) -> Option<(usize, usize)> {
+    let mut occupied = occupied.into_iter();
+    let first = occupied.next()?;
+    let (mut prev, mut count) = (first, 1usize);
+    // (gap, first column after it, last column before it)
+    let mut best = (0usize, first, first);
+    for col in occupied {
+        let gap = col - prev - 1;
+        if gap > best.0 {
+            best = (gap, col, prev);
+        }
+        prev = col;
+        count += 1;
+    }
+    if count == n {
+        return Some((0, n));
+    }
+    let wrap = first + n - prev - 1;
+    if wrap > best.0 {
+        best = (wrap, first, prev);
+    }
+    let (_, start, end) = best;
+    Some((start, (end + n - start) % n + 1))
 }
 
 #[cfg(test)]
@@ -324,6 +360,36 @@ mod tests {
         assert!(!full.contains_region(&TileRegion::new(&g, 0, 2, 5, 1)));
         assert_eq!(wrapped.col_runs(), [0..2, 6..8]);
         assert_eq!(full.col_runs(), [0..3, 3..8]);
+    }
+
+    #[test]
+    fn union_matches_from_tiles_on_every_pair_of_small_regions() {
+        // Every pair of regions on grids up to 2 × 8, which includes the
+        // ties between the inner and the wrapping gap (columns {0, 1} and
+        // {4, 5} of eight: the arc must start after the inner gap).
+        for cols in 1..=8 {
+            let g = TileGrid::new(2, cols);
+            let regions: Vec<TileRegion> = [(0, 0), (0, 1), (1, 1)]
+                .into_iter()
+                .flat_map(|(r0, r1)| {
+                    (0..cols).flat_map(move |c| {
+                        (1..=cols).map(move |w| TileRegion::new(&g, r0, r1, c, w))
+                    })
+                })
+                .collect();
+            for a in &regions {
+                for b in &regions {
+                    assert_eq!(
+                        Some(a.union(b)),
+                        TileRegion::from_tiles(&g, a.tiles().chain(b.tiles())),
+                        "{a:?} ∪ {b:?}"
+                    );
+                }
+            }
+        }
+        let g = grid();
+        let tie = TileRegion::new(&g, 0, 0, 0, 2).union(&TileRegion::new(&g, 0, 0, 4, 2));
+        assert_eq!((tie.col_start(), tie.col_span()), (4, 6));
     }
 
     #[test]
@@ -449,6 +515,28 @@ mod tests {
                 })
                 .collect();
             prop_assert_eq!(r.tiles().collect::<Vec<_>>(), modular);
+        }
+
+        #[test]
+        fn union_matches_from_tiles_of_both_regions(
+            dims in (1usize..8, 1usize..40),
+            first in (0.0f64..1.0, 0.0f64..1.0, 0.0f64..1.0, 0.0f64..=1.0),
+            second in (0.0f64..1.0, 0.0f64..1.0, 0.0f64..1.0, 0.0f64..=1.0),
+        ) {
+            let g = TileGrid::new(dims.0, dims.1);
+            let region = |(r0, r1, c0, w): (f64, f64, f64, f64)| {
+                let (a, b) = ((r0 * dims.0 as f64) as usize, (r1 * dims.0 as f64) as usize);
+                // Spans cover single columns, wrapping runs and the full width.
+                let span = 1 + (w * (dims.1 - 1) as f64).round() as usize;
+                TileRegion::new(&g, a.min(b), a.max(b), (c0 * dims.1 as f64) as usize, span)
+            };
+            let (a, b) = (region(first), region(second));
+            for (x, y) in [(a, b), (b, a), (a, a)] {
+                prop_assert_eq!(
+                    Some(x.union(&y)),
+                    TileRegion::from_tiles(&g, x.tiles().chain(y.tiles()))
+                );
+            }
         }
 
         #[test]

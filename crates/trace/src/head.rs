@@ -23,7 +23,8 @@
 use std::error::Error;
 use std::fmt;
 use std::ops::Range;
-use std::sync::OnceLock;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError, Weak};
 
 use ee360_support::rng::StdRng;
 
@@ -106,11 +107,22 @@ const VIEW_TILES: usize = 32;
 const MAX_VIEW_SEGMENTS: usize = 1 << 16;
 
 /// One slot per segment, each filled at most once with the per-tile
-/// sample counts of that segment's realised viewport.
-type ViewTable = Box<[OnceLock<[u16; VIEW_TILES]>]>;
+/// sample counts of that segment's realised viewport (`None` if a count
+/// did not fit a `u8`, which the paper grid rules out).
+type ViewTable = Box<[OnceLock<Option<[u8; VIEW_TILES]>>]>;
+
+/// The Eq. 5 speed of every interval of a trace (interval `i` joins
+/// samples `i` and `i + 1`) as `f64` bits, [`UNFILLED`] until first
+/// computed. Boxed so that the `Weak` a trace keeps pins only the `Arc`
+/// header once its sessions have gone, not the speeds.
+type SpeedTable = Box<[AtomicU64]>;
+
+/// The bits of an interval whose speed is not in the table yet (a NaN
+/// payload). A computed speed with these bits is returned but not
+/// stored.
+const UNFILLED: u64 = u64::MAX;
 
 /// One user's gaze trace over one video.
-#[derive(Clone)]
 pub struct HeadTrace {
     video_id: usize,
     user_id: usize,
@@ -121,6 +133,12 @@ pub struct HeadTrace {
     /// allocated on first use: a derived cache, not part of the trace's
     /// value, so equality, `Debug` and JSON ignore it.
     views: OnceLock<ViewTable>,
+    /// The interval-speed table of the live [`IntervalSpeeds`] over this
+    /// trace. Each of them holds an `Arc`, the trace only this `Weak`, so
+    /// the table exists while a session over the trace does and is freed
+    /// with the last one. A derived cache like `views`: equality, `Debug`
+    /// and JSON ignore it, and a clone starts without one.
+    speeds: Mutex<Weak<SpeedTable>>,
 }
 
 ee360_support::impl_json_struct!(HeadTrace {
@@ -129,8 +147,22 @@ ee360_support::impl_json_struct!(HeadTrace {
     sample_hz,
     samples
 } skip {
-    views
+    views,
+    speeds
 });
+
+impl Clone for HeadTrace {
+    fn clone(&self) -> Self {
+        Self {
+            video_id: self.video_id,
+            user_id: self.user_id,
+            sample_hz: self.sample_hz,
+            samples: self.samples.clone(),
+            views: self.views.clone(),
+            speeds: Mutex::default(),
+        }
+    }
+}
 
 impl PartialEq for HeadTrace {
     fn eq(&self, other: &Self) -> bool {
@@ -222,6 +254,7 @@ impl HeadTrace {
             sample_hz,
             samples,
             views: OnceLock::new(),
+            speeds: Mutex::default(),
         })
     }
 
@@ -364,10 +397,18 @@ impl HeadTrace {
     /// sampling pass; every later one reads the stored counts. So all the
     /// sessions over this trace share one pass per segment.
     ///
+    /// The counts are stored as `u8`, one byte per tile. No count
+    /// reaches 256: the two outermost ray columns of the 100° view are
+    /// about 96° apart, and no 45° × 45° tile of the paper grid holds two
+    /// points that far apart, so no tile gets all 256 rays (a scan of
+    /// 801,000 centres, poles included, found at most 64). The narrowing
+    /// is checked all the same.
+    ///
     /// `None` when `grid` is not the paper's 4 × 8 grid, the segment has no
-    /// [`Self::segment_center`], or it lies past the table's bound of
-    /// 65,536 segments: the caller then samples the viewport itself.
-    pub fn segment_view_counts(&self, segment: usize, grid: &TileGrid) -> Option<&[u16]> {
+    /// [`Self::segment_center`], it lies past the table's bound of 65,536
+    /// segments, or a count failed to narrow: the caller then samples the
+    /// viewport itself.
+    pub fn segment_view_counts(&self, segment: usize, grid: &TileGrid) -> Option<&[u8]> {
         if *grid != TileGrid::paper_default() {
             return None;
         }
@@ -380,7 +421,7 @@ impl HeadTrace {
             })
             .get(segment)?;
         if let Some(counts) = slot.get() {
-            return Some(counts);
+            return counts.as_ref().map(|c| c.as_slice());
         }
         let center = self.segment_center(segment)?;
         let counts = slot.get_or_init(|| {
@@ -392,9 +433,13 @@ impl HeadTrace {
                     *c += 1;
                 }
             });
-            counts
+            let mut narrow = [0u8; VIEW_TILES];
+            for (n, &c) in narrow.iter_mut().zip(&counts) {
+                *n = u8::try_from(c).ok()?;
+            }
+            Some(narrow)
         });
-        Some(counts)
+        counts.as_ref().map(|c| c.as_slice())
     }
 
     /// Number of segments with a [`Self::segment_center`] (those `k` with
@@ -453,24 +498,20 @@ fn segment_bounds(t0: f64) -> (f64, f64) {
     (t0 - 1e-9, t0 + 1.0 + 1e-9)
 }
 
-/// Slots in an [`IntervalSpeeds`] window: 64 × (index, speed) = 1 KiB.
-/// At the generator's 10 Hz, the booking window of a segment and the 2 s
-/// planning windows that later reread its intervals lie within ~6 s of
-/// gaze (a 3 s buffer), so a session's intervals are each computed once.
-const SPEED_SLOTS: usize = 64;
-
-/// A session's bounded window of Eq. 5 interval speeds over one trace,
-/// keyed by stored-sample index.
+/// A session's view of its trace's Eq. 5 interval speeds, keyed by
+/// stored-sample index.
 ///
 /// A session asks for the fast (75th-percentile) speed of overlapping
 /// windows: two 2 s planning windows and one booking window cover each
-/// interval. The window computes each interval's speed once and serves
-/// later requests from a direct-mapped table (slot `i mod 64`). A slot
-/// stores its interval index, so a request that misses (a backwards seek,
-/// a jump, a trace sampled faster than 10 Hz) recomputes the speed: it
-/// never returns another interval's value.
+/// interval, and every session over the same trace asks for the same
+/// intervals. So the speeds live in one table per trace, shared by every
+/// live `IntervalSpeeds` over it: an interval's speed is computed the
+/// first time any of them needs it and read from the table after that.
+/// The first `IntervalSpeeds` over a trace allocates the table (8 bytes
+/// per interval) and the last one to drop frees it; the trace itself
+/// keeps only a `Weak`.
 ///
-/// Adjacent intervals share a sample, so the window also remembers the
+/// Adjacent intervals share a sample, so a view also remembers the
 /// orientation of the last right endpoint it converted, keyed by sample
 /// index. Interval `i`'s left endpoint reuses it when that index is `i`,
 /// which on forward playback converts each sample once instead of twice.
@@ -479,12 +520,16 @@ const SPEED_SLOTS: usize = 64;
 /// window: every speed runs [`switching_speed_deg_per_sec`]'s operations
 /// on the same two stored tuples, a sample's orientation is a pure
 /// function of its tuple, and the percentile rule ([`fast_speed_of`])
-/// does not depend on the order the speeds are gathered in.
+/// does not depend on the order the speeds are gathered in. Because a
+/// speed is a pure function of the stored samples, every thread that
+/// fills an entry stores the same bits, and an entry is one atomic word:
+/// a reader sees either [`UNFILLED`], and computes the speed itself, or
+/// those bits. Relaxed loads and stores are therefore enough.
 #[derive(Debug, Clone)]
 pub struct IntervalSpeeds<'a> {
     trace: &'a HeadTrace,
-    /// `(interval index, speed)`; `usize::MAX` marks an empty slot.
-    slots: Box<[(usize, f64); SPEED_SLOTS]>,
+    /// The trace's shared table, one entry per interval.
+    table: Arc<SpeedTable>,
     /// `(sample index, orientation)` of the last right endpoint converted;
     /// `usize::MAX` before the first.
     last: (usize, Orientation),
@@ -493,11 +538,22 @@ pub struct IntervalSpeeds<'a> {
 }
 
 impl<'a> IntervalSpeeds<'a> {
-    /// An empty window over `trace`.
+    /// A view of `trace`'s interval speeds: the table of the live views
+    /// over `trace`, or a fresh one when there are none.
     pub fn new(trace: &'a HeadTrace) -> Self {
+        // The guarded `Weak` is only ever replaced whole, so it is valid
+        // even if a holder of the lock panicked.
+        let mut shared = trace.speeds.lock().unwrap_or_else(PoisonError::into_inner);
+        let table = shared.upgrade().unwrap_or_else(|| {
+            let intervals = trace.samples.len().saturating_sub(1);
+            let table = Arc::new((0..intervals).map(|_| AtomicU64::new(UNFILLED)).collect());
+            *shared = Arc::downgrade(&table);
+            table
+        });
+        drop(shared);
         Self {
             trace,
-            slots: Box::new([(usize::MAX, 0.0); SPEED_SLOTS]),
+            table,
             last: (usize::MAX, Orientation::new(1.0, 0.0, 0.0)),
             scratch: Vec::new(),
         }
@@ -510,23 +566,30 @@ impl<'a> IntervalSpeeds<'a> {
     pub fn fast_speed(&mut self, samples: Range<usize>) -> f64 {
         let Self {
             trace,
-            slots,
+            table,
             last,
             scratch,
         } = self;
+        let table: &[AtomicU64] = table;
         let intervals = samples.start..samples.end.saturating_sub(1);
         scratch.clear();
         scratch.extend(intervals.map(|i| {
-            let slot = &mut slots[i % SPEED_SLOTS];
-            if slot.0 != i {
-                *slot = (i, interval_speed_reusing(&trace.samples, i, last));
+            let entry = table.get(i);
+            match entry.map(|e| e.load(Ordering::Relaxed)) {
+                Some(bits) if bits != UNFILLED => f64::from_bits(bits),
+                _ => {
+                    let speed = interval_speed_reusing(&trace.samples, i, last);
+                    if let Some(e) = entry.filter(|_| speed.to_bits() != UNFILLED) {
+                        e.store(speed.to_bits(), Ordering::Relaxed);
+                    }
+                    speed
+                }
             }
-            slot.1
         }));
         fast_speed_of(scratch)
     }
 
-    /// [`HeadTrace::segment_fast_switching_speed`] served from the window:
+    /// [`HeadTrace::segment_fast_switching_speed`] served from the table:
     /// `None` past the end of the trace.
     pub fn segment_fast_speed(&mut self, segment: usize) -> Option<f64> {
         let t0 = segment as f64;
@@ -901,6 +964,7 @@ impl HeadTraceGenerator {
             sample_hz: self.config.sample_hz,
             samples,
             views: OnceLock::new(),
+            speeds: Mutex::default(),
         }
     }
 
@@ -1190,8 +1254,8 @@ mod tests {
             requests in prop::collection::vec((0usize..5, 0.0f64..1.0, 0usize..48), 1..60),
         ) {
             // Irregular steps, or the same gaze at exactly 60 Hz: a 2 s
-            // window then holds ~120 intervals, more than the window's
-            // slots, so requests evict their own earlier intervals.
+            // window then holds ~120 intervals, most of them served from
+            // the table by later requests.
             let trace = if sixty_hz == 1 {
                 let samples = angles
                     .iter()
@@ -1232,8 +1296,8 @@ mod tests {
                     // past the end of the trace (`None`: the caller falls
                     // back to its planning estimate). Kind 4 instead books
                     // the segment after the last booked one (the windows
-                    // abut), or the last booked segment again, whose slots
-                    // a 60 Hz window has since evicted.
+                    // abut), or the last booked segment again, now read
+                    // from the table.
                     _ => {
                         let k = match (kind, booked) {
                             (4, Some(b)) if pick % 3 == 0 => b + 1,
@@ -1263,6 +1327,116 @@ mod tests {
         }
     }
 
+    /// `true` while `trace` has a live interval-speed table.
+    fn has_speed_table(trace: &HeadTrace) -> bool {
+        trace
+            .speeds
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .upgrade()
+            .is_some()
+    }
+
+    proptest! {
+        #[test]
+        fn interval_speeds_shared_by_two_threads_match_bit_for_bit(
+            angles in prop::collection::vec(
+                (0.001f64..0.5, -400.0f64..400.0, -120.0f64..120.0),
+                2..200,
+            ),
+            t0 in -3.0f64..3.0,
+            windows in (
+                prop::collection::vec((0.0f64..1.0, 0.0f64..2.5), 1..40),
+                prop::collection::vec((0.0f64..1.0, 0.0f64..2.5), 1..40),
+            ),
+        ) {
+            let trace = trace_from_steps(t0, &angles);
+            let all = trace.switching_samples();
+            let first = all[0].t_sec;
+            let span = trace.duration_sec() - first;
+            let mut a = IntervalSpeeds::new(&trace);
+            let mut b = IntervalSpeeds::new(&trace);
+            prop_assert!(Arc::ptr_eq(&a.table, &b.table));
+            // Each thread serves its own window sequence from the one
+            // table, racing the other to fill the intervals they share,
+            // and returns (served, reference) bits per window.
+            let barrier = std::sync::Barrier::new(2);
+            let serve = |speeds: &mut IntervalSpeeds<'_>, seq: &[(f64, f64)]| {
+                barrier.wait();
+                seq.iter()
+                    .map(|&(at, len)| {
+                        let lo = first - 0.5 + (span + 1.0) * at;
+                        let range = trace.sample_range(lo, lo + len);
+                        let reference = fast_switching_speed(&all[range.clone()]);
+                        (speeds.fast_speed(range).to_bits(), reference.to_bits())
+                    })
+                    .collect::<Vec<_>>()
+            };
+            let (from_a, from_b) = std::thread::scope(|s| {
+                let ta = s.spawn(|| serve(&mut a, &windows.0));
+                let tb = s.spawn(|| serve(&mut b, &windows.1));
+                (ta.join().expect("thread a"), tb.join().expect("thread b"))
+            });
+            for (got, expected) in from_a.iter().chain(&from_b) {
+                prop_assert_eq!(got, expected);
+            }
+            // Both holders are alive: still one table, and every entry
+            // either side filled is that interval's own speed.
+            prop_assert!(Arc::ptr_eq(&a.table, &b.table));
+            for (i, entry) in a.table.iter().enumerate() {
+                let bits = entry.load(Ordering::Relaxed);
+                if bits != UNFILLED {
+                    prop_assert_eq!(bits, trace.interval_speed(i).to_bits());
+                }
+            }
+            // Once every holder has dropped the table is freed, and the
+            // next holder starts from a fresh, unfilled one.
+            drop(a);
+            prop_assert!(has_speed_table(&trace));
+            drop(b);
+            prop_assert!(!has_speed_table(&trace));
+            let mut fresh = IntervalSpeeds::new(&trace);
+            prop_assert_eq!(fresh.table.len(), all.len() - 1);
+            prop_assert!(fresh.table.iter().all(|e| e.load(Ordering::Relaxed) == UNFILLED));
+            let (at, len) = windows.0[0];
+            let lo = first - 0.5 + (span + 1.0) * at;
+            let range = trace.sample_range(lo, lo + len);
+            let expected = fast_switching_speed(&all[range.clone()]);
+            prop_assert_eq!(fresh.fast_speed(range).to_bits(), expected.to_bits());
+        }
+    }
+
+    #[test]
+    fn interval_speeds_table_is_invisible_to_eq_debug_clone_and_json() {
+        use ee360_support::json::{from_str, to_string};
+        let steps = [(0.1, 10.0, 5.0), (0.1, 14.0, 6.0), (0.2, 30.0, -4.0)];
+        let trace = trace_from_steps(0.0, &steps);
+        let plain = trace_from_steps(0.0, &steps);
+        let mut speeds = IntervalSpeeds::new(&trace);
+        assert!(speeds.segment_fast_speed(0).is_some());
+        assert!(speeds
+            .table
+            .iter()
+            .any(|e| e.load(Ordering::Relaxed) != UNFILLED));
+        assert_eq!(trace, plain);
+        assert_eq!(format!("{trace:?}"), format!("{plain:?}"));
+        let text = to_string(&trace).expect("serialises");
+        assert_eq!(text, to_string(&plain).expect("serialises"));
+        let back: HeadTrace = from_str(&text).expect("parses");
+        assert_eq!(back, plain);
+        assert!(!has_speed_table(&back));
+        // A clone starts without a table: its first holder gets a fresh one.
+        let copy = trace.clone();
+        assert_eq!(copy, plain);
+        assert!(has_speed_table(&trace) && !has_speed_table(&copy));
+        let of_copy = IntervalSpeeds::new(&copy);
+        assert!(!Arc::ptr_eq(&of_copy.table, &speeds.table));
+        assert!(of_copy
+            .table
+            .iter()
+            .all(|e| e.load(Ordering::Relaxed) == UNFILLED));
+    }
+
     #[test]
     fn view_table_has_a_slot_for_every_segment_center() {
         assert_eq!(TileGrid::paper_default().tile_count(), VIEW_TILES);
@@ -1279,8 +1453,8 @@ mod tests {
                 );
             }
             if let Some(counts) = trace.segment_view_counts(0, &grid) {
-                let total: u16 = counts.iter().sum();
-                assert_eq!(usize::from(total), VIEW_SAMPLES * VIEW_SAMPLES);
+                let total: usize = counts.iter().map(|&c| usize::from(c)).sum();
+                assert_eq!(total, VIEW_SAMPLES * VIEW_SAMPLES);
             }
         }
     }

@@ -98,11 +98,16 @@ cargo test --release -q --offline --test view_table
 EE360_PROP_CASES=2000 cargo test --release -q --offline -p ee360-geom --lib reused_sampler
 
 echo "==> interval-speed equivalence (blocking: compute-once Eq. 5 window vs per-window speeds)"
-# IntervalSpeeds caches each interval's speed and reuses the shared
-# endpoint's orientation between adjacent intervals; every fast speed it
-# serves must equal fast_switching_speed over the same window bit for
-# bit. The workspace pass above runs the property at its default case
-# count; this stage runs it at 2,000 cases in release.
+# IntervalSpeeds reads each interval's speed from a table shared by every
+# live session over the trace and reuses the shared endpoint's
+# orientation between adjacent intervals; every fast speed it serves must
+# equal fast_switching_speed over the same window bit for bit. The
+# two-thread property races two holders of one table over random window
+# sequences (one table while both live, a fresh one after both drop), and
+# a unit test checks that equality, Debug, Clone and JSON ignore the
+# table; the `interval_speeds` filter selects all three by name. The
+# workspace pass above runs the properties at their default case count;
+# this stage runs them at 2,000 cases in release.
 EE360_PROP_CASES=2000 cargo test --release -q --offline -p ee360-trace --lib interval_speeds
 
 echo "==> set-up equivalence (blocking: per-video preparation rewrites vs their references)"
@@ -127,14 +132,17 @@ echo "==> tile-set equivalence (blocking: per-segment tile-set arithmetic vs its
 # against the retained block-list versions (and the partition invariant
 # of FtileLayout::build they rely on), TileGrid::fov_block_region against
 # the old fov_block_tiles and from_tiles of it, TileSpan::overlap and
-# TileRegion::contains_region against tile-by-tile tests, and the
-# run-ordered coverage_from_counts against the grid-order loop. The
-# workspace pass above runs these properties at their default case
-# count; this stage runs them at 2,000 cases in release.
+# TileRegion::contains_region against tile-by-tile tests, the
+# run-ordered coverage_from_counts against the grid-order loop, and
+# TileRegion::union (the robust controller's widened booking region)
+# against from_tiles of both regions' tiles. The workspace pass above
+# runs these properties at their default case count; this stage runs
+# them at 2,000 cases in release.
 EE360_PROP_CASES=2000 cargo test --release -q --offline -p ee360-cluster --lib -- \
   span_selection built_layouts_partition ftile_set
 EE360_PROP_CASES=2000 cargo test --release -q --offline -p ee360-geom --lib -- \
   fov_block_region span_overlap bounds_containment contains_region col_runs tiles_run run_ordered_coverage
+EE360_PROP_CASES=2000 cargo test --release -q --offline -p ee360-geom --lib union_matches
 
 echo "==> fleet smoke (10k-session event-driven fleet, offline + deterministic)"
 # Runs the sim::fleet scale engine over a seeded chaos plan and exits

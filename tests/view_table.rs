@@ -140,7 +140,7 @@ fn racing_fills_of_one_trace_agree_bit_for_bit() {
         barrier.wait();
         (0..segments)
             .map(|k| user.segment_view_counts(k, &grid).expect("table entry"))
-            .collect::<Vec<&[u16]>>()
+            .collect::<Vec<&[u8]>>()
     };
     let (a, b) = std::thread::scope(|s| {
         let a = s.spawn(fill);
