@@ -2,7 +2,8 @@
 //!
 //! Viewport prediction (a ridge fit over the 2 s gaze window), the fast
 //! switching speed of that window and bandwidth estimation run once per
-//! downloaded segment on the client.
+//! downloaded segment on the client; the `window/*` rows time the
+//! session's whole plan-window step.
 
 use std::hint::black_box;
 
@@ -10,7 +11,7 @@ use ee360_bench::bench_harness;
 use ee360_geom::switching::SwitchingSample;
 use ee360_geom::viewport::ViewCenter;
 use ee360_predict::bandwidth::{BandwidthEstimator, HarmonicMeanEstimator};
-use ee360_predict::viewport::ViewportPredictor;
+use ee360_predict::viewport::{PredictorWorkspace, ViewportPredictor};
 
 fn history(samples: usize) -> Vec<SwitchingSample> {
     (0..samples)
@@ -27,10 +28,47 @@ fn history(samples: usize) -> Vec<SwitchingSample> {
 fn main() {
     let mut bench = bench_harness();
     let predictor = ViewportPredictor::paper_default();
+    // The slice API over a workspace reused across iterations, so the
+    // rows time the fit and not three fresh `Vec`s per call.
+    let mut ws = PredictorWorkspace::default();
     for n in [10usize, 20, 50, 100] {
         let h = history(n);
         bench.run(&format!("viewport_predict/ridge/{n}"), || {
-            predictor.predict(black_box(&h), 1.0)
+            predictor.predict_with(black_box(&h), 1.0, &mut ws)
+        });
+    }
+
+    // A session's plan-window step over a stored trace: the forward
+    // search from the last window, the fit read in place and the p75
+    // speed ("fused", one live session, so every plan fits its window),
+    // and the same windows for a second live session while the first
+    // has shared their fits ("shared_hit"). The positions cycle over
+    // 5 s of a 10 Hz trace: 51 window ends, all in distinct ring slots.
+    {
+        use ee360_core::gaze::SessionGaze;
+        use ee360_trace::head::HeadTrace;
+        let trace = HeadTrace::from_samples(
+            0,
+            0,
+            history(200)
+                .iter()
+                .map(|s| (s.t_sec, s.center.yaw_deg(), s.center.pitch_deg()))
+                .collect(),
+        );
+        let positions: Vec<f64> = (0..50).map(|i| 8.0 + 0.1 * i as f64 + 0.03).collect();
+        let mut step = 0usize;
+        let mut next = move || {
+            step = (step + 1) % positions.len();
+            positions[step]
+        };
+        let mut first = SessionGaze::new(&trace);
+        bench.run("window/plan_fused", || first.plan(black_box(next()), 1.0));
+        let mut second = SessionGaze::new(&trace);
+        for _ in 0..50 {
+            first.plan(next(), 1.0);
+        }
+        bench.run("window/plan_shared_hit", || {
+            second.plan(black_box(next()), 1.0)
         });
     }
 

@@ -36,14 +36,12 @@ use ee360_cluster::ftile::FtileSet;
 use ee360_geom::grid::TileGrid;
 use ee360_geom::projection::{coverage_from_counts, pixel_coverage};
 use ee360_geom::region::TileRegion;
-use ee360_geom::switching::SwitchingSample;
 use ee360_geom::viewport::{ViewCenter, Viewport};
 use ee360_obs::profile::StageTimer;
 use ee360_obs::{Event, Level, NoopRecorder, Record};
 use ee360_power::energy::{SegmentEnergy, SegmentEnergyParams};
 use ee360_power::model::{Phone, PowerModel};
 use ee360_predict::bandwidth::{BandwidthEstimator, HarmonicMeanEstimator};
-use ee360_predict::viewport::{PredictorWorkspace, ViewportPredictor};
 use ee360_qoe::framerate::{alpha, framerate_factor};
 use ee360_qoe::impairment::{QoeWeights, SegmentQoe};
 use ee360_qoe::quality::QoModel;
@@ -53,11 +51,12 @@ use ee360_sim::resilience::{
     DownloadEnv, DownloadOutcome, DownloadState, PolicyError, RetryPolicy, SessionCore,
 };
 use ee360_trace::fault::FaultPlan;
-use ee360_trace::head::{HeadTrace, IntervalSpeeds, VIEW_FOV_DEG, VIEW_SAMPLES};
+use ee360_trace::head::{HeadTrace, VIEW_FOV_DEG, VIEW_SAMPLES};
 use ee360_trace::network::NetworkTrace;
 use ee360_video::ladder::QualityLevel;
 use ee360_video::segment::SEGMENT_DURATION_SEC;
 
+use crate::gaze::SessionGaze;
 use crate::server::VideoServer;
 
 /// Everything one session needs.
@@ -298,7 +297,6 @@ pub struct SessionRunner<'a> {
     power: PowerModel,
     qo_model: QoModel,
     weights: QoeWeights,
-    predictor: ViewportPredictor,
     bw_estimator: HarmonicMeanEstimator,
     core: SessionCore,
     faults: FaultPlan,
@@ -321,15 +319,10 @@ pub struct SessionRunner<'a> {
     spare_upcoming: Vec<ee360_video::content::SiTi>,
     /// Recycled degradation-ladder vector, same lifecycle.
     spare_rungs: Vec<SegmentPlan>,
-    /// Recycled 2 s gaze-window buffer: refilled by every `plan_segment`,
-    /// read only within it.
-    gaze_window: Vec<SwitchingSample>,
-    /// Recycled predictor scratch, same lifecycle as `gaze_window`.
-    predictor_ws: PredictorWorkspace,
-    /// The user's interval speeds: the table of every live session over
-    /// the trace, where each interval's speed is computed once and read
-    /// by the planning and booking windows that overlap on it.
-    speeds: IntervalSpeeds<'a>,
+    /// The user's gaze: the plan window's prediction and speed, the
+    /// booked segment's realised centre and speed, over the tables every
+    /// live session over the trace shares.
+    gaze: SessionGaze<'a>,
 }
 
 impl<'a> SessionRunner<'a> {
@@ -378,7 +371,6 @@ impl<'a> SessionRunner<'a> {
             power: PowerModel::for_phone(setup.phone),
             qo_model: QoModel::paper_default(),
             weights: QoeWeights::paper_default(),
-            predictor: ViewportPredictor::paper_default(),
             bw_estimator: HarmonicMeanEstimator::paper_default(),
             core: SessionCore::new(3.0),
             faults: faults.clone(),
@@ -396,9 +388,7 @@ impl<'a> SessionRunner<'a> {
             plan_buffers: PlanBuffers::new(),
             spare_upcoming: Vec::new(),
             spare_rungs: Vec::new(),
-            gaze_window: Vec::new(),
-            predictor_ws: PredictorWorkspace::default(),
-            speeds: IntervalSpeeds::new(setup.user),
+            gaze: SessionGaze::new(setup.user),
         })
     }
 
@@ -487,23 +477,11 @@ impl<'a> SessionRunner<'a> {
         let buffer = self.core.buffer_level_sec();
         let timeline = self.setup.server.timeline();
         // --- 1. viewport prediction from the playback-time history -----
-        // Only the 2 s gaze window is converted (two binary searches over
-        // the stored trace), into a buffer recycled across segments.
-        let playback_pos = (k as f64 - buffer).max(0.0);
-        let user = self.setup.user;
-        let window = user.switching_window_into(
-            playback_pos - 2.0,
-            playback_pos + 1e-9,
-            &mut self.gaze_window,
-        );
-        let predicted = self
-            .predictor
-            .predict_with(&self.gaze_window, buffer.max(0.0), &mut self.predictor_ws)
-            .unwrap_or_else(|| user.first_center().unwrap_or_default());
         // The controller plans frame-rate reduction around the *fast*
         // phases of the gaze (Eq. 4's blur argument): use the 75th
         // percentile of recent switching speeds, not the diluted mean.
-        let observed_s_fov = self.speeds.fast_speed(window);
+        let playback_pos = (k as f64 - buffer).max(0.0);
+        let (predicted, observed_s_fov) = self.gaze.plan(playback_pos, buffer.max(0.0));
 
         // --- 2. Ptile lookup ------------------------------------------
         let covering = self.setup.server.covering_ptile(k, predicted);
@@ -820,7 +798,7 @@ impl<'a> SessionRunner<'a> {
         // --- 6b. QoE (Eq. 2) against the ACTUAL gaze --------------------
         let content = pending.ctx.upcoming[0];
         let predicted = pending.predicted;
-        let actual = self.setup.user.segment_center(k).unwrap_or(predicted);
+        let actual = self.gaze.segment_center(k).unwrap_or(predicted);
         // The played segment reveals the true viewing center: feed the
         // realised prediction error back so the robust controller's
         // residual sketch tracks this user's actual miss distribution.
@@ -836,7 +814,7 @@ impl<'a> SessionRunner<'a> {
             }
         }
         let actual_s_fov = self
-            .speeds
+            .gaze
             .segment_fast_speed(k)
             .unwrap_or(pending.observed_s_fov);
         let actual_vp = Viewport::new(actual, VIEW_FOV_DEG, VIEW_FOV_DEG);

@@ -33,6 +33,7 @@
 pub mod client;
 pub mod experiment;
 pub mod fleet;
+pub mod gaze;
 pub mod parallel;
 pub mod report;
 pub mod server;

@@ -248,6 +248,74 @@ impl SingleRidge {
         Ok(Self { weight, intercept })
     }
 
+    /// Fits two models over one feature series in two passes: the
+    /// samples are `(x, y_a, y_b)` and the result is
+    /// `(fit(xs, ys_a), fit(xs, ys_b))`, bit for bit, without storing
+    /// any series.
+    ///
+    /// Pass 1 accumulates the feature mean and both target sums; pass 2
+    /// (over a clone of the iterator, which must yield the same samples)
+    /// accumulates the gram term once and both cross terms. Each
+    /// accumulator keeps [`Self::fit`]'s start value and operation
+    /// order: the feature mean and the gram term fold from `0.0`, the
+    /// target sums and cross terms from the start value of
+    /// `Iterator::sum`, read from an empty sum rather than written out.
+    /// Both fits share one gram term, so they fail together.
+    ///
+    /// # Errors
+    ///
+    /// [`RidgeError::EmptyTrainingSet`] for no samples,
+    /// [`RidgeError::NegativeLambda`] and [`RidgeError::Singular`] as in
+    /// [`Self::fit`].
+    pub fn fit_pair<I>(samples: I, lambda: f64) -> Result<(Self, Self), RidgeError>
+    where
+        I: Iterator<Item = (f64, f64, f64)> + Clone,
+    {
+        let sum_start: f64 = std::iter::empty::<f64>().sum();
+        let mut n = 0usize;
+        let mut x_mean = 0.0f64;
+        let (mut sum_a, mut sum_b) = (sum_start, sum_start);
+        // lint:allow(hot-path-alloc, "clones the caller's sample iterator for the first pass: no heap allocation for the borrowed windows the predictor passes")
+        for (x, a, b) in samples.clone() {
+            n += 1;
+            x_mean += x;
+            sum_a += a;
+            sum_b += b;
+        }
+        if n == 0 {
+            return Err(RidgeError::EmptyTrainingSet);
+        }
+        if lambda < 0.0 {
+            return Err(RidgeError::NegativeLambda);
+        }
+        x_mean /= n as f64;
+        let mean_a = sum_a / n as f64;
+        let mean_b = sum_b / n as f64;
+
+        let mut gram = 0.0f64;
+        let (mut xty_a, mut xty_b) = (sum_start, sum_start);
+        for (x, a, b) in samples {
+            let c = x - x_mean;
+            gram += c * c;
+            xty_a += c * (a - mean_a);
+            xty_b += c * (b - mean_b);
+        }
+        gram += lambda.max(1e-12);
+
+        if gram <= 0.0 || !gram.is_finite() {
+            return Err(RidgeError::Singular);
+        }
+        let l = gram.sqrt();
+        let model = |xty: f64, y_mean: f64| {
+            let weight = (xty / l) / l;
+            Self {
+                weight,
+                intercept: y_mean - (0.0f64 + weight * x_mean),
+            }
+        };
+        Ok((model(xty_a, mean_a), model(xty_b, mean_b)))
+    }
+
     /// Predicts the target at `x`, with the same operations as
     /// [`RidgeRegression::predict`] on a one-element row.
     pub fn predict(&self, x: f64) -> f64 {
@@ -381,6 +449,51 @@ mod tests {
                     prop_assert_eq!(g.predict(&[x]).to_bits(), s.predict(x).to_bits());
                 }
                 (g, s) => prop_assert_eq!(g.err(), s.err()),
+            }
+        }
+
+        #[test]
+        fn fit_pair_matches_two_single_fits_bit_for_bit(
+            n in 0usize..40,
+            seed in 0u64..5000,
+            lambda in -0.5f64..10.0,
+            signed_zeros in 0usize..3,
+            scale in 0usize..3,
+        ) {
+            let mut state = seed.wrapping_mul(6364136223846793005).wrapping_add(1);
+            let mut next = || {
+                state = state
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                ((state >> 33) as f64 / (1u64 << 31) as f64) * 200.0 - 100.0
+            };
+            // Huge features overflow the gram term (a singular fit);
+            // all-`±0.0` targets pin the sums' start value.
+            let x_scale = [1.0, 1e-3, 1e160][scale];
+            let xs: Vec<f64> = (0..n).map(|_| next() * x_scale).collect();
+            let ys_a: Vec<f64> = (0..n).map(|_| next()).collect();
+            let ys_b: Vec<f64> = (0..n)
+                .map(|_| match signed_zeros {
+                    0 => -0.0,
+                    1 => 0.0,
+                    _ => next(),
+                })
+                .collect();
+            let samples = xs.iter().zip(&ys_a).zip(&ys_b).map(|((&x, &a), &b)| (x, a, b));
+            let pair = SingleRidge::fit_pair(samples, lambda);
+            let a = SingleRidge::fit(&xs, &ys_a, lambda);
+            let b = SingleRidge::fit(&xs, &ys_b, lambda);
+            match (pair, a, b) {
+                (Ok((pa, pb)), Ok(a), Ok(b)) => {
+                    for (p, s) in [(pa, a), (pb, b)] {
+                        prop_assert_eq!(p.weight.to_bits(), s.weight.to_bits());
+                        prop_assert_eq!(p.intercept.to_bits(), s.intercept.to_bits());
+                    }
+                }
+                (pair, a, b) => {
+                    prop_assert_eq!(pair.as_ref().err(), a.as_ref().err());
+                    prop_assert_eq!(pair.err(), b.err());
+                }
             }
         }
 

@@ -11,7 +11,9 @@ use std::fmt;
 
 use ee360_geom::switching::SwitchingSample;
 use ee360_geom::viewport::ViewCenter;
-use ee360_numeric::ridge::{RidgeRegression, SingleRidge};
+use ee360_numeric::ridge::RidgeRegression;
+/// The model of each coordinate in a [`LinearFit`].
+pub use ee360_numeric::ridge::SingleRidge;
 use ee360_support::quantile::QuantileSketch;
 
 /// Why a predictor could not be built or a prediction could not be made.
@@ -119,7 +121,7 @@ impl ViewportPredictor {
     /// 2 seconds of gaze history ("the coordinates of the most recent
     /// viewed segment have strong correlation with the segment to be
     /// downloaded").
-    pub fn paper_default() -> Self {
+    pub const fn paper_default() -> Self {
         Self {
             kind: PredictorKind::Ridge,
             lambda: 0.1,
@@ -278,6 +280,90 @@ impl ViewportPredictor {
         ))
     }
 
+    /// The fit [`Self::predict`] extrapolates from, computed over a
+    /// time-ordered window read straight from where it is stored: no
+    /// series is copied. For every valid horizon, `fit_window(window)`'s
+    /// [`WindowFit::predict`] equals `predict` over the same samples, bit
+    /// for bit.
+    ///
+    /// The window is read in two passes through the iterator's clones:
+    /// one to convert each sample, unwrap its yaw and sum the time, yaw
+    /// and pitch series, and one to recompute the same series and
+    /// accumulate both fits' cross terms around one shared gram term
+    /// ([`SingleRidge::fit_pair`]). The series values and the unwrap are
+    /// `predict`'s, operation for operation. Over time-ordered samples
+    /// `predict`'s recency filter keeps a suffix of the window, which
+    /// [`Self::recent_span`] finds: the fit skips that prefix.
+    ///
+    /// `None` for the [`PredictorKind::RidgeQuadratic`] ablation, whose
+    /// `[t, t²]` fit runs only on [`Self::predict_with`]'s workspace.
+    pub fn fit_window<I>(&self, window: I) -> Option<WindowFit>
+    where
+        I: DoubleEndedIterator<Item = SwitchingSample> + ExactSizeIterator + Clone,
+    {
+        let lambda = match self.kind {
+            PredictorKind::Ridge => self.lambda,
+            PredictorKind::OrdinaryLeastSquares | PredictorKind::LastSample => 0.0,
+            PredictorKind::RidgeQuadratic => return None,
+        };
+        // lint:allow(hot-path-alloc, "clones an iterator over borrowed samples: no heap allocation")
+        let Some(last) = window.clone().next_back() else {
+            return Some(WindowFit::Unfit);
+        };
+        if matches!(self.kind, PredictorKind::LastSample) || window.len() == 1 {
+            return Some(WindowFit::Hold(last.center));
+        }
+        // lint:allow(hot-path-alloc, "clones an iterator over borrowed samples: no heap allocation")
+        let Some((stale, span)) = self.recent_span(window.clone()) else {
+            return Some(WindowFit::Unfit);
+        };
+        let mut recent = window.skip(stale);
+        let (Some(first), 1..) = (recent.next(), recent.len()) else {
+            return Some(WindowFit::Hold(last.center));
+        };
+        let t0 = first.t_sec;
+        let yaw0 = first.center.yaw_deg();
+        // The first sample, then each later one with its yaw unwrapped
+        // against the one before: the state is (previous yaw, unwrapped).
+        let tail = recent.scan((yaw0, yaw0), move |(prev, acc), s| {
+            let yaw = s.center.yaw_deg();
+            *acc += ee360_geom::angles::signed_yaw_diff_deg(yaw, *prev);
+            *prev = yaw;
+            Some((s.t_sec - t0, *acc, s.center.pitch_deg()))
+        });
+        let series =
+            std::iter::once((first.t_sec - t0, yaw0, first.center.pitch_deg())).chain(tail);
+        Some(match SingleRidge::fit_pair(series, lambda) {
+            Ok((yaw, pitch)) => WindowFit::Linear(LinearFit { span, yaw, pitch }),
+            Err(_) => WindowFit::Unfit,
+        })
+    }
+
+    /// Where the recency filter of [`Self::predict`] starts a
+    /// time-ordered window: the number of leading samples it drops
+    /// (those more than the predictor's window, plus 1e-9 s, older than
+    /// the last) and [`LinearFit::span`] over the rest. `None` for an
+    /// empty window.
+    ///
+    /// The filter can drop a sample that a window cut at `t_end − window`
+    /// holds, by the rounding of `t_end − window − 1e-9`, so the samples
+    /// a fit used are the window minus this prefix.
+    pub fn recent_span<I>(&self, window: I) -> Option<(usize, f64)>
+    where
+        I: DoubleEndedIterator<Item = SwitchingSample> + Clone,
+    {
+        let t_end = window.clone().next_back()?.t_sec;
+        let start = t_end - self.window_sec;
+        let mut stale = 0;
+        for s in window {
+            if s.t_sec >= start - 1e-9 {
+                return Some((stale, t_end - s.t_sec));
+            }
+            stale += 1;
+        }
+        Some((stale, 0.0))
+    }
+
     /// Prediction error in degrees against a known ground truth — the
     /// planar distance between prediction and truth.
     pub fn error_deg(
@@ -308,11 +394,63 @@ impl ViewportPredictor {
     }
 }
 
+/// What a window's history gives to extrapolate from:
+/// [`ViewportPredictor::fit_window`]'s result.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum WindowFit {
+    /// No prediction: an empty window, or a fit whose gram term is not
+    /// positive and finite. [`ViewportPredictor::predict`] gives `None`.
+    Unfit,
+    /// A centre that holds at every horizon: the window's last sample,
+    /// when it has one sample, fewer than two recent ones, or the
+    /// predictor is [`PredictorKind::LastSample`].
+    Hold(ViewCenter),
+    /// Per-coordinate ridge fits against time.
+    Linear(LinearFit),
+}
+
+impl WindowFit {
+    /// The centre predicted `horizon_sec` after the window's last sample.
+    /// The horizon is not checked: pass one [`ViewportPredictor::try_predict`]
+    /// would accept.
+    pub fn predict(&self, horizon_sec: f64) -> Option<ViewCenter> {
+        match self {
+            WindowFit::Unfit => None,
+            WindowFit::Hold(center) => Some(*center),
+            WindowFit::Linear(fit) => Some(fit.predict(horizon_sec)),
+        }
+    }
+}
+
+/// The yaw and pitch ridge fits of one window, against time since the
+/// window's first recent sample.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct LinearFit {
+    /// `t_end − t0`: the last sample's time relative to the first fitted
+    /// one.
+    pub span: f64,
+    /// The unwrapped yaw's fit.
+    pub yaw: SingleRidge,
+    /// The pitch's fit.
+    pub pitch: SingleRidge,
+}
+
+impl LinearFit {
+    /// The centre `horizon_sec` after the window's last sample, with
+    /// [`ViewportPredictor::predict`]'s operations.
+    pub fn predict(&self, horizon_sec: f64) -> ViewCenter {
+        let t_pred = self.span + horizon_sec;
+        ViewCenter::new(self.yaw.predict(t_pred), self.pitch.predict(t_pred))
+    }
+}
+
 /// Caller-owned scratch for [`ViewportPredictor::predict_with`]: the
 /// window's relative times, unwrapped yaw and pitch series. Every call
-/// clears and refills it, so it carries no state between predictions;
-/// keeping one per session recycles the allocations the way
-/// `abr::plan::PlanBuffers` does for the controller.
+/// clears and refills it, so it carries no state between predictions.
+/// Its users are the slice API ([`ViewportPredictor::predict`] and
+/// `predict_with`) and the [`PredictorKind::RidgeQuadratic`] ablation's
+/// fit; sessions read their windows through
+/// [`ViewportPredictor::fit_window`] instead.
 #[derive(Debug, Clone, Default)]
 pub struct PredictorWorkspace {
     ts: Vec<f64>,
@@ -448,6 +586,7 @@ impl Default for ViewportPredictor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ee360_support::prelude::*;
 
     fn pan_history(speed_deg_s: f64, n: usize, dt: f64) -> Vec<SwitchingSample> {
         (0..n)
@@ -475,6 +614,206 @@ mod tests {
                 let reused = p.predict_with(&h, 1.0, &mut ws).unwrap();
                 assert_eq!(fresh.yaw_deg().to_bits(), reused.yaw_deg().to_bits());
                 assert_eq!(fresh.pitch_deg().to_bits(), reused.pitch_deg().to_bits());
+            }
+        }
+    }
+
+    /// `fit_window` over `history`'s iterator against `predict_with`,
+    /// bit for bit, at a few horizons.
+    fn assert_fit_window_matches(p: &ViewportPredictor, history: &[SwitchingSample]) {
+        let fit = p
+            .fit_window(history.iter().copied())
+            .expect("a linear predictor");
+        for horizon in [0.0, 0.37, 1.0, 3.0] {
+            let fused = fit.predict(horizon);
+            let reference = p.predict_with(history, horizon, &mut PredictorWorkspace::default());
+            assert_eq!(
+                fused.map(|c| (c.yaw_deg().to_bits(), c.pitch_deg().to_bits())),
+                reference.map(|c| (c.yaw_deg().to_bits(), c.pitch_deg().to_bits())),
+                "horizon {horizon}, {} samples",
+                history.len()
+            );
+        }
+    }
+
+    /// The two models `predict` fits over `history` when it regresses:
+    /// its series rebuilt step for step and fitted by two
+    /// `SingleRidge::fit`s.
+    fn reference_models(
+        p: &ViewportPredictor,
+        history: &[SwitchingSample],
+    ) -> Option<(SingleRidge, SingleRidge)> {
+        let t_end = history.last()?.t_sec;
+        let start = t_end - p.window_sec;
+        let recent: Vec<_> = history.iter().filter(|s| s.t_sec >= start - 1e-9).collect();
+        let t0 = recent.first()?.t_sec;
+        let ts: Vec<f64> = recent.iter().map(|s| s.t_sec - t0).collect();
+        let pitch: Vec<f64> = recent.iter().map(|s| s.center.pitch_deg()).collect();
+        let mut yaw = Vec::new();
+        let mut prev = recent.first()?.center.yaw_deg();
+        let mut acc = prev;
+        for (i, s) in recent.iter().enumerate() {
+            if i > 0 {
+                acc += ee360_geom::angles::signed_yaw_diff_deg(s.center.yaw_deg(), prev);
+                prev = s.center.yaw_deg();
+            }
+            yaw.push(acc);
+        }
+        Some((
+            SingleRidge::fit(&ts, &yaw, p.lambda).ok()?,
+            SingleRidge::fit(&ts, &pitch, p.lambda).ok()?,
+        ))
+    }
+
+    /// `fit_window`'s models equal `reference_models`, bit for bit.
+    fn assert_models_match(p: &ViewportPredictor, history: &[SwitchingSample]) {
+        let Some(WindowFit::Linear(fit)) = p.fit_window(history.iter().copied()) else {
+            panic!("expected a linear fit over {} samples", history.len());
+        };
+        let (yaw, pitch) = reference_models(p, history).expect("a regular fit");
+        for (got, expected) in [(fit.yaw, yaw), (fit.pitch, pitch)] {
+            assert_eq!(got.weight.to_bits(), expected.weight.to_bits());
+            assert_eq!(got.intercept.to_bits(), expected.intercept.to_bits());
+        }
+    }
+
+    #[test]
+    fn fit_window_matches_predict_with_on_edge_windows() {
+        let p = ViewportPredictor::paper_default();
+        let at =
+            |t: f64, yaw: f64, pitch: f64| SwitchingSample::new(t, ViewCenter::new(yaw, pitch));
+        // Pitch all -0.0 and all +0.0: the sums' start value decides the
+        // sign of the pitch mean, and with it the intercept's.
+        for pitch in [-0.0, 0.0] {
+            let h: Vec<_> = (0..12)
+                .map(|i| at(i as f64 * 0.1, 3.0 * i as f64, pitch))
+                .collect();
+            assert_fit_window_matches(&p, &h);
+            assert_models_match(&p, &h);
+            let Some(WindowFit::Linear(fit)) = p.fit_window(h.iter().copied()) else {
+                panic!("expected a linear fit");
+            };
+            assert_eq!(
+                fit.pitch.intercept.is_sign_negative(),
+                pitch.is_sign_negative()
+            );
+        }
+        // Two samples, and 121 samples at 60 Hz.
+        let pair = [at(4.0, 10.0, 5.0), at(4.1, 12.0, 4.0)];
+        assert_fit_window_matches(&p, &pair);
+        assert_models_match(&p, &pair);
+        let long: Vec<_> = (0..121)
+            .map(|i| {
+                let t = 7.0 + i as f64 / 60.0;
+                at(t, 40.0 * (t * 1.3).sin(), -20.0 + 9.0 * t)
+            })
+            .collect();
+        assert_fit_window_matches(&p, &long);
+        assert_models_match(&p, &long);
+        // A pan through the antimeridian: the yaw unwraps past 180.
+        let pan: Vec<_> = (0..21)
+            .map(|i| at(i as f64 * 0.1, 170.0 + 13.0 * i as f64, 1.0))
+            .collect();
+        assert_fit_window_matches(&p, &pan);
+        assert_models_match(&p, &pan);
+        // The recency filter drops the first sample, 2 s + 2e-9 older
+        // than the last.
+        let stale: Vec<_> = std::iter::once(at(8.0 - 2e-9, 90.0, 0.0))
+            .chain((1..=20).map(|i| at(8.0 + i as f64 * 0.1, i as f64, 2.0)))
+            .collect();
+        assert_eq!(p.recent_span(stale.iter().copied()).map(|r| r.0), Some(1));
+        assert_fit_window_matches(&p, &stale);
+        assert_models_match(&p, &stale);
+        // ... and then leaves one sample: a held centre.
+        let lone = [at(0.0, 5.0, 5.0), at(2.5, 6.0, 6.0)];
+        assert_eq!(
+            p.fit_window(lone.iter().copied()),
+            Some(WindowFit::Hold(lone[1].center))
+        );
+        assert_fit_window_matches(&p, &lone);
+        // A gram term that overflows: no prediction, so the caller falls
+        // back exactly where `predict` gives `None`.
+        let p_wide = ViewportPredictor::new(PredictorKind::Ridge, 0.1, 1e300);
+        let wide = [at(0.0, 1.0, 1.0), at(1e160, 2.0, 2.0), at(3e160, 3.0, 3.0)];
+        assert_eq!(
+            p_wide.fit_window(wide.iter().copied()),
+            Some(WindowFit::Unfit)
+        );
+        assert_fit_window_matches(&p_wide, &wide);
+        // Empty and one-sample windows, and the quadratic ablation.
+        assert_eq!(p.fit_window(std::iter::empty()), Some(WindowFit::Unfit));
+        assert_fit_window_matches(&p, &[at(1.0, 2.0, 3.0)]);
+        let quad = ViewportPredictor::new(PredictorKind::RidgeQuadratic, 0.1, 2.0);
+        assert_eq!(quad.fit_window(pan.iter().copied()), None);
+    }
+
+    proptest! {
+        #[test]
+        fn fit_window_matches_predict_with_bit_for_bit(
+            steps in prop::collection::vec(
+                (0.001f64..0.4, -400.0f64..400.0, -120.0f64..120.0),
+                0..160,
+            ),
+            rate in 0usize..3,
+            t0 in -5.0f64..5.0,
+            kind in 0usize..3,
+            pitch_mode in 0usize..4,
+            window_sec in 0.05f64..4.0,
+        ) {
+            // 10 Hz, 60 Hz or irregular steps; pitch as drawn, all -0.0,
+            // all +0.0, or on the poles.
+            let mut t = t0;
+            let history: Vec<SwitchingSample> = steps
+                .iter()
+                .enumerate()
+                .map(|(i, &(dt, yaw, pitch))| {
+                    t = match rate {
+                        0 => t0 + i as f64 / 10.0,
+                        1 => t0 + i as f64 / 60.0,
+                        _ => t + dt,
+                    };
+                    let pitch = match pitch_mode {
+                        0 => pitch,
+                        1 => -0.0,
+                        2 => 0.0,
+                        _ => 90.0f64.copysign(pitch),
+                    };
+                    SwitchingSample::new(t, ViewCenter::new(yaw, pitch))
+                })
+                .collect();
+            let kind = [
+                PredictorKind::Ridge,
+                PredictorKind::OrdinaryLeastSquares,
+                PredictorKind::LastSample,
+            ][kind];
+            let lambda = if kind == PredictorKind::Ridge { 0.1 } else { 0.0 };
+            let p = ViewportPredictor::new(kind, lambda, window_sec);
+            let fit = p.fit_window(history.iter().copied());
+            prop_assert!(fit.is_some());
+            let fit = fit.unwrap_or(WindowFit::Unfit);
+            for horizon in [0.0, 0.5, 2.9] {
+                let fused = fit.predict(horizon);
+                let reference = p.predict(&history, horizon);
+                prop_assert_eq!(
+                    fused.map(|c| (c.yaw_deg().to_bits(), c.pitch_deg().to_bits())),
+                    reference.map(|c| (c.yaw_deg().to_bits(), c.pitch_deg().to_bits()))
+                );
+            }
+            // The span and stale prefix `recent_span` reports are the
+            // fit's own.
+            if let (WindowFit::Linear(linear), Some((stale, span))) =
+                (fit, p.recent_span(history.iter().copied()))
+            {
+                let models = reference_models(&p, &history);
+                let bits = |m: SingleRidge| (m.weight.to_bits(), m.intercept.to_bits());
+                prop_assert_eq!(
+                    models.map(|(y, q)| (bits(y), bits(q))),
+                    Some((bits(linear.yaw), bits(linear.pitch)))
+                );
+                prop_assert_eq!(linear.span.to_bits(), span.to_bits());
+                let tail = history.get(stale..).unwrap_or_default();
+                let refit = p.fit_window(tail.iter().copied());
+                prop_assert_eq!(refit, Some(fit));
             }
         }
     }

@@ -23,7 +23,7 @@
 use std::error::Error;
 use std::fmt;
 use std::ops::Range;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{fence, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, PoisonError, Weak};
 
 use ee360_support::rng::StdRng;
@@ -113,14 +113,147 @@ type ViewTable = Box<[OnceLock<Option<[u8; VIEW_TILES]>>]>;
 
 /// The Eq. 5 speed of every interval of a trace (interval `i` joins
 /// samples `i` and `i + 1`) as `f64` bits, [`UNFILLED`] until first
-/// computed. Boxed so that the `Weak` a trace keeps pins only the `Arc`
-/// header once its sessions have gone, not the speeds.
+/// computed.
 type SpeedTable = Box<[AtomicU64]>;
 
 /// The bits of an interval whose speed is not in the table yet (a NaN
 /// payload). A computed speed with these bits is returned but not
 /// stored.
 const UNFILLED: u64 = u64::MAX;
+
+/// Slots of a trace's window-fit ring, direct-mapped on the window's
+/// end sample.
+const WINDOW_SLOTS: usize = 64;
+
+/// The derived state a trace's live sessions share, behind one `Arc`
+/// that each [`IntervalSpeeds`] over the trace holds: the interval-speed
+/// table, and the window-fit ring once a second session is live.
+#[derive(Debug)]
+struct SessionTables {
+    speeds: SpeedTable,
+    /// Live views made by [`IntervalSpeeds::for_session`].
+    sessions: AtomicUsize,
+    /// Allocated when `sessions` first reaches two: with one session at a
+    /// time no window recurs before the slot is overwritten.
+    windows: OnceLock<Box<[WindowSlot]>>,
+}
+
+/// One slot of the window-fit ring: a per-slot seqlock over the words
+/// of a [`WindowKey`] and a [`SharedFit`].
+///
+/// `version` is even while the slot is stable and odd while a writer
+/// stores; `0` means never written. A writer claims the slot by moving
+/// an even version to odd with a compare-exchange, issues a `Release`
+/// fence, stores the words and publishes `version + 2` with `Release`.
+/// A reader loads the version with `Acquire`, loads the words, issues
+/// an `Acquire` fence and loads the version again: if it read any word a
+/// writer stored, the fence pairs with that writer's `Release` fence, so
+/// the second load sees at least the writer's odd version and the read
+/// is discarded. Every word is an atomic, so a torn read is detected,
+/// never undefined.
+#[derive(Debug)]
+struct WindowSlot {
+    version: AtomicU64,
+    /// `plan_start, fit_start, end`, then `yaw.0, yaw.1, pitch.0,
+    /// pitch.1, fast_speed` as `f64` bits.
+    words: [AtomicU64; 8],
+}
+
+impl WindowSlot {
+    fn empty() -> Self {
+        Self {
+            version: AtomicU64::new(0),
+            words: Default::default(),
+        }
+    }
+
+    /// The slot's fit if it is stable and holds `key`.
+    fn read(&self, key: &WindowKey) -> Option<SharedFit> {
+        let before = self.version.load(Ordering::Acquire);
+        if before == 0 || before % 2 == 1 {
+            return None;
+        }
+        let words = self.words.each_ref().map(|w| w.load(Ordering::Relaxed));
+        fence(Ordering::Acquire);
+        if self.version.load(Ordering::Relaxed) != before {
+            return None;
+        }
+        let [plan_start, fit_start, end, words @ ..] = words;
+        if [plan_start, fit_start, end] != key.words() {
+            return None;
+        }
+        let [yaw_w, yaw_i, pitch_w, pitch_i, fast] = words.map(f64::from_bits);
+        Some(SharedFit {
+            yaw: (yaw_w, yaw_i),
+            pitch: (pitch_w, pitch_i),
+            fast_speed: fast,
+        })
+    }
+
+    /// Stores `fit` under `key` unless another writer holds the slot.
+    fn write(&self, key: &WindowKey, fit: &SharedFit) {
+        let before = self.version.load(Ordering::Relaxed);
+        if before % 2 == 1
+            || self
+                .version
+                .compare_exchange(before, before + 1, Ordering::Acquire, Ordering::Relaxed)
+                .is_err()
+        {
+            return;
+        }
+        fence(Ordering::Release);
+        let [a, b, c] = key.words();
+        let values = [
+            a,
+            b,
+            c,
+            fit.yaw.0.to_bits(),
+            fit.yaw.1.to_bits(),
+            fit.pitch.0.to_bits(),
+            fit.pitch.1.to_bits(),
+            fit.fast_speed.to_bits(),
+        ];
+        for (word, value) in self.words.iter().zip(values) {
+            word.store(value, Ordering::Relaxed);
+        }
+        self.version.store(before + 2, Ordering::Release);
+    }
+}
+
+/// Which plan window a [`SharedFit`] belongs to, as stored-sample
+/// indices: the window is `plan_start..end` (its fast speed's range) and
+/// the viewport fit regressed over `fit_start..end`, what is left after
+/// the predictor's own recency filter.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct WindowKey {
+    /// First sample of the plan window.
+    pub plan_start: usize,
+    /// First sample the fit used.
+    pub fit_start: usize,
+    /// One past the last sample of both.
+    pub end: usize,
+}
+
+impl WindowKey {
+    fn words(&self) -> [u64; 3] {
+        [self.plan_start, self.fit_start, self.end].map(|i| i as u64)
+    }
+}
+
+/// A plan window's viewport fit and fast speed, as one session computed
+/// them and every other session over the trace may reuse: the yaw and
+/// pitch ridge models as `(weight, intercept)` and the window's fast
+/// (p75) switching speed. The ring stores the bits and returns them
+/// unchanged.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct SharedFit {
+    /// Yaw model `(weight, intercept)`.
+    pub yaw: (f64, f64),
+    /// Pitch model `(weight, intercept)`.
+    pub pitch: (f64, f64),
+    /// The fast switching speed of `plan_start..end`.
+    pub fast_speed: f64,
+}
 
 /// One user's gaze trace over one video.
 pub struct HeadTrace {
@@ -133,12 +266,12 @@ pub struct HeadTrace {
     /// allocated on first use: a derived cache, not part of the trace's
     /// value, so equality, `Debug` and JSON ignore it.
     views: OnceLock<ViewTable>,
-    /// The interval-speed table of the live [`IntervalSpeeds`] over this
-    /// trace. Each of them holds an `Arc`, the trace only this `Weak`, so
-    /// the table exists while a session over the trace does and is freed
-    /// with the last one. A derived cache like `views`: equality, `Debug`
-    /// and JSON ignore it, and a clone starts without one.
-    speeds: Mutex<Weak<SpeedTable>>,
+    /// The tables of the live [`IntervalSpeeds`] over this trace. Each of
+    /// them holds an `Arc`, the trace only this `Weak`, so the tables
+    /// exist while a session over the trace does and are freed with the
+    /// last one. A derived cache like `views`: equality, `Debug` and JSON
+    /// ignore it, and a clone starts without one.
+    shared: Mutex<Weak<SessionTables>>,
 }
 
 ee360_support::impl_json_struct!(HeadTrace {
@@ -148,7 +281,7 @@ ee360_support::impl_json_struct!(HeadTrace {
     samples
 } skip {
     views,
-    speeds
+    shared
 });
 
 impl Clone for HeadTrace {
@@ -159,7 +292,7 @@ impl Clone for HeadTrace {
             sample_hz: self.sample_hz,
             samples: self.samples.clone(),
             views: self.views.clone(),
-            speeds: Mutex::default(),
+            shared: Mutex::default(),
         }
     }
 }
@@ -254,7 +387,7 @@ impl HeadTrace {
             sample_hz,
             samples,
             views: OnceLock::new(),
-            speeds: Mutex::default(),
+            shared: Mutex::default(),
         })
     }
 
@@ -305,8 +438,7 @@ impl HeadTrace {
     ) -> Range<usize> {
         let range = self.sample_range(t_lo, t_hi);
         out.clear();
-        let window = self.samples.get(range.start..range.end).unwrap_or_default();
-        out.extend(window.iter().map(to_switching_sample));
+        out.extend(self.window_samples(range.clone()));
         range
     }
 
@@ -318,6 +450,32 @@ impl HeadTrace {
         let lo = self.samples.partition_point(|s| s.0 < t_lo);
         let hi = self.samples.partition_point(|s| s.0 <= t_hi);
         lo..hi.max(lo)
+    }
+
+    /// [`Self::sample_range`] searched from a hint: the same range for
+    /// every `*hint`, found in O(log d) probes when it starts `d` samples
+    /// from the hint. The range's start is left in `*hint`, so a caller
+    /// whose windows move a little at a time keeps each search local.
+    pub fn sample_range_from(&self, hint: &mut usize, t_lo: f64, t_hi: f64) -> Range<usize> {
+        let lo = partition_point_from(&self.samples, *hint, |t| t < t_lo);
+        let hi = partition_point_from(&self.samples, lo, |t| t <= t_hi);
+        *hint = lo;
+        lo..hi.max(lo)
+    }
+
+    /// The stored samples `range` (a range from [`Self::sample_range`])
+    /// as [`SwitchingSample`]s, converted as they are read: the values
+    /// [`Self::switching_window_into`] copies out, without the copy.
+    /// Empty for a range that is not within the trace.
+    pub fn window_samples(
+        &self,
+        range: Range<usize>,
+    ) -> impl DoubleEndedIterator<Item = SwitchingSample> + ExactSizeIterator + Clone + '_ {
+        self.samples
+            .get(range)
+            .unwrap_or_default()
+            .iter()
+            .map(to_switching_sample)
     }
 
     /// Switching speed (Eq. 5) of the interval between stored samples `i`
@@ -352,6 +510,22 @@ impl HeadTrace {
             .partition_point(|s| s.0 < t - 1e-9)
             .min(self.samples.len() - 1);
         let (_, y, p) = self.samples[idx];
+        Some(ViewCenter::new(y, p))
+    }
+
+    /// [`Self::segment_center`] searched from a hint: the same centre for
+    /// every `*hint`. Unless the segment has no centre, `*hint` is left at
+    /// the first sample at or after `segment − 1e-9` (the search's
+    /// partition point, before it is clamped to the last sample).
+    pub fn segment_center_from(&self, hint: &mut usize, segment: usize) -> Option<ViewCenter> {
+        let t = segment as f64;
+        if t > self.duration_sec() + 1e-9 {
+            return None;
+        }
+        let from = t - 1e-9;
+        *hint = partition_point_from(&self.samples, *hint, |s| s < from);
+        let last = self.samples.len().checked_sub(1)?;
+        let &(_, y, p) = self.samples.get((*hint).min(last))?;
         Some(ViewCenter::new(y, p))
     }
 
@@ -525,11 +699,18 @@ fn segment_bounds(t0: f64) -> (f64, f64) {
 /// fills an entry stores the same bits, and an entry is one atomic word:
 /// a reader sees either [`UNFILLED`], and computes the speed itself, or
 /// those bits. Relaxed loads and stores are therefore enough.
-#[derive(Debug, Clone)]
+///
+/// A view made by [`Self::for_session`] also counts as a live session
+/// of the trace. Once two are live, the shared tables gain a ring of
+/// plan-window fits ([`Self::shared_fit`], [`Self::share_fit`]), freed
+/// with the tables.
+#[derive(Debug)]
 pub struct IntervalSpeeds<'a> {
     trace: &'a HeadTrace,
-    /// The trace's shared table, one entry per interval.
-    table: Arc<SpeedTable>,
+    /// The trace's shared tables.
+    shared: Arc<SessionTables>,
+    /// Whether this view counts in `shared.sessions`.
+    session: bool,
     /// `(sample index, orientation)` of the last right endpoint converted;
     /// `usize::MAX` before the first.
     last: (usize, Orientation),
@@ -537,26 +718,90 @@ pub struct IntervalSpeeds<'a> {
     scratch: Vec<f64>,
 }
 
+impl Drop for IntervalSpeeds<'_> {
+    fn drop(&mut self) {
+        if self.session {
+            self.shared.sessions.fetch_sub(1, Ordering::Relaxed);
+        }
+        // The last view also clears the trace's `Weak`, so the tables'
+        // `Arc` allocation is freed now rather than pinned until the
+        // trace drops. Views are only made under this lock, so no other
+        // holder can appear while the count reads 1.
+        let mut weak = self
+            .trace
+            .shared
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        if Arc::strong_count(&self.shared) == 1 {
+            *weak = Weak::new();
+        }
+    }
+}
+
 impl<'a> IntervalSpeeds<'a> {
-    /// A view of `trace`'s interval speeds: the table of the live views
-    /// over `trace`, or a fresh one when there are none.
+    /// A view of `trace`'s interval speeds: the tables of the live views
+    /// over `trace`, or fresh ones when there are none.
     pub fn new(trace: &'a HeadTrace) -> Self {
         // The guarded `Weak` is only ever replaced whole, so it is valid
         // even if a holder of the lock panicked.
-        let mut shared = trace.speeds.lock().unwrap_or_else(PoisonError::into_inner);
-        let table = shared.upgrade().unwrap_or_else(|| {
+        let mut weak = trace.shared.lock().unwrap_or_else(PoisonError::into_inner);
+        let shared = weak.upgrade().unwrap_or_else(|| {
             let intervals = trace.samples.len().saturating_sub(1);
-            let table = Arc::new((0..intervals).map(|_| AtomicU64::new(UNFILLED)).collect());
-            *shared = Arc::downgrade(&table);
-            table
+            let shared = Arc::new(SessionTables {
+                speeds: (0..intervals).map(|_| AtomicU64::new(UNFILLED)).collect(),
+                sessions: AtomicUsize::new(0),
+                windows: OnceLock::new(),
+            });
+            *weak = Arc::downgrade(&shared);
+            shared
         });
-        drop(shared);
+        drop(weak);
         Self {
             trace,
-            table,
+            shared,
+            session: false,
             last: (usize::MAX, Orientation::new(1.0, 0.0, 0.0)),
             scratch: Vec::new(),
         }
+    }
+
+    /// [`Self::new`] for a session over `trace`: the view counts as a live
+    /// session until dropped, and the second live session allocates the
+    /// window-fit ring (64 slots of 72 B). Other holders, such as a task
+    /// that keeps the speeds alive between sessions run one after
+    /// another, use [`Self::new`] and allocate no ring.
+    pub fn for_session(trace: &'a HeadTrace) -> Self {
+        let mut view = Self::new(trace);
+        view.session = true;
+        // `Relaxed` publishes nothing: the ring itself is published by
+        // its `OnceLock`.
+        if view.shared.sessions.fetch_add(1, Ordering::Relaxed) >= 1 {
+            view.shared
+                .windows
+                .get_or_init(|| (0..WINDOW_SLOTS).map(|_| WindowSlot::empty()).collect());
+        }
+        view
+    }
+
+    /// The fit another session over the trace shared for `key`, if the
+    /// ring holds it and no writer is storing into its slot. `None`
+    /// without a ring.
+    pub fn shared_fit(&self, key: &WindowKey) -> Option<SharedFit> {
+        self.window_slot(key)?.read(key)
+    }
+
+    /// Offers `fit` to the other sessions over the trace under `key`,
+    /// replacing what the key's slot held. Does nothing without a ring or
+    /// while another writer holds the slot. `fit` must be a pure function
+    /// of `key` and the trace, the same for every session that stores it.
+    pub fn share_fit(&self, key: &WindowKey, fit: &SharedFit) {
+        if let Some(slot) = self.window_slot(key) {
+            slot.write(key, fit);
+        }
+    }
+
+    fn window_slot(&self, key: &WindowKey) -> Option<&WindowSlot> {
+        self.shared.windows.get()?.get(key.end % WINDOW_SLOTS)
     }
 
     /// The fast switching speed of the stored samples `samples` (a range
@@ -566,11 +811,12 @@ impl<'a> IntervalSpeeds<'a> {
     pub fn fast_speed(&mut self, samples: Range<usize>) -> f64 {
         let Self {
             trace,
-            table,
+            shared,
             last,
             scratch,
+            ..
         } = self;
-        let table: &[AtomicU64] = table;
+        let table: &[AtomicU64] = &shared.speeds;
         let intervals = samples.start..samples.end.saturating_sub(1);
         scratch.clear();
         scratch.extend(intervals.map(|i| {
@@ -592,12 +838,22 @@ impl<'a> IntervalSpeeds<'a> {
     /// [`HeadTrace::segment_fast_switching_speed`] served from the table:
     /// `None` past the end of the trace.
     pub fn segment_fast_speed(&mut self, segment: usize) -> Option<f64> {
+        self.segment_fast_speed_from(&mut 0, segment)
+    }
+
+    /// [`Self::segment_fast_speed`] with its window searched from `*hint`
+    /// (see [`HeadTrace::sample_range_from`]), which is left at the
+    /// window's first sample. That is the sample
+    /// [`HeadTrace::segment_center_from`] leaves there for the same
+    /// segment: both search for the first time at or after
+    /// `segment − 1e-9`.
+    pub fn segment_fast_speed_from(&mut self, hint: &mut usize, segment: usize) -> Option<f64> {
         let t0 = segment as f64;
         if t0 > self.trace.duration_sec() {
             return None;
         }
         let (lo, hi) = segment_bounds(t0);
-        let samples = self.trace.sample_range(lo, hi);
+        let samples = self.trace.sample_range_from(hint, lo, hi);
         Some(self.fast_speed(samples))
     }
 }
@@ -624,6 +880,56 @@ fn interval_speed_reusing(
     let o1 = Orientation::from_view_center(next.center);
     *last = (i + 1, o1);
     o0.angle_to_deg(&o1) / dt
+}
+
+/// `samples.partition_point(|s| below(s.0))`, searched from `hint`.
+///
+/// `below` must hold on a prefix of the times, as `t < x` and `t <= x`
+/// do over strictly increasing times. The search gallops out from
+/// `hint` (steps 1, 2, 4, … forward when the hint's sample is below,
+/// backward otherwise) until it brackets the partition point, then
+/// bisects inside the bracket. Every probe past the bracket's ends
+/// agrees with the prefix, so the result is the partition point for
+/// every hint, 0 and past the end included: O(log d) probes for a
+/// point `d` samples from the hint.
+fn partition_point_from(
+    samples: &[(f64, f64, f64)],
+    hint: usize,
+    below: impl Fn(f64) -> bool,
+) -> usize {
+    let is_below = |i: usize| samples.get(i).is_some_and(|s| below(s.0));
+    let mut step = 1usize;
+    // Every index before `lo` is below; the partition point is at most `hi`.
+    let (lo, hi) = if is_below(hint) {
+        let mut lo = hint + 1;
+        loop {
+            let probe = hint.saturating_add(step);
+            if probe >= samples.len() {
+                break (lo, samples.len());
+            }
+            if !is_below(probe) {
+                break (lo, probe);
+            }
+            lo = probe + 1;
+            step = step.saturating_mul(2);
+        }
+    } else {
+        let top = hint.min(samples.len());
+        let mut hi = top;
+        loop {
+            let Some(probe) = top.checked_sub(step) else {
+                break (0, hi);
+            };
+            if is_below(probe) {
+                break (probe + 1, hi);
+            }
+            hi = probe;
+            step = step.saturating_mul(2);
+        }
+    };
+    lo + samples
+        .get(lo..hi)
+        .map_or(0, |run| run.partition_point(|s| below(s.0)))
 }
 
 /// One stored `(t, yaw, pitch)` tuple as a [`SwitchingSample`] — the single
@@ -964,7 +1270,7 @@ impl HeadTraceGenerator {
             sample_hz: self.config.sample_hz,
             samples,
             views: OnceLock::new(),
-            speeds: Mutex::default(),
+            shared: Mutex::default(),
         }
     }
 
@@ -1330,7 +1636,7 @@ mod tests {
     /// `true` while `trace` has a live interval-speed table.
     fn has_speed_table(trace: &HeadTrace) -> bool {
         trace
-            .speeds
+            .shared
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
             .upgrade()
@@ -1356,7 +1662,7 @@ mod tests {
             let span = trace.duration_sec() - first;
             let mut a = IntervalSpeeds::new(&trace);
             let mut b = IntervalSpeeds::new(&trace);
-            prop_assert!(Arc::ptr_eq(&a.table, &b.table));
+            prop_assert!(Arc::ptr_eq(&a.shared, &b.shared));
             // Each thread serves its own window sequence from the one
             // table, racing the other to fill the intervals they share,
             // and returns (served, reference) bits per window.
@@ -1382,8 +1688,8 @@ mod tests {
             }
             // Both holders are alive: still one table, and every entry
             // either side filled is that interval's own speed.
-            prop_assert!(Arc::ptr_eq(&a.table, &b.table));
-            for (i, entry) in a.table.iter().enumerate() {
+            prop_assert!(Arc::ptr_eq(&a.shared, &b.shared));
+            for (i, entry) in a.shared.speeds.iter().enumerate() {
                 let bits = entry.load(Ordering::Relaxed);
                 if bits != UNFILLED {
                     prop_assert_eq!(bits, trace.interval_speed(i).to_bits());
@@ -1396,14 +1702,211 @@ mod tests {
             drop(b);
             prop_assert!(!has_speed_table(&trace));
             let mut fresh = IntervalSpeeds::new(&trace);
-            prop_assert_eq!(fresh.table.len(), all.len() - 1);
-            prop_assert!(fresh.table.iter().all(|e| e.load(Ordering::Relaxed) == UNFILLED));
+            prop_assert_eq!(fresh.shared.speeds.len(), all.len() - 1);
+            prop_assert!(fresh.shared.speeds.iter().all(|e| e.load(Ordering::Relaxed) == UNFILLED));
             let (at, len) = windows.0[0];
             let lo = first - 0.5 + (span + 1.0) * at;
             let range = trace.sample_range(lo, lo + len);
             let expected = fast_switching_speed(&all[range.clone()]);
             prop_assert_eq!(fresh.fast_speed(range).to_bits(), expected.to_bits());
         }
+    }
+
+    /// A trace at 10 Hz, at 60 Hz or with the irregular steps given
+    /// (`rate` 0, 1, 2), from `t0`. Every fifth sample sits on a pole and
+    /// every seventh on the antimeridian.
+    fn trace_at_rate(rate: usize, t0: f64, steps: &[(f64, f64, f64)]) -> HeadTrace {
+        let mut t = t0;
+        let samples = steps
+            .iter()
+            .enumerate()
+            .map(|(i, &(dt, y, p))| {
+                t = match rate {
+                    0 => t0 + i as f64 / 10.0,
+                    1 => t0 + i as f64 / 60.0,
+                    _ => t + dt,
+                };
+                let p = if i % 5 == 4 { 90.0f64.copysign(p) } else { p };
+                let y = if i % 7 == 6 { 180.0f64.copysign(y) } else { y };
+                (t, y, p)
+            })
+            .collect();
+        HeadTrace::from_samples(0, 0, samples)
+    }
+
+    proptest! {
+        #[test]
+        fn hinted_searches_match_binary_search(
+            steps in prop::collection::vec(
+                (0.001f64..0.5, -400.0f64..400.0, -120.0f64..120.0),
+                1..300,
+            ),
+            rate in 0usize..3,
+            t0 in -3.0f64..3.0,
+            requests in prop::collection::vec(
+                (0usize..6, -0.3f64..1.3, -1.0f64..3.0, 0usize..512),
+                1..40,
+            ),
+        ) {
+            let trace = trace_at_rate(rate, t0, &steps);
+            let len = trace.len();
+            let first = trace.samples[0].0;
+            let span = (trace.duration_sec() - first).max(1e-3);
+            let mut speeds = IntervalSpeeds::new(&trace);
+            // Running cursors, carried across requests whichever way the
+            // windows move, next to fixed and random hints.
+            let (mut plan, mut booking) = (0usize, 0usize);
+            for &(kind, at, width, pick) in &requests {
+                let mut hint = match kind {
+                    0 => 0,
+                    1 => len,
+                    2 => usize::MAX,
+                    3 => pick % (len + 2),
+                    _ => plan,
+                };
+                // A free interval (inverted when `width` < 0), the
+                // client's plan window, or bounds on sample times.
+                let pos = first + at * span;
+                let (lo, hi) = match pick % 3 {
+                    0 => (pos, pos + width),
+                    1 => (pos - 2.0, pos + 1e-9),
+                    _ => (trace.samples[pick % len].0, trace.samples[(pick / 3) % len].0),
+                };
+                let range = trace.sample_range_from(&mut hint, lo, hi);
+                prop_assert_eq!(range.clone(), trace.sample_range(lo, hi));
+                prop_assert_eq!(hint, range.start);
+                if kind >= 4 {
+                    plan = hint;
+                }
+
+                // Booking segment `k`, from the running cursor or a hint
+                // of the same kinds; `k` may lie past the trace's end.
+                let k = pick % (trace.duration_sec().max(0.0) as usize + 3);
+                let mut hint = if kind >= 4 { booking } else { hint };
+                let center = trace.segment_center_from(&mut hint, k);
+                let expected = trace.segment_center(k);
+                prop_assert_eq!(
+                    center.map(|c| (c.yaw_deg().to_bits(), c.pitch_deg().to_bits())),
+                    expected.map(|c| (c.yaw_deg().to_bits(), c.pitch_deg().to_bits()))
+                );
+                if center.is_some() {
+                    // The booking window starts at the centre's partition
+                    // point, so the cursor serves both lookups.
+                    let (lo, hi) = segment_bounds(k as f64);
+                    let window = trace.sample_range(lo, hi);
+                    prop_assert_eq!(hint, window.start);
+                    let mut from_center = hint;
+                    prop_assert_eq!(trace.sample_range_from(&mut from_center, lo, hi), window);
+                }
+                let speed = speeds.segment_fast_speed_from(&mut hint, k);
+                prop_assert_eq!(
+                    speed.map(f64::to_bits),
+                    trace.segment_fast_switching_speed(k).map(f64::to_bits)
+                );
+                if kind >= 4 {
+                    booking = hint;
+                }
+            }
+        }
+    }
+
+    /// The fit the ring test stores under `key`: a pure function of the
+    /// key, so any mix of two keys' words is detectable.
+    fn fit_of(key: &WindowKey) -> SharedFit {
+        let x = (key.plan_start * 7 + key.fit_start * 3 + key.end) as f64;
+        SharedFit {
+            yaw: (x, -x),
+            pitch: (x * 0.5, x + 1.0),
+            fast_speed: x * 3.0,
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn window_ring_never_serves_a_torn_slot(
+            keys in prop::collection::vec((0usize..4, 0usize..3, 0usize..4), 1..24),
+            rounds in 50usize..400,
+        ) {
+            // Keys that collide on a handful of slots (ends 64 apart map
+            // to one slot), written and read by two barrier-started
+            // threads at once.
+            let keys: Vec<WindowKey> = keys
+                .iter()
+                .map(|&(start, stale, lap)| WindowKey {
+                    plan_start: start,
+                    fit_start: start + stale,
+                    end: 8 + start + lap * WINDOW_SLOTS,
+                })
+                .collect();
+            let trace = trace_from_steps(0.0, &[(0.1, 0.0, 0.0), (0.1, 1.0, 0.0)]);
+            let a = IntervalSpeeds::for_session(&trace);
+            let b = IntervalSpeeds::for_session(&trace);
+            let barrier = std::sync::Barrier::new(2);
+            let hammer = |view: &IntervalSpeeds<'_>, offset: usize| {
+                barrier.wait();
+                let mut served = 0usize;
+                for round in 0..rounds {
+                    let key = &keys[(round + offset) % keys.len()];
+                    if let Some(fit) = view.shared_fit(key) {
+                        if fit != fit_of(key) {
+                            return Err(format!("{key:?} served {fit:?}"));
+                        }
+                        served += 1;
+                    }
+                    view.share_fit(key, &fit_of(key));
+                }
+                Ok(served)
+            };
+            let (from_a, from_b) = std::thread::scope(|s| {
+                let ta = s.spawn(|| hammer(&a, 0));
+                let tb = s.spawn(|| hammer(&b, 1));
+                (ta.join().expect("thread a"), tb.join().expect("thread b"))
+            });
+            prop_assert!(from_a.is_ok() && from_b.is_ok(), "{:?} {:?}", from_a, from_b);
+            // Quiescent: the last key written to each slot is served.
+            for key in &keys {
+                if let Some(fit) = a.shared_fit(key) {
+                    prop_assert_eq!(fit, fit_of(key));
+                }
+            }
+            let last = keys[keys.len() - 1];
+            a.share_fit(&last, &fit_of(&last));
+            prop_assert_eq!(b.shared_fit(&last), Some(fit_of(&last)));
+        }
+    }
+
+    #[test]
+    fn window_ring_is_allocated_by_the_second_live_session() {
+        let trace = trace_from_steps(0.0, &[(0.1, 0.0, 0.0), (0.1, 1.0, 0.0), (0.1, 2.0, 0.0)]);
+        let key = WindowKey {
+            plan_start: 0,
+            fit_start: 0,
+            end: 3,
+        };
+        let fit = fit_of(&key);
+        let has_ring = |view: &IntervalSpeeds<'_>| view.shared.windows.get().is_some();
+        // A holder that is not a session, then sessions one after
+        // another: never two live sessions, so no ring.
+        let holder = IntervalSpeeds::new(&trace);
+        for _ in 0..3 {
+            let session = IntervalSpeeds::for_session(&trace);
+            session.share_fit(&key, &fit);
+            assert_eq!(session.shared_fit(&key), None);
+            assert!(!has_ring(&session));
+        }
+        // Two live sessions: the second allocates it, and it stays while
+        // the tables live.
+        let first = IntervalSpeeds::for_session(&trace);
+        assert!(!has_ring(&first));
+        let second = IntervalSpeeds::for_session(&trace);
+        assert!(has_ring(&holder));
+        first.share_fit(&key, &fit);
+        assert_eq!(second.shared_fit(&key), Some(fit));
+        drop((first, second));
+        assert_eq!(holder.shared.sessions.load(Ordering::Relaxed), 0);
+        assert_eq!(holder.shared_fit(&key), Some(fit));
+        drop(holder);
+        assert!(!has_speed_table(&trace));
     }
 
     #[test]
@@ -1415,7 +1918,8 @@ mod tests {
         let mut speeds = IntervalSpeeds::new(&trace);
         assert!(speeds.segment_fast_speed(0).is_some());
         assert!(speeds
-            .table
+            .shared
+            .speeds
             .iter()
             .any(|e| e.load(Ordering::Relaxed) != UNFILLED));
         assert_eq!(trace, plain);
@@ -1430,9 +1934,10 @@ mod tests {
         assert_eq!(copy, plain);
         assert!(has_speed_table(&trace) && !has_speed_table(&copy));
         let of_copy = IntervalSpeeds::new(&copy);
-        assert!(!Arc::ptr_eq(&of_copy.table, &speeds.table));
+        assert!(!Arc::ptr_eq(&of_copy.shared, &speeds.shared));
         assert!(of_copy
-            .table
+            .shared
+            .speeds
             .iter()
             .all(|e| e.load(Ordering::Relaxed) == UNFILLED));
     }

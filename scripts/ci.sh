@@ -110,6 +110,25 @@ echo "==> interval-speed equivalence (blocking: compute-once Eq. 5 window vs per
 # this stage runs them at 2,000 cases in release.
 EE360_PROP_CASES=2000 cargo test --release -q --offline -p ee360-trace --lib interval_speeds
 
+echo "==> gaze window equivalence (blocking: per-segment gaze path vs its references)"
+# A session's plan window and booking lookups search the trace from
+# forward cursors, its viewport fit reads the window in place in one
+# two-pass sweep, and sessions over one trace share plan-window fits
+# through a seqlocked ring. The properties pin each to what it replaced:
+# the hinted searches to the plain binary searches (any hint, inverted
+# and empty intervals, pole and seam samples), SingleRidge::fit_pair to
+# two SingleRidge::fits and fit_window to predict_with bit for bit (the
+# edge windows included), the ring against torn reads under two racing
+# writers, and two barrier-started sessions planning over one trace to
+# predict_with + fast_switching_speed. The workspace pass above runs
+# them at their default case count; this stage runs them at 2,000 cases
+# in release.
+EE360_PROP_CASES=2000 cargo test --release -q --offline -p ee360-trace --lib -- \
+  hinted_searches window_ring
+EE360_PROP_CASES=2000 cargo test --release -q --offline -p ee360-numeric --lib fit_pair
+EE360_PROP_CASES=2000 cargo test --release -q --offline -p ee360-predict --lib fit_window
+EE360_PROP_CASES=2000 cargo test --release -q --offline -p ee360-core --lib gaze::
+
 echo "==> set-up equivalence (blocking: per-video preparation rewrites vs their references)"
 # Server preparation and trace generation were rewritten bit for bit:
 # Algorithm 1 on bitset neighbourhoods against the retained list form,

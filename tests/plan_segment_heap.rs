@@ -22,6 +22,10 @@
 //! segment, stays under a fixed bound, so a cache that grows every
 //! segment fails here.
 //!
+//! Both again with a second session over the user planned in lockstep,
+//! so every fit is stored into the trace's window-fit ring by one
+//! session and read back by the other: neither path allocates.
+//!
 //! The allocator's peak is process-global, so this measurement lives in
 //! its own test binary with a single test.
 
@@ -102,6 +106,46 @@ fn drive(scheme: Scheme, setup: &SessionSetup) -> PlanHeap {
     heap
 }
 
+/// Two sessions of `scheme` over one user, planned in lockstep: both are
+/// live, so the trace has a window-fit ring, and the second plans each
+/// segment from the same buffer and window as the first. The first's
+/// plan fits the window and stores the fit (the miss path); the
+/// second's reads it back (the hit path). Returns the largest warm
+/// transient peak of each, with its segment.
+fn drive_pair(scheme: Scheme, setup: &SessionSetup) -> [(usize, usize); 2] {
+    let mut controllers = [
+        make_controller(scheme, setup.phone),
+        make_controller(scheme, setup.phone),
+    ];
+    let mut runners = [(); 2]
+        .map(|_| SessionRunner::new(scheme, setup, &FaultPlan::none(), &RetryPolicy::disabled()));
+    let rec = &mut NoopRecorder;
+    for runner in &mut runners {
+        runner.start(rec);
+    }
+    let mut worst = [(0, 0); 2];
+    loop {
+        let mut planned = false;
+        for ((runner, controller), worst) in
+            runners.iter_mut().zip(&mut controllers).zip(&mut worst)
+        {
+            let k = runner.segment_index();
+            ALLOC.reset_peak();
+            planned = runner.plan_segment(controller.as_mut(), rec);
+            let transient = ALLOC.peak_bytes().saturating_sub(ALLOC.live_bytes());
+            if planned && k >= WARM_SEGMENTS && transient > worst.1 {
+                *worst = (k, transient);
+            }
+        }
+        if !planned {
+            return worst;
+        }
+        for (runner, controller) in runners.iter_mut().zip(&mut controllers) {
+            while runner.step_download(controller.as_mut(), rec).is_none() {}
+        }
+    }
+}
+
 #[test]
 fn plan_segment_transient_heap_is_bounded_by_the_window() {
     let catalog = VideoCatalog::paper_default();
@@ -149,6 +193,16 @@ fn plan_segment_transient_heap_is_bounded_by_the_window() {
              segments (budget {RETAINED_BUDGET_BYTES} B)",
             heap.retained,
             spec.segment_count()
+        );
+        // The shared-fit paths: storing into the ring and reading from
+        // it allocate nothing either.
+        let [(miss_segment, miss), (hit_segment, hit)] = drive_pair(scheme, &setup);
+        assert_eq!(
+            (miss, hit),
+            (0, 0),
+            "{scheme:?}: with a window-fit ring, plan_segment peaked {miss} B (segment \
+             {miss_segment}) when storing fits and {hit} B (segment {hit_segment}) when \
+             reading them (budget 0 B)"
         );
     }
 }
