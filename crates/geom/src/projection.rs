@@ -267,12 +267,12 @@ impl TileClassifier {
 /// The sampling pass behind every pixel-weight query, set up once for
 /// one grid, FoV and sample count and reusable for any view centre.
 ///
-/// It holds the pass's centre-independent work: the [`TileClassifier`],
+/// It holds the pass's centre-independent work: the `TileClassifier`,
 /// the half extents, each sample column's and row's camera-plane offset
-/// (computed with [`PixelCamera::unit_ray`]'s operations) and a per-ray
+/// (computed with `PixelCamera::unit_ray`'s operations) and a per-ray
 /// table of `1/√(1 + x² + y²)`. A ray is then `fwd + x·right + y·up`
 /// times its table entry, three multiplies in place of a `sqrt` and
-/// three divisions; the [`TileClassifier`] docs say why its tiles are
+/// three divisions; the `TileClassifier` docs say why its tiles are
 /// still exact. Rays the classifier cannot call take the exact
 /// `grid.tile_at(&camera.direction(u, v))` path.
 #[derive(Debug, Clone)]

@@ -7,7 +7,8 @@
 //!
 //! * [`TimeSeries`] — a generic window → [`Registry`] map for the traced
 //!   paper-session paths. Emission sites that know the simulation clock
-//!   call [`Record::count_at`]/[`Record::observe_at`](crate::Record)
+//!   call [`Record::count_at`](crate::Record::count_at)/
+//!   [`Record::observe_at`](crate::Record::observe_at)
 //!   and the recorder buckets the same value into the same-named
 //!   per-window registry entry (mirror-don't-model: the whole-run
 //!   registry sees the identical observation, so per-window counters
@@ -146,8 +147,6 @@ pub struct WindowCums {
     pub delivered: u32,
     /// Segments skipped so far.
     pub skipped: u32,
-    /// Replans where the robust bandwidth margin engaged (< 1.0) so far.
-    pub margin_engaged: u32,
 }
 
 /// One window's cumulative snapshot for one session.
@@ -178,7 +177,6 @@ const EMPTY_CELL: WindowCell = WindowCell {
         segments: 0,
         delivered: 0,
         skipped: 0,
-        margin_engaged: 0,
     },
 };
 
@@ -297,8 +295,6 @@ pub struct WindowAccum {
     pub delivered: u64,
     /// Σ cumulative skipped segments.
     pub skipped: u64,
-    /// Σ cumulative margin-engaged replans.
-    pub margin_engaged: u64,
     /// Sessions that booked at least one slot within this window.
     pub active_sessions: u64,
     /// Per-session stall seconds added within this window (active
@@ -335,8 +331,6 @@ pub struct WindowDelta {
     pub delivered: u64,
     /// Segments skipped within the window.
     pub skipped: u64,
-    /// Margin-engaged replans within the window.
-    pub margin_engaged: u64,
     /// Sessions that booked within the window.
     pub active_sessions: u64,
 }
@@ -425,7 +419,6 @@ impl FleetSeries {
             acc.segments += u64::from(cur.segments);
             acc.delivered += u64::from(cur.delivered);
             acc.skipped += u64::from(cur.skipped);
-            acc.margin_engaged += u64::from(cur.margin_engaged);
             if active {
                 acc.active_sessions += 1;
                 acc.stall_hist.observe(cur.stall_sec - prev.stall_sec);
@@ -465,7 +458,6 @@ impl FleetSeries {
             segments: acc.segments - prev.segments,
             delivered: acc.delivered - prev.delivered,
             skipped: acc.skipped - prev.skipped,
-            margin_engaged: acc.margin_engaged - prev.margin_engaged,
             active_sessions: acc.active_sessions,
         })
     }
@@ -495,10 +487,6 @@ impl ToJson for FleetSeries {
                     ("segments".to_owned(), Json::Int(d.segments as i64)),
                     ("delivered".to_owned(), Json::Int(d.delivered as i64)),
                     ("skipped".to_owned(), Json::Int(d.skipped as i64)),
-                    (
-                        "margin_engaged".to_owned(),
-                        Json::Int(d.margin_engaged as i64),
-                    ),
                     (
                         "active_sessions".to_owned(),
                         Json::Int(d.active_sessions as i64),

@@ -120,9 +120,10 @@ impl DecoderPipeline {
     }
 
     /// Fallible variant of [`DecoderPipeline::decode_time_sec`]: a zero
-    /// decoder count is an [`SimError::InvalidRequest`], not a panic —
-    /// the Result-based pipeline never aborts the whole session over a
-    /// malformed decode request.
+    /// decoder count is an
+    /// [`SimError::InvalidRequest`](crate::error::SimError::InvalidRequest),
+    /// not a panic — the Result-based pipeline never aborts the whole
+    /// session over a malformed decode request.
     pub fn try_decode_time_sec(&self, n_decoders: usize) -> Result<f64, crate::error::SimError> {
         if n_decoders == 0 {
             return Err(crate::error::SimError::InvalidRequest(

@@ -12,7 +12,7 @@
 //!   regression-seed replay (replaces `proptest`),
 //! * [`parallel`] — a std-only scoped worker pool (replaces
 //!   `crossbeam`/`parking_lot`),
-//! * [`bench`] — a micro-benchmark timer (replaces `criterion`),
+//! * [`bench`](mod@bench) — a micro-benchmark timer (replaces `criterion`),
 //! * [`alloc`] — a counting global-allocator shim for memory-bound
 //!   regression tests (replaces `dhat`-style heap profiling),
 //! * [`quantile`] — a deterministic streaming quantile sketch for the

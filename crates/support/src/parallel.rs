@@ -1,99 +1,32 @@
-//! Std-only scoped worker pool with chunked work stealing.
+//! Std-only scoped worker pool with one shared claim counter.
 //!
 //! Replaces the `crossbeam`/`parking_lot` pair with `std::thread::scope`
-//! and `std::sync::Mutex`. The index range `0..n` is pre-split into one
-//! contiguous chunk per worker; each worker drains its own chunk from
-//! the front in small blocks and, when empty, steals the back half of
-//! the fullest-by-scan-order victim queue. Results land in their
-//! index-addressed slot, so output order never depends on the schedule
-//! — the byte-identical replay guarantee survives stealing.
+//! and one `AtomicUsize`. Each worker claims the next unclaimed index
+//! with a `fetch_add` until the counter passes `n`, keeps its
+//! `(index, value)` pairs, and the caller puts them back in index order
+//! after the join — so output order never depends on the schedule and
+//! the byte-identical replay guarantee holds at any worker count.
 //!
-//! Why a deque of *ranges* instead of a deque of tasks: the workload is
-//! always `f(i)` over a dense index space, so a `Range<usize>` under a
-//! `Mutex` is a complete deque — pop-front is `start += k`, steal-back
-//! is `end -= k` — with no allocation and no ABA hazards. Lock traffic
-//! is bounded by `n / block` claims plus one scan per steal, not by `n`.
+//! Why not work stealing: every caller maps over tens of items (videos
+//! to prepare, (video, user) matrix tasks, fleet shards), each costing
+//! a millisecond or more. One claim per item is one uncontended atomic
+//! add against that, and a worker that draws a long item simply claims
+//! fewer, which is all the balancing such short maps need.
 
-use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, PoisonError};
-
-/// Largest block a worker claims from its own queue per lock
-/// acquisition. Small enough that late thieves still find work behind a
-/// long-running block, large enough to amortise the lock.
-const MAX_BLOCK: usize = 32;
-
-/// One worker's queue: the contiguous index range it still owns.
-/// The owner pops blocks from the front; thieves steal from the back.
-struct WorkQueue {
-    range: Mutex<Range<usize>>,
-}
-
-impl WorkQueue {
-    fn new(range: Range<usize>) -> Self {
-        Self {
-            range: Mutex::new(range),
-        }
-    }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, Range<usize>> {
-        // A poisoned queue lock cannot leave the range torn: both
-        // mutations are single-field stores, so recover and continue.
-        self.range.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Owner side: claims up to [`MAX_BLOCK`] indices off the front,
-    /// but never more than half the remainder, so a concurrent thief
-    /// always finds something behind a long-running block.
-    fn pop_front_block(&self) -> Option<Range<usize>> {
-        let mut r = self.lock();
-        let len = r.end - r.start;
-        if len == 0 {
-            return None;
-        }
-        let take = len.div_ceil(2).min(MAX_BLOCK);
-        let block = r.start..r.start + take;
-        r.start += take;
-        Some(block)
-    }
-
-    /// Thief side: steals the back half (rounded up) in one move.
-    fn steal_back_half(&self) -> Option<Range<usize>> {
-        let mut r = self.lock();
-        let len = r.end - r.start;
-        if len == 0 {
-            return None;
-        }
-        let take = len.div_ceil(2);
-        let block = r.end - take..r.end;
-        r.end -= take;
-        Some(block)
-    }
-
-    /// Thief side, installing into its own emptied queue.
-    fn install(&self, block: Range<usize>) {
-        *self.lock() = block;
-    }
-}
 
 /// Computes `f(0), f(1), …, f(n - 1)` on `threads` workers and returns
 /// the results in index order.
 ///
-/// Work is balanced by chunked stealing: worker `w` starts with the
-/// `w`-th contiguous share of `0..n`, drains it in blocks, then scans
-/// the other queues in a fixed order (`w + 1, w + 2, …`, wrapping) and
-/// steals the back half of the first non-empty one. A worker exits only
-/// after a full scan finds every queue empty — sound because claimed
-/// indices never re-enter a queue and `f` spawns no new work, so an
-/// all-empty scan means every index is claimed by someone. With
-/// `threads == 1` this degrades to a plain sequential loop (no thread
-/// spawn, no locks).
+/// Workers claim indices one at a time from a shared counter, so a slow
+/// item never holds up the others behind it. With `threads == 1` this
+/// is a plain sequential loop (no thread spawn, no atomics).
 ///
 /// # Panics
 ///
 /// Panics if `threads` is zero or any invocation of `f` panics (the
 /// panic is propagated once all workers have stopped).
-// lint:allow(hot-path-alloc, "per-wave setup: the queue and slot vectors are one allocation each per call, amortised over the n-item map they carry")
+// lint:allow(hot-path-alloc, "per-call setup: each worker's result vector and the merged output are amortised over the n-item map they carry")
 pub fn parallel_map_indexed<T, F>(threads: usize, n: usize, f: F) -> Vec<T>
 where
     T: Send,
@@ -104,78 +37,35 @@ where
         return (0..n).map(f).collect();
     }
 
-    let workers = threads.min(n);
-    // Deterministic initial split: worker w owns one contiguous share,
-    // the first `n % workers` shares one index longer.
-    let queues: Vec<WorkQueue> = {
-        let base = n / workers;
-        let extra = n % workers;
-        let mut start = 0;
-        (0..workers)
-            .map(|w| {
-                let len = base + usize::from(w < extra);
-                let q = WorkQueue::new(start..start + len);
-                start += len;
-                q
-            })
-            .collect()
-    };
-    let slots: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    // Liveness fast path: workers park-free spin on this count to skip
-    // scans once everything is claimed. Correctness never depends on it.
-    let remaining = AtomicUsize::new(n);
-
-    std::thread::scope(|scope| {
-        for w in 0..workers {
-            let queues = &queues;
-            let slots = &slots;
-            let remaining = &remaining;
-            let f = &f;
-            scope.spawn(move || loop {
-                // Drain the local queue in blocks.
-                while let Some(block) = queues[w].pop_front_block() {
-                    let len = block.end - block.start;
-                    for idx in block {
-                        let value = f(idx);
-                        // A poisoned slot lock cannot leave the Option
-                        // torn: the only write is this whole-value
-                        // store, so recover it.
-                        *slots[idx].lock().unwrap_or_else(PoisonError::into_inner) = Some(value);
-                    }
-                    remaining.fetch_sub(len, Ordering::Relaxed);
-                }
-                if remaining.load(Ordering::Relaxed) == 0 {
-                    return;
-                }
-                // Steal: fixed-order scan so the schedule shape (not
-                // the results, which are slot-addressed) is the only
-                // thing that varies run to run.
-                let mut stolen = None;
-                for v in 1..workers {
-                    if let Some(block) = queues[(w + v) % workers].steal_back_half() {
-                        stolen = Some(block);
-                        break;
-                    }
-                }
-                match stolen {
-                    Some(block) => queues[w].install(block),
-                    // Full scan found every queue empty: all indices
-                    // are claimed, the claimants will fill their slots.
-                    None => return,
-                }
-            });
+    let next = AtomicUsize::new(0);
+    let claim = || {
+        let mut done = Vec::new();
+        loop {
+            // Relaxed suffices: the counter only hands out distinct
+            // indices, and the join below orders every result write
+            // before the caller reads it.
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            if i >= n {
+                return done;
+            }
+            done.push((i, f(i)));
         }
+    };
+    let mut pairs: Vec<(usize, T)> = std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..threads.min(n)).map(|_| scope.spawn(claim)).collect();
+        let mut pairs = Vec::with_capacity(n);
+        for worker in workers {
+            match worker.join() {
+                Ok(done) => pairs.extend(done),
+                Err(payload) => std::panic::resume_unwind(payload),
+            }
+        }
+        pairs
     });
-
-    slots
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .unwrap_or_else(PoisonError::into_inner)
-                // lint:allow(panic-reachability, "join invariant: the scope above blocks until every worker stored its slot")
-                .expect("every index was executed")
-        })
-        .collect()
+    // Every index in `0..n` was claimed exactly once, so sorting by it
+    // restores index order.
+    pairs.sort_unstable_by_key(|&(i, _)| i);
+    pairs.into_iter().map(|(_, value)| value).collect()
 }
 
 /// A reasonable worker count for this machine: the logical core count,
@@ -227,10 +117,10 @@ mod tests {
 
     #[test]
     fn stealing_balances_a_skewed_front_load() {
-        // All the heavy work sits in worker 0's initial share; the rest
-        // must steal it or the wall time degenerates to sequential.
-        // Correctness (the actual assertion): results stay in index
-        // order regardless of who computed what.
+        // All the heavy work sits at the front of the index range; the
+        // other workers claim past it. Correctness (the actual
+        // assertion): results stay in index order regardless of who
+        // computed what.
         let out = parallel_map_indexed(4, 64, |i| {
             if i < 16 {
                 std::thread::sleep(std::time::Duration::from_millis(1));
@@ -263,32 +153,6 @@ mod tests {
             let out = parallel_map_indexed(threads, 512, work);
             assert_eq!(out, reference, "threads = {threads}");
         }
-    }
-
-    #[test]
-    fn pop_front_never_starves_thieves() {
-        // With more than MAX_BLOCK items the owner's first claim must
-        // leave work behind for a thief.
-        let q = WorkQueue::new(0..100);
-        let block = q.pop_front_block().expect("non-empty");
-        assert_eq!(block, 0..32);
-        let stolen = q.steal_back_half().expect("plenty left");
-        assert_eq!(stolen, 66..100);
-        assert_eq!(*q.lock(), 32..66);
-    }
-
-    #[test]
-    fn small_queues_split_rather_than_drain_whole() {
-        // Half-rounded-up on both sides: a 3-item queue yields 2 to the
-        // owner (leaving 1 to steal) and 2 to a thief (leaving 1).
-        let q = WorkQueue::new(10..13);
-        assert_eq!(q.pop_front_block(), Some(10..12));
-        assert_eq!(q.pop_front_block(), Some(12..13));
-        assert_eq!(q.pop_front_block(), None);
-        let q2 = WorkQueue::new(10..13);
-        assert_eq!(q2.steal_back_half(), Some(11..13));
-        assert_eq!(q2.steal_back_half(), Some(10..11));
-        assert_eq!(q2.steal_back_half(), None);
     }
 
     #[test]

@@ -322,6 +322,11 @@ impl fmt::Debug for HeadTrace {
 pub enum HeadTraceError {
     /// The sample list was empty.
     EmptyTrace,
+    /// A timestamp was NaN or infinite.
+    NonFiniteTime {
+        /// Index of the offending sample.
+        index: usize,
+    },
     /// A timestamp failed to increase over its predecessor.
     NonIncreasingTime {
         /// Index of the offending sample.
@@ -333,6 +338,9 @@ impl fmt::Display for HeadTraceError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             HeadTraceError::EmptyTrace => write!(f, "a trace needs at least one sample"),
+            HeadTraceError::NonFiniteTime { index } => {
+                write!(f, "sample times must be finite (sample {index} is not)")
+            }
             HeadTraceError::NonIncreasingTime { index } => write!(
                 f,
                 "sample times must be strictly increasing (sample {index} does not advance)"
@@ -349,8 +357,8 @@ impl HeadTrace {
     ///
     /// # Panics
     ///
-    /// Panics if `samples` is empty or timestamps are not strictly
-    /// increasing — the infallible wrapper around
+    /// Panics if `samples` is empty or timestamps are not finite and
+    /// strictly increasing — the infallible wrapper around
     /// [`HeadTrace::try_from_samples`].
     pub fn from_samples(video_id: usize, user_id: usize, samples: Vec<(f64, f64, f64)>) -> Self {
         match Self::try_from_samples(video_id, user_id, samples) {
@@ -360,9 +368,11 @@ impl HeadTrace {
         }
     }
 
-    /// Fallible [`HeadTrace::from_samples`]: empty input and
-    /// out-of-order timestamps come back as [`HeadTraceError`]s instead
-    /// of panicking — the path external datasets arrive through.
+    /// Fallible [`HeadTrace::from_samples`]: empty input, non-finite
+    /// and out-of-order timestamps come back as [`HeadTraceError`]s
+    /// instead of panicking — the path external datasets arrive through.
+    /// Finiteness is checked first: a NaN compares false both ways, so
+    /// the ordering check alone would let it through.
     pub fn try_from_samples(
         video_id: usize,
         user_id: usize,
@@ -370,6 +380,9 @@ impl HeadTrace {
     ) -> Result<Self, HeadTraceError> {
         if samples.is_empty() {
             return Err(HeadTraceError::EmptyTrace);
+        }
+        if let Some(index) = samples.iter().position(|s| !s.0.is_finite()) {
+            return Err(HeadTraceError::NonFiniteTime { index });
         }
         if let Some(index) = samples.windows(2).position(|w| w[1].0 <= w[0].0) {
             return Err(HeadTraceError::NonIncreasingTime { index: index + 1 });
@@ -697,7 +710,7 @@ fn segment_bounds(t0: f64) -> (f64, f64) {
 /// does not depend on the order the speeds are gathered in. Because a
 /// speed is a pure function of the stored samples, every thread that
 /// fills an entry stores the same bits, and an entry is one atomic word:
-/// a reader sees either [`UNFILLED`], and computes the speed itself, or
+/// a reader sees either `UNFILLED`, and computes the speed itself, or
 /// those bits. Relaxed loads and stores are therefore enough.
 ///
 /// A view made by [`Self::for_session`] also counts as a live session
@@ -2066,5 +2079,28 @@ mod tests {
                 assert_eq!(alone, *trace);
             }
         }
+    }
+
+    #[test]
+    fn non_finite_times_are_rejected_before_the_ordering_check() {
+        let at = |t: f64| (t, 0.0, 0.0);
+        let cases = [
+            // A NaN compares false both ways, so it used to pass the
+            // `w[1] <= w[0]` ordering check as "increasing".
+            (vec![at(0.0), at(f64::NAN), at(1.0), at(2.0)], 1),
+            (vec![at(f64::NAN)], 0),
+            (vec![at(0.0), at(f64::INFINITY)], 1),
+        ];
+        for (samples, index) in cases {
+            assert_eq!(
+                HeadTrace::try_from_samples(0, 0, samples).unwrap_err(),
+                HeadTraceError::NonFiniteTime { index }
+            );
+        }
+        // Finite but out of order still reports the ordering error.
+        assert_eq!(
+            HeadTrace::try_from_samples(0, 0, vec![at(1.0), at(0.5)]).unwrap_err(),
+            HeadTraceError::NonIncreasingTime { index: 1 }
+        );
     }
 }

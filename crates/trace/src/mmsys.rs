@@ -26,7 +26,7 @@ use std::path::Path;
 
 use ee360_geom::angles::rad_to_deg;
 
-use crate::head::HeadTrace;
+use crate::head::{HeadTrace, HeadTraceError};
 
 /// One parsed sample.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -145,30 +145,29 @@ pub fn quaternion_to_yaw_pitch(q: (f64, f64, f64, f64)) -> (f64, f64) {
 /// # Errors
 ///
 /// Returns [`MmsysError::Empty`] for an empty sample list and
-/// [`MmsysError::Malformed`] if playback times are not strictly
-/// increasing.
+/// [`MmsysError::Malformed`] if playback times are not finite and
+/// strictly increasing.
 pub fn to_head_trace(
     samples: &[MmsysSample],
     video_id: usize,
     user_id: usize,
 ) -> Result<HeadTrace, MmsysError> {
-    if samples.is_empty() {
-        return Err(MmsysError::Empty);
-    }
-    let mut rows = Vec::with_capacity(samples.len());
-    let mut last_t = f64::NEG_INFINITY;
-    for (i, s) in samples.iter().enumerate() {
-        if s.playback_sec <= last_t {
-            return Err(MmsysError::Malformed {
-                line: i + 1,
-                reason: "playback times must be strictly increasing".into(),
-            });
+    let rows = samples
+        .iter()
+        .map(|s| {
+            let (yaw, pitch) = quaternion_to_yaw_pitch(s.quaternion);
+            (s.playback_sec, yaw, pitch)
+        })
+        .collect();
+    HeadTrace::try_from_samples(video_id, user_id, rows).map_err(|e| match e {
+        HeadTraceError::EmptyTrace => MmsysError::Empty,
+        HeadTraceError::NonFiniteTime { index } | HeadTraceError::NonIncreasingTime { index } => {
+            MmsysError::Malformed {
+                line: index + 1,
+                reason: e.to_string(),
+            }
         }
-        last_t = s.playback_sec;
-        let (yaw, pitch) = quaternion_to_yaw_pitch(s.quaternion);
-        rows.push((s.playback_sec, yaw, pitch));
-    }
-    Ok(HeadTrace::from_samples(video_id, user_id, rows))
+    })
 }
 
 /// Loads one (user, video) CSV file into a [`HeadTrace`].
@@ -280,6 +279,21 @@ Timestamp,PlaybackTime,UnitQuaternion.w,UnitQuaternion.x,UnitQuaternion.y,UnitQu
     fn header_only_is_empty() {
         let err = parse_csv("Timestamp,PlaybackTime,w,x,y,z\n").unwrap_err();
         assert!(matches!(err, MmsysError::Empty));
+    }
+
+    #[test]
+    fn nan_playback_time_is_malformed() {
+        // `f64::from_str` accepts "NaN", so the parser passes it through
+        // and the trace builder must reject it.
+        let samples = parse_csv(
+            "0.0,0.0,1.0,0.0,0.0,0.0\n0.1,NaN,1.0,0.0,0.0,0.0\n0.2,0.2,1.0,0.0,0.0,0.0\n",
+        )
+        .unwrap();
+        assert!(samples[1].playback_sec.is_nan());
+        assert!(matches!(
+            to_head_trace(&samples, 1, 1),
+            Err(MmsysError::Malformed { line: 2, .. })
+        ));
     }
 
     #[test]

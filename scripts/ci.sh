@@ -222,4 +222,9 @@ fi
 echo "==> cargo fmt --check"
 cargo fmt --check
 
+echo "==> rustdoc (blocking: no broken, ambiguous or private intra-doc links)"
+# Every crate's API docs build warning-free, so a renamed or deleted
+# item cannot leave a dead link behind in a doc comment.
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline --workspace
+
 echo "CI gate passed."
