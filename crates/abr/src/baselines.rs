@@ -41,12 +41,6 @@ impl RateBasedController {
         }
     }
 
-    /// Overrides the size model (for ablations).
-    pub fn with_sizer(mut self, sizer: SchemeSizer) -> Self {
-        self.sizer = sizer;
-        self
-    }
-
     /// Segment bits for this scheme at a quality level given a context.
     fn bits_for(&self, q: QualityLevel, ctx: &SegmentContext) -> (f64, DecoderScheme) {
         let content = ctx.content();

@@ -108,13 +108,3 @@ pub fn solve_reference(
         }
     }
 }
-
-/// Convenience wrapper mirroring the optimised solver's public entry: a
-/// constant-bandwidth horizon at the context's estimate.
-pub fn plan_reference(
-    controller: &MpcController,
-    ctx: &SegmentContext,
-) -> (QualityLevel, f64, f64) {
-    let bandwidths = vec![ctx.predicted_bandwidth_bps; controller.config().horizon];
-    solve_reference(controller, ctx, &bandwidths)
-}

@@ -124,16 +124,6 @@ impl RobustMpcController {
         }
     }
 
-    /// Overrides the trackers (for ablations and tests).
-    pub fn with_uncertainty(mut self, tracker: ResidualTracker, margin: BandwidthMargin) -> Self {
-        self.tracker = tracker;
-        self.margin = margin;
-        self.cached_grow_deg = self.planned_width_deg();
-        self.cached_factor = self.margin.factor();
-        self.cached_floor = self.margin.depressed_floor();
-        self
-    }
-
     /// The effective widening (degrees) the next plan would apply: the
     /// tracked error quantile weighted by the probability that the error
     /// escapes the point plan's slack. Zero while the tracker is cold.

@@ -38,9 +38,9 @@ use ee360_geom::projection::{coverage_from_counts, pixel_coverage};
 use ee360_geom::region::TileRegion;
 use ee360_geom::viewport::{ViewCenter, Viewport};
 use ee360_obs::profile::StageTimer;
-use ee360_obs::{Event, Level, NoopRecorder, Record};
+use ee360_obs::{Event, NoopRecorder, Record};
 use ee360_power::energy::{SegmentEnergy, SegmentEnergyParams};
-use ee360_power::model::{Phone, PowerModel};
+use ee360_power::model::{DecoderScheme, Phone, PowerModel};
 use ee360_predict::bandwidth::{BandwidthEstimator, HarmonicMeanEstimator};
 use ee360_qoe::framerate::{alpha, framerate_factor};
 use ee360_qoe::impairment::{QoeWeights, SegmentQoe};
@@ -308,7 +308,7 @@ pub struct SessionRunner<'a> {
     n: usize,
     q1_bitrate: f64,
     prev_qo: Option<f64>,
-    prev_decode: Option<ee360_power::model::DecoderScheme>,
+    prev_decode: Option<DecoderScheme>,
     k: usize,
     pending: Option<PendingDownload>,
     /// Recycled controller scratch (horizon bandwidths, hedged context
@@ -451,12 +451,6 @@ impl<'a> SessionRunner<'a> {
         self.n
     }
 
-    /// `true` while a download opened by [`Self::plan_segment`] has not
-    /// yet produced its outcome.
-    pub fn in_flight(&self) -> bool {
-        self.pending.is_some()
-    }
-
     /// Plans the next segment (phases 1–4: prediction, Ptile/Ftile
     /// lookup, bandwidth estimate, controller decision) and opens its
     /// download. Returns `false` when every segment slot has been
@@ -563,46 +557,42 @@ impl<'a> SessionRunner<'a> {
             .filter(|d| d.widened_plans > 0)
             .map(|d| d.last_width_deg)
             .unwrap_or(0.0);
-        if rec.level() >= Level::Summary {
-            if let Some(delta) = &robust_delta {
-                let t_plan = self.core.clock_sec();
-                rec.count_at("robust.margin_applied", t_plan, delta.margin_applied);
-                rec.count_at("robust.widened_plans", t_plan, delta.widened_plans);
-                if delta.widened_plans > 0 {
-                    rec.observe_at("robust.quantile_width_deg", t_plan, delta.last_width_deg);
-                }
+        let t_plan = self.core.clock_sec();
+        if let Some(delta) = &robust_delta {
+            rec.count_at("robust.margin_applied", t_plan, delta.margin_applied);
+            rec.count_at("robust.widened_plans", t_plan, delta.widened_plans);
+            if delta.widened_plans > 0 {
+                rec.observe_at("robust.quantile_width_deg", t_plan, delta.last_width_deg);
             }
         }
-        if rec.level() >= Level::Summary {
-            let delta = match (stats_before, controller.solver_stats()) {
-                (Some(before), Some(after)) => after.since(&before),
-                _ => ee360_abr::controller::SolverStats::default(),
-            };
-            let cause = if delta.plans > 0 {
-                "mpc"
-            } else if stats_before.is_some() {
-                // An MPC controller that ran no DP solve took its
-                // no-Ptile fallback path for this segment.
-                "fallback_no_ptile"
-            } else {
-                "baseline"
-            };
-            rec.count("mpc.plans", delta.plans);
-            rec.count("mpc.memo_hits", delta.memo_hits);
-            rec.count("mpc.memo_misses", delta.memo_misses);
-            rec.count("mpc.states_expanded", delta.states_expanded);
-            rec.record(Event::SolverPlan {
-                segment: k,
-                t_sec: self.core.clock_sec(),
-                quality: plan.quality.index(),
-                fps: plan.fps,
-                bits: plan.bits,
-                cause,
-                memo_hits: delta.memo_hits,
-                memo_misses: delta.memo_misses,
-                states_expanded: delta.states_expanded,
-            });
-        }
+        let delta = match (stats_before, controller.solver_stats()) {
+            (Some(before), Some(after)) => after.since(&before),
+            _ => ee360_abr::controller::SolverStats::default(),
+        };
+        let cause = if delta.plans > 0 {
+            "mpc"
+        } else if stats_before.is_some() {
+            // An MPC controller that ran no DP solve took its
+            // no-Ptile fallback path for this segment.
+            "fallback_no_ptile"
+        } else {
+            "baseline"
+        };
+        rec.count("mpc.plans", delta.plans);
+        rec.count("mpc.memo_hits", delta.memo_hits);
+        rec.count("mpc.memo_misses", delta.memo_misses);
+        rec.count("mpc.states_expanded", delta.states_expanded);
+        rec.record(Event::SolverPlan {
+            segment: k,
+            t_sec: t_plan,
+            quality: plan.quality.index(),
+            fps: plan.fps,
+            bits: plan.bits,
+            cause,
+            memo_hits: delta.memo_hits,
+            memo_misses: delta.memo_misses,
+            states_expanded: delta.states_expanded,
+        });
 
         // --- 5. download (with retry/abandon/degrade/skip) --------------
         // Rung 0 is the controller's plan; deeper rungs are produced
@@ -688,7 +678,7 @@ impl<'a> SessionRunner<'a> {
     }
 
     /// Phase 6: books energy (Eq. 1) and QoE (Eq. 2) for a finished
-    /// download and pushes the segment record.
+    /// download, then [`Self::record_segment`].
     fn book_outcome(
         &mut self,
         pending: PendingDownload,
@@ -697,8 +687,6 @@ impl<'a> SessionRunner<'a> {
         rec: &mut dyn Record,
     ) {
         let k = self.k;
-        let buffer = pending.buffer;
-        let plan = pending.plan;
         let (timing, used_plan, delivered_bits, wasted_bits) = match outcome {
             DownloadOutcome::Delivered {
                 timing,
@@ -722,13 +710,13 @@ impl<'a> SessionRunner<'a> {
             } => {
                 // The player jumps past the segment: nothing decoded or
                 // displayed, the radio burned `elapsed_sec`, and the
-                // blackout is charged below as rebuffering.
+                // blackout is charged as rebuffering.
                 let timing = SegmentTiming {
                     request_time_sec,
                     wait_sec,
                     download_sec: elapsed_sec,
                     throughput_bps: 0.0,
-                    buffer_at_request_sec: (buffer - wait_sec).max(0.0),
+                    buffer_at_request_sec: (pending.buffer - wait_sec).max(0.0),
                     stall_sec: (blackout_sec - SEGMENT_DURATION_SEC).max(0.0),
                     buffer_after_sec: self.core.buffer_level_sec(),
                 };
@@ -745,39 +733,17 @@ impl<'a> SessionRunner<'a> {
                     timing.buffer_at_request_sec,
                 );
                 self.prev_qo = Some(0.0);
-                let t_book = self.core.clock_sec();
-                rec.observe_at("session.stall_sec", t_book, timing.stall_sec);
-                rec.observe_at("energy.transmission_mj", t_book, energy.transmission_mj);
-                rec.observe_at("energy.decode_mj", t_book, energy.decode_mj);
-                rec.observe_at("energy.render_mj", t_book, energy.render_mj);
-                if rec.level() >= Level::Summary {
-                    if timing.stall_sec > 0.0 {
-                        rec.record(Event::Stall {
-                            segment: k,
-                            t_sec: self.core.clock_sec(),
-                            duration_sec: timing.stall_sec,
-                        });
-                    }
-                    rec.record(Event::EnergySample {
-                        segment: k,
-                        transmission_mj: energy.transmission_mj,
-                        decode_mj: energy.decode_mj,
-                        render_mj: energy.render_mj,
-                        total_mj: energy.total_mj(),
-                    });
-                }
-                self.metrics.push(SegmentRecord {
+                let record = SegmentRecord {
                     index: k,
                     quality_level: 0,
                     fps: 0.0,
                     bits: wasted_bits,
-                    decode_scheme: plan.decode_scheme,
+                    decode_scheme: pending.plan.decode_scheme,
                     timing,
                     energy,
                     qoe,
-                });
-                rec.span_close(self.core.clock_sec());
-                self.reclaim_pending(pending);
+                };
+                self.record_segment(pending, record, None, rec);
                 return;
             }
         };
@@ -804,14 +770,12 @@ impl<'a> SessionRunner<'a> {
         // residual sketch tracks this user's actual miss distribution.
         let robust_before = controller.robust_stats();
         controller.observe_prediction_error(predicted.distance_deg(&actual));
-        if rec.level() >= Level::Summary {
-            if let (Some(before), Some(after)) = (robust_before, controller.robust_stats()) {
-                rec.count_at(
-                    "robust.coverage_miss_saved",
-                    self.core.clock_sec(),
-                    after.since(&before).coverage_miss_saved,
-                );
-            }
+        if let (Some(before), Some(after)) = (robust_before, controller.robust_stats()) {
+            rec.count_at(
+                "robust.coverage_miss_saved",
+                self.core.clock_sec(),
+                after.since(&before).coverage_miss_saved,
+            );
         }
         let actual_s_fov = self
             .gaze
@@ -831,7 +795,7 @@ impl<'a> SessionRunner<'a> {
                 }
             }
             (Scheme::RobustMpc, Some(region))
-                if used_plan.decode_scheme == ee360_power::model::DecoderScheme::Ptile
+                if used_plan.decode_scheme == DecoderScheme::Ptile
                     && pending.robust_width_deg > 0.0 =>
             {
                 // The widened plan paid for guard blocks around the
@@ -847,9 +811,7 @@ impl<'a> SessionRunner<'a> {
                 let union = region.union(&self.grid.fov_block_region(&widened));
                 overlap_fraction(self.setup.user, k, &union, &self.grid, &actual_vp)
             }
-            (_, Some(region))
-                if used_plan.decode_scheme == ee360_power::model::DecoderScheme::Ptile =>
-            {
+            (_, Some(region)) if used_plan.decode_scheme == DecoderScheme::Ptile => {
                 overlap_fraction(self.setup.user, k, region, &self.grid, &actual_vp)
             }
             _ => {
@@ -889,50 +851,66 @@ impl<'a> SessionRunner<'a> {
             rec.observe("profile.booking_wall_sec", dt);
         }
 
+        let scheme = used_plan.decode_scheme;
+        let switched_from = self
+            .prev_decode
+            .replace(scheme)
+            .filter(|&prev| prev != scheme);
+        let record = SegmentRecord {
+            index: k,
+            quality_level: used_plan.quality.index(),
+            fps: used_plan.fps,
+            bits: delivered_bits,
+            decode_scheme: scheme,
+            timing,
+            energy,
+            qoe,
+        };
+        self.record_segment(pending, record, switched_from, rec);
+    }
+
+    /// Mirrors a booked segment into `rec` — the stall and energy
+    /// histograms, the Stall, DecoderSwitch and EnergySample events —
+    /// then pushes its record, closes the segment span and reclaims the
+    /// download's allocations. `switched_from` is the decoder scheme of
+    /// the last delivered segment when this one changed it.
+    fn record_segment(
+        &mut self,
+        pending: PendingDownload,
+        record: SegmentRecord,
+        switched_from: Option<DecoderScheme>,
+        rec: &mut dyn Record,
+    ) {
+        let (k, timing, energy) = (record.index, record.timing, record.energy);
         let t_book = self.core.clock_sec();
         rec.observe_at("session.stall_sec", t_book, timing.stall_sec);
         rec.observe_at("energy.transmission_mj", t_book, energy.transmission_mj);
         rec.observe_at("energy.decode_mj", t_book, energy.decode_mj);
         rec.observe_at("energy.render_mj", t_book, energy.render_mj);
-        if rec.level() >= Level::Summary {
-            if timing.stall_sec > 0.0 {
-                rec.record(Event::Stall {
-                    segment: k,
-                    t_sec: self.core.clock_sec(),
-                    duration_sec: timing.stall_sec,
-                });
-            }
-            if let Some(prev) = self.prev_decode {
-                if prev != used_plan.decode_scheme {
-                    rec.record(Event::DecoderSwitch {
-                        segment: k,
-                        t_sec: self.core.clock_sec(),
-                        from: format!("{prev:?}"),
-                        to: format!("{:?}", used_plan.decode_scheme),
-                    });
-                }
-            }
-            rec.record(Event::EnergySample {
+        if timing.stall_sec > 0.0 {
+            rec.record(Event::Stall {
                 segment: k,
-                transmission_mj: energy.transmission_mj,
-                decode_mj: energy.decode_mj,
-                render_mj: energy.render_mj,
-                total_mj: energy.total_mj(),
+                t_sec: t_book,
+                duration_sec: timing.stall_sec,
             });
         }
-        self.prev_decode = Some(used_plan.decode_scheme);
-
-        self.metrics.push(SegmentRecord {
-            index: k,
-            quality_level: used_plan.quality.index(),
-            fps: used_plan.fps,
-            bits: delivered_bits,
-            decode_scheme: used_plan.decode_scheme,
-            timing,
-            energy,
-            qoe,
+        if let Some(from) = switched_from {
+            rec.record(Event::DecoderSwitch {
+                segment: k,
+                t_sec: t_book,
+                from: from.label(),
+                to: record.decode_scheme.label(),
+            });
+        }
+        rec.record(Event::EnergySample {
+            segment: k,
+            transmission_mj: energy.transmission_mj,
+            decode_mj: energy.decode_mj,
+            render_mj: energy.render_mj,
+            total_mj: energy.total_mj(),
         });
-        rec.span_close(self.core.clock_sec());
+        self.metrics.push(record);
+        rec.span_close(t_book);
         self.reclaim_pending(pending);
     }
 
@@ -1195,7 +1173,7 @@ mod tests {
         };
         let err = SessionError::Policy(PolicyError::SegmentDeadline);
         let mut controller = make_controller(Scheme::Ours, setup.phone);
-        let mut rec = ee360_obs::Recorder::new(Level::Detail);
+        let mut rec = ee360_obs::Recorder::new(ee360_obs::Level::Detail);
         assert_eq!(
             try_run_session_traced(
                 controller.as_mut(),

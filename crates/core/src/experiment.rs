@@ -178,6 +178,19 @@ impl SchemeOutcome {
     }
 }
 
+/// Folds one session's private recorder into the cell's `rec`: the
+/// session count, its registry, windows and events. Fan-outs call it in
+/// user-index order after the join, so the merged recorder is a pure
+/// function of the input for any worker count or engine.
+pub(crate) fn merge_session(rec: &mut Recorder, session: &Recorder) {
+    rec.count("experiment.sessions", 1);
+    rec.merge_registry(session.registry());
+    rec.merge_windows(session.windows());
+    for event in session.events() {
+        rec.record(*event);
+    }
+}
+
 /// A prepared evaluation: traces generated, Ptiles constructed, ready to
 /// run any (video, scheme) cell. Construction is the expensive part;
 /// `run` is cheap enough to sweep.
@@ -312,6 +325,37 @@ impl Evaluation {
         &self.network
     }
 
+    /// The prepared server of a video and its evaluation users: the one
+    /// lookup behind every cell entry point.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the video was not prepared.
+    pub(crate) fn prepared(&self, video_id: usize) -> (&VideoServer, &[HeadTrace]) {
+        let server = self
+            .servers
+            .get(&video_id)
+            // lint:allow(no-panic-paths, "documented panic: the cell entry points require a prepared video")
+            .unwrap_or_else(|| panic!("video {video_id} was not prepared"));
+        (server, self.eval_users(video_id))
+    }
+
+    /// One evaluation user's session over this evaluation's network,
+    /// phone and segment cap.
+    pub(crate) fn setup<'a>(
+        &'a self,
+        server: &'a VideoServer,
+        user: &'a HeadTrace,
+    ) -> SessionSetup<'a> {
+        SessionSetup {
+            server,
+            user,
+            network: &self.network,
+            phone: self.config.phone,
+            max_segments: self.config.max_segments,
+        }
+    }
+
     /// Runs one (video, scheme) cell over all evaluation users, fanning
     /// sessions across [`Self::session_threads`] workers. Sessions share
     /// nothing mutable and land in user order, so the outcome matches the
@@ -321,23 +365,12 @@ impl Evaluation {
     ///
     /// Panics if the video was not prepared.
     pub fn run(&self, video_id: usize, scheme: Scheme) -> SchemeOutcome {
-        let server = self
-            .servers
-            .get(&video_id)
-            // lint:allow(no-panic-paths, "documented panic: run() requires a prepared video")
-            .unwrap_or_else(|| panic!("video {video_id} was not prepared"));
-        let users = self.eval_users(video_id);
+        let (server, users) = self.prepared(video_id);
         let sessions: Vec<SessionMetrics> =
             parallel_map_indexed(self.session_threads, users.len(), |i| {
                 run_session_resilient(
                     scheme,
-                    &SessionSetup {
-                        server,
-                        user: &users[i],
-                        network: &self.network,
-                        phone: self.config.phone,
-                        max_segments: self.config.max_segments,
-                    },
+                    &self.setup(server, &users[i]),
                     &FaultPlan::none(),
                     &RetryPolicy::disabled(),
                 )
@@ -365,12 +398,7 @@ impl Evaluation {
         policy: &RetryPolicy,
         rec: &mut Recorder,
     ) -> SchemeOutcome {
-        let server = self
-            .servers
-            .get(&video_id)
-            // lint:allow(no-panic-paths, "documented panic: run_traced() requires a prepared video")
-            .unwrap_or_else(|| panic!("video {video_id} was not prepared"));
-        let users = self.eval_users(video_id);
+        let (server, users) = self.prepared(video_id);
         let level = rec.level();
         let profiling = rec.profiling();
         let window_sec = rec.windows().map_or(0.0, |w| w.window_sec());
@@ -382,13 +410,7 @@ impl Evaluation {
                 let mut controller = make_controller(scheme, self.config.phone);
                 let metrics = run_session_traced(
                     controller.as_mut(),
-                    &SessionSetup {
-                        server,
-                        user: &users[i],
-                        network: &self.network,
-                        phone: self.config.phone,
-                        max_segments: self.config.max_segments,
-                    },
+                    &self.setup(server, &users[i]),
                     faults,
                     policy,
                     &mut session_rec,
@@ -397,12 +419,7 @@ impl Evaluation {
             });
         let mut sessions = Vec::with_capacity(results.len());
         for (metrics, session_rec) in results {
-            rec.count("experiment.sessions", 1);
-            rec.merge_registry(session_rec.registry());
-            rec.merge_windows(session_rec.windows());
-            for event in session_rec.events() {
-                rec.record(event.clone());
-            }
+            merge_session(rec, &session_rec);
             sessions.push(metrics);
         }
         SchemeOutcome::from_sessions(scheme, video_id, &sessions)
@@ -416,21 +433,10 @@ impl Evaluation {
     ///
     /// Panics if the video was not prepared or `user` is out of range.
     pub fn run_user(&self, video_id: usize, scheme: Scheme, user: usize) -> SessionMetrics {
-        let server = self
-            .servers
-            .get(&video_id)
-            // lint:allow(no-panic-paths, "documented panic: run_user() requires a prepared video")
-            .unwrap_or_else(|| panic!("video {video_id} was not prepared"));
-        let users = self.eval_users(video_id);
+        let (server, users) = self.prepared(video_id);
         run_session_resilient(
             scheme,
-            &SessionSetup {
-                server,
-                user: &users[user],
-                network: &self.network,
-                phone: self.config.phone,
-                max_segments: self.config.max_segments,
-            },
+            &self.setup(server, &users[user]),
             &FaultPlan::none(),
             &RetryPolicy::disabled(),
         )

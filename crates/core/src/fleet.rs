@@ -28,7 +28,7 @@ use ee360_trace::fault::FaultPlan;
 use ee360_video::segment::SEGMENT_DURATION_SEC;
 
 use crate::client::{make_controller, SessionRunner, SessionSetup};
-use crate::experiment::{Evaluation, SchemeOutcome};
+use crate::experiment::{merge_session, Evaluation, SchemeOutcome};
 
 /// One full paper session as an event-queue driver: the boxed
 /// controller, the phase-decomposed [`SessionRunner`], and the session's
@@ -175,11 +175,7 @@ pub fn fleet_sessions_traced(
     threads: usize,
     rec: &mut Recorder,
 ) -> (Vec<SessionMetrics>, EngineStats) {
-    let server = eval
-        .server(video_id)
-        // lint:allow(no-panic-paths, "documented panic: fleet requires a prepared video")
-        .unwrap_or_else(|| panic!("video {video_id} was not prepared"));
-    let users = eval.eval_users(video_id);
+    let (server, users) = eval.prepared(video_id);
     let level = rec.level();
     let profiling = rec.profiling();
     let window_sec = rec.windows().map_or(0.0, |w| w.window_sec());
@@ -189,15 +185,14 @@ pub fn fleet_sessions_traced(
         let range = ranges.get(shard).cloned().unwrap_or(0..0);
         let mut drivers: Vec<FleetSessionDriver> = range
             .map(|i| {
-                let setup = SessionSetup {
-                    server,
-                    user: &users[i],
-                    network: eval.network(),
-                    phone: eval.config().phone,
-                    max_segments: eval.config().max_segments,
-                };
                 FleetSessionDriver::with_windows(
-                    scheme, &setup, faults, policy, level, profiling, window_sec,
+                    scheme,
+                    &eval.setup(server, &users[i]),
+                    faults,
+                    policy,
+                    level,
+                    profiling,
+                    window_sec,
                 )
             })
             .collect();
@@ -213,12 +208,7 @@ pub fn fleet_sessions_traced(
     for (parts, shard_stats) in shards {
         stats.accumulate(&shard_stats);
         for (metrics, session_rec) in parts {
-            rec.count("experiment.sessions", 1);
-            rec.merge_registry(session_rec.registry());
-            rec.merge_windows(session_rec.windows());
-            for event in session_rec.events() {
-                rec.record(event.clone());
-            }
+            merge_session(rec, &session_rec);
             if let Some(m) = metrics {
                 sessions.push(m);
             }
@@ -282,6 +272,41 @@ mod tests {
             json::to_string(&ee360_obs::export::report_json(&loop_rec)).unwrap(),
             "merged obs reports must match byte-for-byte"
         );
+    }
+
+    #[test]
+    fn off_driver_keeps_nothing_and_runs_the_detail_session() {
+        let eval = quick_eval();
+        let faults = FaultPlan::generate(FaultConfig::chaos_default(), 300.0, 11);
+        let policy = RetryPolicy::default_mobile();
+        let (server, users) = eval.prepared(2);
+        let setup = eval.setup(server, &users[0]);
+        let run = |level: Level| {
+            let mut drivers = vec![FleetSessionDriver::new(
+                Scheme::RobustMpc,
+                &setup,
+                &faults,
+                &policy,
+                level,
+                false,
+            )];
+            drive_sessions(&mut drivers);
+            let (metrics, rec) = drivers.pop().expect("one driver").into_parts();
+            (metrics.expect("session completes"), rec)
+        };
+        let report = |rec: &Recorder| json::to_string(&ee360_obs::export::report_json(rec));
+        let (off_metrics, off_rec) = run(Level::Off);
+        let (detail_metrics, detail_rec) = run(Level::Detail);
+        assert!(
+            !detail_metrics.resilience().is_clean(),
+            "the plan must fire"
+        );
+        assert!(detail_rec.events_len() > 0);
+        assert_eq!(
+            report(&off_rec).unwrap(),
+            report(&Recorder::new(Level::Off)).unwrap()
+        );
+        assert_eq!(off_metrics, detail_metrics);
     }
 
     #[test]

@@ -79,9 +79,7 @@ impl<'a> SessionGaze<'a> {
             };
             return (fit.predict(horizon_sec), shared.fast_speed);
         }
-        // `fit_window` is `None` only for the quadratic ablation, which
-        // `PREDICTOR` is not.
-        let fit = PREDICTOR.fit_window(window).unwrap_or(WindowFit::Unfit);
+        let fit = PREDICTOR.fit_window(window);
         let fast_speed = self.speeds.fast_speed(start..end);
         if let WindowFit::Linear(fit) = &fit {
             let shared = SharedFit {

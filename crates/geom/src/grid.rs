@@ -157,11 +157,6 @@ impl TileGrid {
         TileId::new(row, col)
     }
 
-    /// Yaw of the western edge of a column, in `[-180, 180)`.
-    pub fn col_west_deg(&self, col: usize) -> f64 {
-        wrap_yaw_deg(-180.0 + col as f64 * self.tile_width_deg())
-    }
-
     /// Pitch of the top edge of a row.
     pub fn row_top_deg(&self, row: usize) -> f64 {
         90.0 - row as f64 * self.tile_height_deg()

@@ -112,12 +112,6 @@ impl LevenbergMarquardt {
         self
     }
 
-    /// Sets the relative cost-change tolerance that declares convergence.
-    pub fn with_tolerance(mut self, tol: f64) -> Self {
-        self.tolerance = tol;
-        self
-    }
-
     /// Minimises `‖residuals(θ)‖²` starting from `initial`.
     ///
     /// # Errors

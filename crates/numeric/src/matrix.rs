@@ -69,16 +69,6 @@ impl Matrix {
         }
     }
 
-    /// Builds a column vector (`n × 1`) from a slice.
-    pub fn col_vector(v: &[f64]) -> Self {
-        assert!(!v.is_empty(), "vector must be non-empty");
-        Self {
-            rows: v.len(),
-            cols: 1,
-            data: v.to_vec(),
-        }
-    }
-
     /// Number of rows.
     pub fn rows(&self) -> usize {
         self.rows

@@ -10,10 +10,12 @@ use ee360_support::json::{Json, ToJson};
 
 /// Verbosity threshold for a recorder. Events carry an intrinsic level
 /// ([`Event::level`]) and are kept only when `event.level() <=
-/// recorder.level()`.
+/// recorder.level()`; at [`Level::Off`] a recorder keeps nothing else
+/// either (see [`crate::record::Record`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Level {
-    /// Record nothing (the [`crate::record::NoopRecorder`] contract).
+    /// Keep nothing: no event, span, metric or window (the
+    /// [`crate::record::NoopRecorder`] contract).
     Off,
     /// Per-segment decisions and incidents: plans, stalls, skips,
     /// abandons, decoder switches, energy samples.
@@ -40,8 +42,9 @@ impl Level {
 /// Field conventions: `segment` is the media segment index the event
 /// concerns, `t_sec` is the simulation clock when it happened, byte
 /// quantities are in bits (matching the rest of the workspace) and
-/// energies in millijoules.
-#[derive(Debug, Clone, PartialEq)]
+/// energies in millijoules. Events are `Copy`: they hold no heap data,
+/// so building one a sink drops costs only its fields.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Event {
     /// The ABR controller produced a plan for a segment.
     SolverPlan {
@@ -109,8 +112,9 @@ pub enum Event {
     DecoderSwitch {
         segment: usize,
         t_sec: f64,
-        from: String,
-        to: String,
+        /// The scheme's name, e.g. `"Ctile"` or `"Ptile"`.
+        from: &'static str,
+        to: &'static str,
     },
     /// Per-segment energy breakdown (Eq. 1 terms).
     EnergySample {
@@ -282,8 +286,8 @@ impl ToJson for Event {
             } => {
                 push(&mut f, "segment", Json::Int(*segment as i64));
                 push(&mut f, "t_sec", Json::Num(*t_sec));
-                push(&mut f, "from", Json::Str(from.clone()));
-                push(&mut f, "to", Json::Str(to.clone()));
+                push(&mut f, "from", Json::Str((*from).to_owned()));
+                push(&mut f, "to", Json::Str((*to).to_owned()));
             }
             Event::EnergySample {
                 segment,

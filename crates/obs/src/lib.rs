@@ -24,11 +24,14 @@
 //! * **SLOs** ([`slo`]) evaluate declarative objectives per window with
 //!   burn-rate accounting over the deterministic series.
 //!
-//! Instrumented code writes to `&mut dyn Record`; benign paths pass
-//! [`NoopRecorder`], whose methods are all default no-ops, so the
-//! un-instrumented hot path costs a virtual call per site at most.
-//! Callers gate event construction on [`Record::level`] to avoid even
-//! building events a sink would drop.
+//! Instrumented code writes to `&mut dyn Record` and never checks a
+//! level: the sink alone decides what it keeps. A [`Recorder`] keeps
+//! events at or below its [`Level`], and at [`Level::Off`] keeps
+//! nothing at all — no event, span, metric or window. Benign paths
+//! pass [`NoopRecorder`], whose methods are all default no-ops, so the
+//! un-instrumented hot path costs a virtual call per site at most;
+//! events are heap-free, so building one a sink drops costs only its
+//! fields.
 //!
 //! Exporters ([`export`]) produce `results/obs_report.json` (aggregate
 //! registry + span tree) and a JSONL per-session trace.

@@ -1,6 +1,7 @@
 //! The recording API: the [`Record`] trait, the zero-cost
 //! [`NoopRecorder`], and the live [`Recorder`] with its bounded event
-//! ring buffer, span stack, and embedded metrics [`Registry`].
+//! ring buffer, span stack, and embedded metrics [`Registry`]. The
+//! [`Record`] docs state the one rule for what a sink keeps.
 
 use std::collections::VecDeque;
 
@@ -15,25 +16,33 @@ pub const DEFAULT_EVENT_CAPACITY: usize = 65_536;
 
 /// The sink instrumented code writes to.
 ///
-/// All methods default to no-ops so `NoopRecorder` (and any partial
-/// implementation) costs nothing on the hot path. Callers gate event
-/// construction on [`Record::level`] so a disabled recorder never pays
-/// for building an [`Event`]:
+/// The sink decides what it keeps; callers never check a level. They
+/// make every call unconditionally, and an [`Event`] holds no heap
+/// data, so building one a sink drops costs only its fields. A sink at
+/// [`Level::Off`] keeps nothing: no event, span, counter, histogram
+/// sample, gauge or window. All methods default to no-ops, so
+/// [`NoopRecorder`] (and any partial implementation) costs a virtual
+/// call per site and nothing more:
 ///
 /// ```
-/// use ee360_obs::{Event, Level, NoopRecorder, Record};
-/// let rec: &mut dyn Record = &mut NoopRecorder;
-/// if rec.level() >= Level::Summary {
+/// use ee360_obs::{Event, Level, Record, Recorder};
+/// for level in [Level::Off, Level::Summary] {
+///     let mut rec = Recorder::new(level);
 ///     rec.record(Event::Stall { segment: 0, t_sec: 1.0, duration_sec: 0.2 });
+///     rec.count("session.stalls", 1);
+///     let kept = level > Level::Off;
+///     assert_eq!(rec.events_len(), usize::from(kept));
+///     assert_eq!(rec.registry().counter("session.stalls"), u64::from(kept));
 /// }
 /// ```
 pub trait Record {
-    /// Verbosity this sink keeps; `Level::Off` means "drop everything".
+    /// Verbosity this sink keeps: events at or below it, and at
+    /// [`Level::Off`] nothing at all.
     fn level(&self) -> Level {
         Level::Off
     }
 
-    /// Captures a structured event (already level-checked by caller).
+    /// Captures a structured event, if the sink's level keeps it.
     fn record(&mut self, _event: Event) {}
 
     /// Opens a scoped span keyed on logical simulation time.
@@ -116,7 +125,8 @@ impl SpanAgg {
 }
 
 /// The live recorder: level-filtered bounded event ring, span stack,
-/// and an embedded metrics [`Registry`].
+/// and an embedded metrics [`Registry`]. At [`Level::Off`] every write
+/// and merge is dropped, so it stays as [`Recorder::new`] left it.
 #[derive(Debug, Clone)]
 pub struct Recorder {
     level: Level,
@@ -184,9 +194,13 @@ impl Recorder {
     }
 
     /// Folds a per-worker windowed series into this recorder's (no-op
-    /// when windowing is off here). Call in user-index order after
-    /// fan-outs, exactly like [`Recorder::merge_registry`].
+    /// when windowing is off here, or at [`Level::Off`]). Call in
+    /// user-index order after fan-outs, exactly like
+    /// [`Recorder::merge_registry`].
     pub fn merge_windows(&mut self, other: Option<&TimeSeries>) {
+        if !self.keeps() {
+            return;
+        }
         if let (Some(mine), Some(theirs)) = (self.windows.as_deref_mut(), other) {
             mine.merge(theirs);
         }
@@ -215,14 +229,19 @@ impl Recorder {
         &self.registry
     }
 
-    /// Mutable access to the registry (used by fan-out merge points).
-    pub fn registry_mut(&mut self) -> &mut Registry {
-        &mut self.registry
+    /// Folds a per-worker registry into this recorder's registry
+    /// (no-op at [`Level::Off`]).
+    pub fn merge_registry(&mut self, other: &Registry) {
+        if self.keeps() {
+            self.registry.merge(other);
+        }
     }
 
-    /// Folds a per-worker registry into this recorder's registry.
-    pub fn merge_registry(&mut self, other: &Registry) {
-        self.registry.merge(other);
+    /// False at [`Level::Off`]: the one check every span, metric and
+    /// merge goes through. Events need none, as every event's own level
+    /// is above `Off`.
+    fn keeps(&self) -> bool {
+        self.level > Level::Off
     }
 
     /// Aggregated span tree: spans grouped by name along parent
@@ -295,6 +314,9 @@ impl Record for Recorder {
     }
 
     fn span_open(&mut self, name: &'static str, t_sec: f64) {
+        if !self.keeps() {
+            return;
+        }
         let parent = self.open.last().copied();
         self.spans.push(SpanNode {
             name,
@@ -314,14 +336,21 @@ impl Record for Recorder {
     }
 
     fn count(&mut self, name: &str, n: u64) {
-        self.registry.inc(name, n);
+        if self.keeps() {
+            self.registry.inc(name, n);
+        }
     }
 
     fn observe(&mut self, name: &str, v: f64) {
-        self.registry.observe(name, v);
+        if self.keeps() {
+            self.registry.observe(name, v);
+        }
     }
 
     fn count_at(&mut self, name: &str, t_sec: f64, n: u64) {
+        if !self.keeps() {
+            return;
+        }
         self.registry.inc(name, n);
         if let Some(w) = self.windows.as_deref_mut() {
             w.inc_at(t_sec, name, n);
@@ -329,6 +358,9 @@ impl Record for Recorder {
     }
 
     fn observe_at(&mut self, name: &str, t_sec: f64, v: f64) {
+        if !self.keeps() {
+            return;
+        }
         self.registry.observe(name, v);
         if let Some(w) = self.windows.as_deref_mut() {
             w.observe_at(t_sec, name, v);
@@ -336,11 +368,14 @@ impl Record for Recorder {
     }
 
     fn set_gauge(&mut self, name: &str, v: f64) {
-        self.registry.set_gauge(name, v);
+        if self.keeps() {
+            self.registry.set_gauge(name, v);
+        }
     }
 
+    /// Off at [`Level::Off`] too: the timings would be dropped.
     fn profiling(&self) -> bool {
-        self.profiling
+        self.profiling && self.keeps()
     }
 }
 
@@ -363,6 +398,57 @@ mod tests {
         rec.record(stall(0));
         rec.count("x", 1);
         assert!(!rec.profiling());
+    }
+
+    /// Every `Record` call and both merges, once each.
+    fn exercise(rec: &mut Recorder) {
+        let mut worker = Recorder::new(Level::Summary).with_windows(5.0);
+        worker.count_at("worker.x", 6.0, 2);
+        rec.record(stall(0));
+        rec.span_open("session", 0.0);
+        rec.span_open("segment", 0.0);
+        rec.span_close(0.5);
+        rec.count("c", 1);
+        rec.observe("h", 0.5);
+        rec.count_at("c_at", 1.0, 3);
+        rec.observe_at("h_at", 1.0, 0.25);
+        rec.set_gauge("g", 4.0);
+        rec.span_close(1.0);
+        rec.merge_registry(worker.registry());
+        rec.merge_windows(worker.windows());
+    }
+
+    #[test]
+    fn off_keeps_nothing_that_summary_keeps() {
+        let mut off = Recorder::new(Level::Off).with_windows(5.0);
+        exercise(&mut off);
+        let fresh = Recorder::new(Level::Off).with_windows(5.0);
+        assert_eq!(off.events_len(), 0);
+        assert_eq!(off.dropped(), 0);
+        assert_eq!(off.registry(), &Registry::new());
+        assert_eq!(off.windows(), fresh.windows());
+        assert_eq!(off.span_tree_json(), Json::Obj(Vec::new()));
+        assert_eq!(
+            crate::export::report_json(&off),
+            crate::export::report_json(&fresh)
+        );
+
+        let mut summary = Recorder::new(Level::Summary).with_windows(5.0);
+        exercise(&mut summary);
+        assert_eq!(summary.events_len(), 1);
+        let reg = summary.registry();
+        assert_eq!(reg.counter("c"), 1);
+        assert_eq!(reg.counter("c_at"), 3);
+        assert_eq!(reg.counter("worker.x"), 2);
+        assert_eq!(reg.hist_sum("h"), 0.5);
+        assert_eq!(reg.hist_sum("h_at"), 0.25);
+        assert_eq!(reg.gauge("g"), Some(4.0));
+        let windows = summary.windows().expect("windowing on");
+        assert_eq!(windows.counter_total("c_at"), 3);
+        assert_eq!(windows.counter_total("worker.x"), 2);
+        let session = summary.span_tree_json();
+        let session = session.get("session").expect("session span kept");
+        assert_eq!(session.get("count").and_then(Json::as_i64), Some(1));
     }
 
     #[test]

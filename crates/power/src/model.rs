@@ -61,6 +61,18 @@ impl DecoderScheme {
         DecoderScheme::Ptile,
     ];
 
+    /// The variant's name, as `{:?}` and the JSON form spell it: a
+    /// static string, so a trace event can name a scheme without
+    /// allocating.
+    pub fn label(&self) -> &'static str {
+        match self {
+            DecoderScheme::Ctile => "Ctile",
+            DecoderScheme::Ftile => "Ftile",
+            DecoderScheme::Nontile => "Nontile",
+            DecoderScheme::Ptile => "Ptile",
+        }
+    }
+
     /// This scheme's Table I row (its position in [`DecoderScheme::ALL`]).
     pub fn row(&self) -> usize {
         match self {
@@ -197,6 +209,15 @@ impl PowerModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn labels_spell_the_debug_names() {
+        // `decoder_switch` trace events carry these labels, so this pins
+        // the event's JSON to the Debug names.
+        for scheme in DecoderScheme::ALL {
+            assert_eq!(scheme.label(), format!("{scheme:?}"));
+        }
+    }
 
     #[test]
     fn table1_transmission_values() {

@@ -11,7 +11,6 @@ use std::fmt;
 
 use ee360_geom::switching::SwitchingSample;
 use ee360_geom::viewport::ViewCenter;
-use ee360_numeric::ridge::RidgeRegression;
 /// The model of each coordinate in a [`LinearFit`].
 pub use ee360_numeric::ridge::SingleRidge;
 use ee360_support::quantile::QuantileSketch;
@@ -63,9 +62,6 @@ impl Error for PredictError {}
 pub enum PredictorKind {
     /// Ridge regression with the configured λ (the paper's choice).
     Ridge,
-    /// Ridge regression with quadratic time features `[t, t²]` — captures
-    /// accelerating pans at the cost of noisier extrapolation.
-    RidgeQuadratic,
     /// Ordinary least squares (λ = 0 ablation).
     OrdinaryLeastSquares,
     /// Repeat the last observed center (no-regression ablation).
@@ -74,7 +70,6 @@ pub enum PredictorKind {
 
 ee360_support::impl_json_enum!(PredictorKind {
     Ridge,
-    RidgeQuadratic,
     OrdinaryLeastSquares,
     LastSample
 });
@@ -260,16 +255,12 @@ impl ViewportPredictor {
             })));
 
         let lambda = match self.kind {
-            PredictorKind::Ridge | PredictorKind::RidgeQuadratic => self.lambda,
+            PredictorKind::Ridge => self.lambda,
             // LastSample returned above; the OLS arm keeps the match
             // total without a panic path.
             PredictorKind::OrdinaryLeastSquares | PredictorKind::LastSample => 0.0,
         };
         let t_pred = (t_end - t0) + horizon_sec;
-        if matches!(self.kind, PredictorKind::RidgeQuadratic) {
-            // lint:allow(hot-path-alloc, "non-default RidgeQuadratic ablation: the paper predictor is single-feature Ridge")
-            return ws.predict_quadratic(lambda, t_pred);
-        }
         // Single time feature: the allocation-free fast path, bit-identical
         // to `fit` on one-element rows (see `SingleRidge`).
         let yaw_model = SingleRidge::fit(&ws.ts, &ws.yaw, lambda).ok()?;
@@ -294,32 +285,28 @@ impl ViewportPredictor {
     /// `predict`'s, operation for operation. Over time-ordered samples
     /// `predict`'s recency filter keeps a suffix of the window, which
     /// [`Self::recent_span`] finds: the fit skips that prefix.
-    ///
-    /// `None` for the [`PredictorKind::RidgeQuadratic`] ablation, whose
-    /// `[t, t²]` fit runs only on [`Self::predict_with`]'s workspace.
-    pub fn fit_window<I>(&self, window: I) -> Option<WindowFit>
+    pub fn fit_window<I>(&self, window: I) -> WindowFit
     where
         I: DoubleEndedIterator<Item = SwitchingSample> + ExactSizeIterator + Clone,
     {
         let lambda = match self.kind {
             PredictorKind::Ridge => self.lambda,
             PredictorKind::OrdinaryLeastSquares | PredictorKind::LastSample => 0.0,
-            PredictorKind::RidgeQuadratic => return None,
         };
         // lint:allow(hot-path-alloc, "clones an iterator over borrowed samples: no heap allocation")
         let Some(last) = window.clone().next_back() else {
-            return Some(WindowFit::Unfit);
+            return WindowFit::Unfit;
         };
         if matches!(self.kind, PredictorKind::LastSample) || window.len() == 1 {
-            return Some(WindowFit::Hold(last.center));
+            return WindowFit::Hold(last.center);
         }
         // lint:allow(hot-path-alloc, "clones an iterator over borrowed samples: no heap allocation")
         let Some((stale, span)) = self.recent_span(window.clone()) else {
-            return Some(WindowFit::Unfit);
+            return WindowFit::Unfit;
         };
         let mut recent = window.skip(stale);
         let (Some(first), 1..) = (recent.next(), recent.len()) else {
-            return Some(WindowFit::Hold(last.center));
+            return WindowFit::Hold(last.center);
         };
         let t0 = first.t_sec;
         let yaw0 = first.center.yaw_deg();
@@ -333,10 +320,10 @@ impl ViewportPredictor {
         });
         let series =
             std::iter::once((first.t_sec - t0, yaw0, first.center.pitch_deg())).chain(tail);
-        Some(match SingleRidge::fit_pair(series, lambda) {
+        match SingleRidge::fit_pair(series, lambda) {
             Ok((yaw, pitch)) => WindowFit::Linear(LinearFit { span, yaw, pitch }),
             Err(_) => WindowFit::Unfit,
-        })
+        }
     }
 
     /// Where the recency filter of [`Self::predict`] starts a
@@ -448,29 +435,13 @@ impl LinearFit {
 /// window's relative times, unwrapped yaw and pitch series. Every call
 /// clears and refills it, so it carries no state between predictions.
 /// Its users are the slice API ([`ViewportPredictor::predict`] and
-/// `predict_with`) and the [`PredictorKind::RidgeQuadratic`] ablation's
-/// fit; sessions read their windows through
+/// `predict_with`); sessions read their windows through
 /// [`ViewportPredictor::fit_window`] instead.
 #[derive(Debug, Clone, Default)]
 pub struct PredictorWorkspace {
     ts: Vec<f64>,
     yaw: Vec<f64>,
     pitch: Vec<f64>,
-}
-
-impl PredictorWorkspace {
-    /// The `[t, t²]` ridge fit of the [`PredictorKind::RidgeQuadratic`]
-    /// ablation over the filled series.
-    fn predict_quadratic(&self, lambda: f64, t_pred: f64) -> Option<ViewCenter> {
-        let xs: Vec<Vec<f64>> = self.ts.iter().map(|&t| vec![t, t * t]).collect();
-        let yaw_model = RidgeRegression::fit(&xs, &self.yaw, lambda).ok()?;
-        let pitch_model = RidgeRegression::fit(&xs, &self.pitch, lambda).ok()?;
-        let x_pred = [t_pred, t_pred * t_pred];
-        Some(ViewCenter::new(
-            yaw_model.predict(&x_pred),
-            pitch_model.predict(&x_pred),
-        ))
-    }
 }
 
 /// A viewport prediction with its uncertainty: the point estimate plus
@@ -602,11 +573,7 @@ mod tests {
         // One workspace reused across windows of different lengths and
         // kinds gives exactly what a fresh one gives.
         let mut ws = PredictorWorkspace::default();
-        for kind in [
-            PredictorKind::Ridge,
-            PredictorKind::RidgeQuadratic,
-            PredictorKind::OrdinaryLeastSquares,
-        ] {
+        for kind in [PredictorKind::Ridge, PredictorKind::OrdinaryLeastSquares] {
             let p = ViewportPredictor::new(kind, 0.1, 2.0);
             for (speed, n) in [(170.0, 40), (-35.0, 3), (12.0, 21), (400.0, 2)] {
                 let h = pan_history(speed, n, 0.1);
@@ -621,9 +588,7 @@ mod tests {
     /// `fit_window` over `history`'s iterator against `predict_with`,
     /// bit for bit, at a few horizons.
     fn assert_fit_window_matches(p: &ViewportPredictor, history: &[SwitchingSample]) {
-        let fit = p
-            .fit_window(history.iter().copied())
-            .expect("a linear predictor");
+        let fit = p.fit_window(history.iter().copied());
         for horizon in [0.0, 0.37, 1.0, 3.0] {
             let fused = fit.predict(horizon);
             let reference = p.predict_with(history, horizon, &mut PredictorWorkspace::default());
@@ -667,7 +632,7 @@ mod tests {
 
     /// `fit_window`'s models equal `reference_models`, bit for bit.
     fn assert_models_match(p: &ViewportPredictor, history: &[SwitchingSample]) {
-        let Some(WindowFit::Linear(fit)) = p.fit_window(history.iter().copied()) else {
+        let WindowFit::Linear(fit) = p.fit_window(history.iter().copied()) else {
             panic!("expected a linear fit over {} samples", history.len());
         };
         let (yaw, pitch) = reference_models(p, history).expect("a regular fit");
@@ -690,7 +655,7 @@ mod tests {
                 .collect();
             assert_fit_window_matches(&p, &h);
             assert_models_match(&p, &h);
-            let Some(WindowFit::Linear(fit)) = p.fit_window(h.iter().copied()) else {
+            let WindowFit::Linear(fit) = p.fit_window(h.iter().copied()) else {
                 panic!("expected a linear fit");
             };
             assert_eq!(
@@ -728,23 +693,18 @@ mod tests {
         let lone = [at(0.0, 5.0, 5.0), at(2.5, 6.0, 6.0)];
         assert_eq!(
             p.fit_window(lone.iter().copied()),
-            Some(WindowFit::Hold(lone[1].center))
+            WindowFit::Hold(lone[1].center)
         );
         assert_fit_window_matches(&p, &lone);
         // A gram term that overflows: no prediction, so the caller falls
         // back exactly where `predict` gives `None`.
         let p_wide = ViewportPredictor::new(PredictorKind::Ridge, 0.1, 1e300);
         let wide = [at(0.0, 1.0, 1.0), at(1e160, 2.0, 2.0), at(3e160, 3.0, 3.0)];
-        assert_eq!(
-            p_wide.fit_window(wide.iter().copied()),
-            Some(WindowFit::Unfit)
-        );
+        assert_eq!(p_wide.fit_window(wide.iter().copied()), WindowFit::Unfit);
         assert_fit_window_matches(&p_wide, &wide);
-        // Empty and one-sample windows, and the quadratic ablation.
-        assert_eq!(p.fit_window(std::iter::empty()), Some(WindowFit::Unfit));
+        // Empty and one-sample windows.
+        assert_eq!(p.fit_window(std::iter::empty()), WindowFit::Unfit);
         assert_fit_window_matches(&p, &[at(1.0, 2.0, 3.0)]);
-        let quad = ViewportPredictor::new(PredictorKind::RidgeQuadratic, 0.1, 2.0);
-        assert_eq!(quad.fit_window(pan.iter().copied()), None);
     }
 
     proptest! {
@@ -789,8 +749,6 @@ mod tests {
             let lambda = if kind == PredictorKind::Ridge { 0.1 } else { 0.0 };
             let p = ViewportPredictor::new(kind, lambda, window_sec);
             let fit = p.fit_window(history.iter().copied());
-            prop_assert!(fit.is_some());
-            let fit = fit.unwrap_or(WindowFit::Unfit);
             for horizon in [0.0, 0.5, 2.9] {
                 let fused = fit.predict(horizon);
                 let reference = p.predict(&history, horizon);
@@ -813,7 +771,7 @@ mod tests {
                 prop_assert_eq!(linear.span.to_bits(), span.to_bits());
                 let tail = history.get(stale..).unwrap_or_default();
                 let refit = p.fit_window(tail.iter().copied());
-                prop_assert_eq!(refit, Some(fit));
+                prop_assert_eq!(refit, fit);
             }
         }
     }
@@ -917,26 +875,6 @@ mod tests {
         }
         let c = p.predict(&h, 1.0).unwrap();
         assert!(c.distance_deg(&ViewCenter::new(60.0, 5.0)) < 2.0);
-    }
-
-    #[test]
-    fn quadratic_tracks_accelerating_pan_better() {
-        // yaw(t) = 4 t²: an accelerating pan the linear model undershoots.
-        let h: Vec<SwitchingSample> = (0..21)
-            .map(|i| {
-                let t = i as f64 * 0.1;
-                SwitchingSample::new(t, ViewCenter::new(4.0 * t * t, 0.0))
-            })
-            .collect();
-        let truth = ViewCenter::new(4.0 * 3.0 * 3.0, 0.0); // t = 3
-        let linear = ViewportPredictor::new(PredictorKind::Ridge, 1e-6, 2.5);
-        let quad = ViewportPredictor::new(PredictorKind::RidgeQuadratic, 1e-6, 2.5);
-        let e_lin = linear.error_deg(&h, 1.0, truth).unwrap();
-        let e_quad = quad.error_deg(&h, 1.0, truth).unwrap();
-        assert!(
-            e_quad < e_lin,
-            "quadratic {e_quad} should beat linear {e_lin}"
-        );
     }
 
     #[test]

@@ -39,7 +39,7 @@
 use std::error::Error;
 use std::fmt;
 
-use ee360_obs::{Event, Level, Record};
+use ee360_obs::{Event, Record};
 use ee360_trace::fault::{FaultPlan, FaultyLink};
 use ee360_trace::network::NetworkTrace;
 use ee360_video::segment::SEGMENT_DURATION_SEC;
@@ -501,14 +501,12 @@ impl SessionCore {
                         let pause = env.policy.backoff_sec(attempt);
                         self.counters.backoff_sec += pause;
                         rec.observe_at("resilience.backoff_sec", self.clock_sec, pause);
-                        if rec.level() >= Level::Detail {
-                            rec.record(Event::Retry {
-                                segment: 0,
-                                attempt,
-                                t_sec: self.clock_sec,
-                                backoff_sec: pause,
-                            });
-                        }
+                        rec.record(Event::Retry {
+                            segment: 0,
+                            attempt,
+                            t_sec: self.clock_sec,
+                            backoff_sec: pause,
+                        });
                         self.clock_sec += pause;
                     }
                 }
@@ -619,18 +617,16 @@ impl SessionCore {
             self.counters.timeouts += 1;
             rec.count_at("resilience.losses", self.clock_sec, 1);
             rec.count_at("resilience.timeouts", self.clock_sec, 1);
-            if rec.level() >= Level::Detail {
-                rec.record(Event::DownloadAttempt {
-                    segment,
-                    attempt,
-                    t_sec: self.clock_sec,
-                    rung,
-                    outcome: "lost",
-                    bits,
-                    elapsed_sec: budget,
-                    deadline_margin_sec: deadline_end - self.clock_sec,
-                });
-            }
+            rec.record(Event::DownloadAttempt {
+                segment,
+                attempt,
+                t_sec: self.clock_sec,
+                rung,
+                outcome: "lost",
+                bits,
+                elapsed_sec: budget,
+                deadline_margin_sec: deadline_end - self.clock_sec,
+            });
             st.last_error = SimError::SegmentLost { segment, attempt };
         } else {
             match link.try_download(bits, self.clock_sec, budget) {
@@ -641,18 +637,16 @@ impl SessionCore {
                         st.wasted_bits += bits;
                         self.counters.corruptions += 1;
                         rec.count_at("resilience.corruptions", self.clock_sec, 1);
-                        if rec.level() >= Level::Detail {
-                            rec.record(Event::DownloadAttempt {
-                                segment,
-                                attempt,
-                                t_sec: self.clock_sec,
-                                rung,
-                                outcome: "corrupt",
-                                bits,
-                                elapsed_sec: dur,
-                                deadline_margin_sec: deadline_end - self.clock_sec,
-                            });
-                        }
+                        rec.record(Event::DownloadAttempt {
+                            segment,
+                            attempt,
+                            t_sec: self.clock_sec,
+                            rung,
+                            outcome: "corrupt",
+                            bits,
+                            elapsed_sec: dur,
+                            deadline_margin_sec: deadline_end - self.clock_sec,
+                        });
                         st.last_error = SimError::SegmentCorrupt { segment, attempt };
                     } else {
                         // Success — maybe after a decoder wedge.
@@ -679,23 +673,21 @@ impl SessionCore {
                         self.counters.wasted_bits += st.wasted_bits;
                         rec.observe_at("resilience.recovery_sec", self.clock_sec, elapsed - dur);
                         rec.observe_at("resilience.wasted_bits", self.clock_sec, st.wasted_bits);
-                        if rec.level() >= Level::Detail {
-                            rec.record(Event::DownloadAttempt {
-                                segment,
-                                attempt,
-                                t_sec: self.clock_sec,
-                                rung,
-                                outcome: "delivered",
-                                bits,
-                                elapsed_sec: dur,
-                                deadline_margin_sec: deadline_end - self.clock_sec,
-                            });
-                            rec.record(Event::BufferSample {
-                                segment,
-                                t_sec: self.clock_sec,
-                                level_sec: step.buffer_after_sec,
-                            });
-                        }
+                        rec.record(Event::DownloadAttempt {
+                            segment,
+                            attempt,
+                            t_sec: self.clock_sec,
+                            rung,
+                            outcome: "delivered",
+                            bits,
+                            elapsed_sec: dur,
+                            deadline_margin_sec: deadline_end - self.clock_sec,
+                        });
+                        rec.record(Event::BufferSample {
+                            segment,
+                            t_sec: self.clock_sec,
+                            level_sec: step.buffer_after_sec,
+                        });
                         let spike = env.plan.extra_latency_sec(st.request_time_sec);
                         let payload_sec = (dur - spike).max(1e-9);
                         return Some(DownloadOutcome::Delivered {
@@ -723,15 +715,13 @@ impl SessionCore {
                     self.clock_sec += budget;
                     self.counters.abandons += 1;
                     rec.count_at("resilience.abandons", self.clock_sec, 1);
-                    if rec.level() >= Level::Summary {
-                        rec.record(Event::Abandon {
-                            segment,
-                            attempt,
-                            t_sec: self.clock_sec,
-                            rung,
-                            wasted_bits: partial,
-                        });
-                    }
+                    rec.record(Event::Abandon {
+                        segment,
+                        attempt,
+                        t_sec: self.clock_sec,
+                        rung,
+                        wasted_bits: partial,
+                    });
                     st.last_error = SimError::Timeout {
                         segment,
                         attempt,
@@ -753,14 +743,12 @@ impl SessionCore {
                 .min(deadline_end - self.clock_sec);
             self.counters.backoff_sec += pause;
             rec.observe_at("resilience.backoff_sec", self.clock_sec, pause);
-            if rec.level() >= Level::Detail {
-                rec.record(Event::Retry {
-                    segment,
-                    attempt,
-                    t_sec: self.clock_sec,
-                    backoff_sec: pause,
-                });
-            }
+            rec.record(Event::Retry {
+                segment,
+                attempt,
+                t_sec: self.clock_sec,
+                backoff_sec: pause,
+            });
             self.clock_sec += pause;
         }
         None
@@ -781,14 +769,12 @@ impl SessionCore {
         rec.observe_at("resilience.blackout_sec", self.clock_sec, blackout_sec);
         rec.observe_at("resilience.recovery_sec", self.clock_sec, elapsed);
         rec.observe_at("resilience.wasted_bits", self.clock_sec, st.wasted_bits);
-        if rec.level() >= Level::Summary {
-            rec.record(Event::Skip {
-                segment: st.segment,
-                t_sec: self.clock_sec,
-                blackout_sec,
-                attempts: st.attempts,
-            });
-        }
+        rec.record(Event::Skip {
+            segment: st.segment,
+            t_sec: self.clock_sec,
+            blackout_sec,
+            attempts: st.attempts,
+        });
         DownloadOutcome::Skipped {
             request_time_sec: st.request_time_sec,
             wait_sec: st.wait_sec,

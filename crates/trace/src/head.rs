@@ -327,6 +327,11 @@ pub enum HeadTraceError {
         /// Index of the offending sample.
         index: usize,
     },
+    /// A yaw or pitch was NaN or infinite.
+    NonFiniteAngle {
+        /// Index of the offending sample.
+        index: usize,
+    },
     /// A timestamp failed to increase over its predecessor.
     NonIncreasingTime {
         /// Index of the offending sample.
@@ -340,6 +345,9 @@ impl fmt::Display for HeadTraceError {
             HeadTraceError::EmptyTrace => write!(f, "a trace needs at least one sample"),
             HeadTraceError::NonFiniteTime { index } => {
                 write!(f, "sample times must be finite (sample {index} is not)")
+            }
+            HeadTraceError::NonFiniteAngle { index } => {
+                write!(f, "sample angles must be finite (sample {index} is not)")
             }
             HeadTraceError::NonIncreasingTime { index } => write!(
                 f,
@@ -357,9 +365,9 @@ impl HeadTrace {
     ///
     /// # Panics
     ///
-    /// Panics if `samples` is empty or timestamps are not finite and
-    /// strictly increasing — the infallible wrapper around
-    /// [`HeadTrace::try_from_samples`].
+    /// Panics if `samples` is empty, a timestamp, yaw or pitch is not
+    /// finite, or timestamps are not strictly increasing — the
+    /// infallible wrapper around [`HeadTrace::try_from_samples`].
     pub fn from_samples(video_id: usize, user_id: usize, samples: Vec<(f64, f64, f64)>) -> Self {
         match Self::try_from_samples(video_id, user_id, samples) {
             Ok(trace) => trace,
@@ -369,10 +377,11 @@ impl HeadTrace {
     }
 
     /// Fallible [`HeadTrace::from_samples`]: empty input, non-finite
-    /// and out-of-order timestamps come back as [`HeadTraceError`]s
-    /// instead of panicking — the path external datasets arrive through.
-    /// Finiteness is checked first: a NaN compares false both ways, so
-    /// the ordering check alone would let it through.
+    /// timestamps or angles and out-of-order timestamps come back as
+    /// [`HeadTraceError`]s instead of panicking — the path external
+    /// datasets arrive through. Finiteness is checked first, on every
+    /// sample: a NaN compares false both ways, so the ordering check
+    /// alone would let it through.
     pub fn try_from_samples(
         video_id: usize,
         user_id: usize,
@@ -381,8 +390,13 @@ impl HeadTrace {
         if samples.is_empty() {
             return Err(HeadTraceError::EmptyTrace);
         }
-        if let Some(index) = samples.iter().position(|s| !s.0.is_finite()) {
-            return Err(HeadTraceError::NonFiniteTime { index });
+        for (index, &(t, yaw, pitch)) in samples.iter().enumerate() {
+            if !t.is_finite() {
+                return Err(HeadTraceError::NonFiniteTime { index });
+            }
+            if !(yaw.is_finite() && pitch.is_finite()) {
+                return Err(HeadTraceError::NonFiniteAngle { index });
+            }
         }
         if let Some(index) = samples.windows(2).position(|w| w[1].0 <= w[0].0) {
             return Err(HeadTraceError::NonIncreasingTime { index: index + 1 });
@@ -2102,5 +2116,26 @@ mod tests {
             HeadTrace::try_from_samples(0, 0, vec![at(1.0), at(0.5)]).unwrap_err(),
             HeadTraceError::NonIncreasingTime { index: 1 }
         );
+    }
+
+    #[test]
+    fn non_finite_angles_are_rejected_on_every_sample() {
+        let finite: Vec<(f64, f64, f64)> = (0..200)
+            .map(|i| (i as f64 * 0.1, (i as f64 * 1.7) % 360.0 - 180.0, 10.0))
+            .collect();
+        let mut nan_yaw = finite.clone();
+        nan_yaw[57].1 = f64::NAN;
+        assert_eq!(
+            HeadTrace::try_from_samples(0, 0, nan_yaw).unwrap_err(),
+            HeadTraceError::NonFiniteAngle { index: 57 }
+        );
+        let mut inf_pitch = finite.clone();
+        inf_pitch[199].2 = f64::INFINITY;
+        assert_eq!(
+            HeadTrace::try_from_samples(0, 0, inf_pitch).unwrap_err(),
+            HeadTraceError::NonFiniteAngle { index: 199 }
+        );
+        let trace = HeadTrace::try_from_samples(0, 0, finite).expect("finite input is accepted");
+        assert_eq!(trace.samples.len(), 200);
     }
 }

@@ -146,7 +146,7 @@ pub fn quaternion_to_yaw_pitch(q: (f64, f64, f64, f64)) -> (f64, f64) {
 ///
 /// Returns [`MmsysError::Empty`] for an empty sample list and
 /// [`MmsysError::Malformed`] if playback times are not finite and
-/// strictly increasing.
+/// strictly increasing, or a quaternion gives a non-finite yaw or pitch.
 pub fn to_head_trace(
     samples: &[MmsysSample],
     video_id: usize,
@@ -161,12 +161,12 @@ pub fn to_head_trace(
         .collect();
     HeadTrace::try_from_samples(video_id, user_id, rows).map_err(|e| match e {
         HeadTraceError::EmptyTrace => MmsysError::Empty,
-        HeadTraceError::NonFiniteTime { index } | HeadTraceError::NonIncreasingTime { index } => {
-            MmsysError::Malformed {
-                line: index + 1,
-                reason: e.to_string(),
-            }
-        }
+        HeadTraceError::NonFiniteTime { index }
+        | HeadTraceError::NonFiniteAngle { index }
+        | HeadTraceError::NonIncreasingTime { index } => MmsysError::Malformed {
+            line: index + 1,
+            reason: e.to_string(),
+        },
     })
 }
 
@@ -293,6 +293,20 @@ Timestamp,PlaybackTime,UnitQuaternion.w,UnitQuaternion.x,UnitQuaternion.y,UnitQu
         assert!(matches!(
             to_head_trace(&samples, 1, 1),
             Err(MmsysError::Malformed { line: 2, .. })
+        ));
+    }
+
+    #[test]
+    fn nan_quaternion_component_is_malformed() {
+        // A parsed `NaN` component turns the row's yaw and pitch into NaN.
+        let samples = parse_csv(
+            "0.0,0.0,1.0,0.0,0.0,0.0\n0.1,0.1,1.0,0.0,0.0,0.0\n0.2,0.2,1.0,NaN,0.0,0.0\n",
+        )
+        .unwrap();
+        assert!(samples[2].quaternion.1.is_nan());
+        assert!(matches!(
+            to_head_trace(&samples, 1, 1),
+            Err(MmsysError::Malformed { line: 3, .. })
         ));
     }
 

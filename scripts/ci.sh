@@ -72,6 +72,10 @@ for key in robust.margin_applied robust.widened_plans robust.coverage_miss_saved
   grep -q "\"${key}\"" results/obs_report.json \
     || { echo "obs report missing robust key: ${key}" >&2; exit 1; }
 done
+# The report and trace this run writes are committed: any change to what
+# a Summary or Detail recorder keeps fails here until they are
+# regenerated with the command above and reviewed.
+git diff --exit-code -- results/obs_report.json results/obs_trace.jsonl
 
 echo "==> fleet equivalence (blocking: event engine vs loop engine, full paper matrix)"
 # The event-driven fleet engine must be bit-identical to the loop
