@@ -196,19 +196,13 @@ pub trait Controller {
     /// Decides quality/frame-rate/bits for the next segment.
     fn plan(&mut self, ctx: &SegmentContext) -> SegmentPlan;
 
-    /// [`Controller::plan`] reusing caller-owned scratch buffers.
-    ///
-    /// Bit-identical to `plan` by contract — the buffers only recycle
-    /// allocations (the MPC's horizon-bandwidth vector, the robust
-    /// controller's hedged context clones), never carry decision state.
-    /// Long-lived callers (the session runner behind both fleet
-    /// engines) hold one [`PlanBuffers`] per session so the steady-state
-    /// planning path performs no heap allocation. The default ignores
-    /// the buffers and delegates, which is exact for the allocation-free
-    /// baseline controllers.
+    /// [`Controller::plan`], and nothing else: planners own their
+    /// scratch, so `buffers` carries nothing. Kept only because the
+    /// benchmark's timing wrapper (`benchmark/src/layers.rs`) implements
+    /// it; no controller in the workspace overrides it and no caller
+    /// uses it.
     fn plan_into(&mut self, ctx: &SegmentContext, buffers: &mut PlanBuffers) -> SegmentPlan {
         let _ = buffers;
-        // lint:allow(hot-path-alloc, "trait default bridges controllers outside the alloc-free contract; buffered hot paths override plan_into")
         self.plan(ctx)
     }
 

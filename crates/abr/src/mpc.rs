@@ -28,11 +28,11 @@ use ee360_qoe::framerate::{alpha, framerate_factor};
 use ee360_qoe::quality::QoModel;
 use ee360_video::content::SiTi;
 use ee360_video::ladder::{EncodingLadder, FrameRate, QualityLevel};
-use ee360_video::segment::SEGMENT_DURATION_SEC;
+use ee360_video::segment::{BUFFER_THRESHOLD_SEC, LOOKAHEAD_SEGMENTS, SEGMENT_DURATION_SEC};
 
 use crate::baselines::RateBasedController;
 use crate::controller::{Controller, Scheme, SolverStats};
-use crate::plan::{PlanBuffers, SegmentContext, SegmentPlan};
+use crate::plan::{SegmentContext, SegmentPlan};
 use crate::sizer::{SchemeSizer, FOV_AREA_FRACTION};
 
 /// MPC tuning (paper values by default).
@@ -73,10 +73,10 @@ impl MpcConfig {
     /// β = 3 s, Pixel 3.
     pub fn paper_default() -> Self {
         Self {
-            horizon: 5,
+            horizon: LOOKAHEAD_SEGMENTS,
             epsilon: 0.05,
             buffer_granularity_sec: 0.5,
-            buffer_threshold_sec: 3.0,
+            buffer_threshold_sec: BUFFER_THRESHOLD_SEC,
             stall_penalty_mj_per_sec: 1.0e7,
             phone: Phone::Pixel3,
             use_forecast: false,
@@ -179,6 +179,8 @@ struct PricedCandidate {
 /// carries information from one solve to the next except `stats`.
 #[derive(Debug, Clone, Default)]
 struct SolverScratch {
+    /// Per-step horizon bandwidths, filled by each `plan`.
+    bandwidths: Vec<f64>,
     /// The current step's pricing tables and candidate set.
     step: StepPricing,
     /// The current step's (8c)-feasible candidates, in candidate order.
@@ -403,7 +405,8 @@ impl MpcController {
 
     /// Fills `buf` with the per-step bandwidths the DP plans against:
     /// the AR forecast when enabled and warm, otherwise the context's
-    /// constant estimate. In-place so a recycled buffer costs nothing.
+    /// constant estimate. In-place, so the scratch buffer costs nothing
+    /// once it has grown to the horizon.
     fn horizon_bandwidths_into(&self, ctx: &SegmentContext, buf: &mut Vec<f64>) {
         let h = self.config.horizon;
         buf.clear();
@@ -584,13 +587,6 @@ fn rate_table(ladder: &EncodingLadder, sizer: &SchemeSizer) -> Vec<(f64, f64)> {
 
 impl Controller for MpcController {
     fn plan(&mut self, ctx: &SegmentContext) -> SegmentPlan {
-        // One throwaway buffer set: `plan_into` is the real path, this
-        // convenience entry merely feeds it fresh (empty) buffers.
-        let mut buffers = PlanBuffers::new();
-        self.plan_into(ctx, &mut buffers)
-    }
-
-    fn plan_into(&mut self, ctx: &SegmentContext, buffers: &mut PlanBuffers) -> SegmentPlan {
         assert!(
             ctx.predicted_bandwidth_bps > 0.0,
             "bandwidth estimate must be positive"
@@ -602,8 +598,12 @@ impl Controller for MpcController {
             // lint:allow(hot-path-alloc, "rare no-Ptile fallback delegates to a controller outside the alloc-free contract")
             return self.fallback.plan(ctx);
         }
-        self.horizon_bandwidths_into(ctx, &mut buffers.bandwidths);
-        let (quality, fps, bits) = self.solve_with_bandwidths(ctx, &buffers.bandwidths);
+        // The horizon buffer leaves the scratch while the solve borrows
+        // the rest of it; moving a `Vec` in and out allocates nothing.
+        let mut bandwidths = std::mem::take(&mut self.scratch.get_mut().bandwidths);
+        self.horizon_bandwidths_into(ctx, &mut bandwidths);
+        let (quality, fps, bits) = self.solve_with_bandwidths(ctx, &bandwidths);
+        self.scratch.get_mut().bandwidths = bandwidths;
         SegmentPlan {
             quality,
             fps,

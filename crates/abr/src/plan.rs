@@ -8,7 +8,10 @@ use ee360_video::ladder::QualityLevel;
 ///
 /// Note what is *not* here: the true future bandwidth. Controllers only see
 /// the estimate their bandwidth predictor produced.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// The default describes no segment (`upcoming` is empty): a placeholder
+/// for a context that is filled before any controller reads it.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct SegmentContext {
     /// Zero-based index of the segment about to be requested.
     pub index: usize,
@@ -125,49 +128,16 @@ impl SegmentContext {
     }
 }
 
-/// Caller-owned scratch for
-/// [`Controller::plan_into`](crate::controller::Controller::plan_into):
-/// the horizon-bandwidth buffer the MPC fills in place, plus recycled
-/// context clones for the robust controller's hedged solves. One
-/// long-lived instance per session keeps the per-plan hot path free of
-/// heap allocation once the capacities warm up; the buffers carry no
-/// state between plans (every field is fully overwritten before use),
-/// so sharing or recreating them can never change a plan.
-#[derive(Debug, Clone, Default)]
-pub struct PlanBuffers {
-    /// Per-step horizon bandwidths (the MPC resizes it to its horizon).
-    pub(crate) bandwidths: Vec<f64>,
-    /// Recycled margined-context clone (bandwidth-uncertainty hedge).
-    pub(crate) margined: Option<SegmentContext>,
-    /// Recycled widened-context clone (FoV-uncertainty hedge).
-    pub(crate) widened: Option<SegmentContext>,
-}
-
-impl PlanBuffers {
-    /// Empty buffers; capacities grow on first use and stick.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-/// Takes the recycled context out of `slot` refilled from `src`
-/// (reusing its `upcoming` capacity), or clones `src` on first use.
-/// Taking (rather than borrowing) lets the caller hand the containing
-/// [`PlanBuffers`] onward to an inner `plan_into` while the hedged
-/// context is alive; the caller returns it via the slot afterwards.
-// lint:allow(hot-path-alloc, "first plan per session only: every later call recycles the slot's allocation")
-pub(crate) fn recycle_context(
-    slot: &mut Option<SegmentContext>,
-    src: &SegmentContext,
-) -> SegmentContext {
-    match slot.take() {
-        Some(mut b) => {
-            b.assign_from(src);
-            b
-        }
-        None => src.clone(),
-    }
-}
+/// The argument type of
+/// [`Controller::plan_into`](crate::controller::Controller::plan_into).
+///
+/// It has no fields: every planner owns its scratch (the MPC its
+/// horizon bandwidths, the robust controller its hedged contexts), so
+/// there is nothing to hand in. It stays only because the benchmark's
+/// timing wrapper (`benchmark/src/layers.rs`) names it when it
+/// implements `plan_into`.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct PlanBuffers;
 
 /// A controller's decision for one segment.
 #[derive(Debug, Clone, Copy, PartialEq)]

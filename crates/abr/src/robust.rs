@@ -37,7 +37,7 @@ use ee360_predict::viewport::ResidualTracker;
 
 use crate::controller::{Controller, RobustStats, Scheme, SolverStats};
 use crate::mpc::{MpcConfig, MpcController};
-use crate::plan::{recycle_context, PlanBuffers, SegmentContext, SegmentPlan};
+use crate::plan::{SegmentContext, SegmentPlan};
 
 /// Angular slack (degrees) the *point* plan already tolerates: a Ptile is
 /// built over the predicted block plus its popularity-weighted margin, so
@@ -99,6 +99,22 @@ pub struct RobustMpcController {
     cached_factor: f64,
     /// [`BandwidthMargin::depressed_floor`], cached alongside it.
     cached_floor: Option<f64>,
+    /// The margined copy of the latest hedged context (bandwidth hedge).
+    margined: Option<SegmentContext>,
+    /// The widened copy of the latest hedged context (FoV hedge).
+    widened: Option<SegmentContext>,
+}
+
+/// `slot`'s context overwritten with `src`: cloned on the first hedged
+/// plan, then refilled in place, reusing its `upcoming` allocation.
+fn hedge_from<'a>(
+    slot: &'a mut Option<SegmentContext>,
+    src: &SegmentContext,
+) -> &'a mut SegmentContext {
+    // lint:allow(hot-path-alloc, "first hedged plan per controller only: every later plan refills this context in place")
+    let hedged = slot.get_or_insert_with(|| src.clone());
+    hedged.assign_from(src);
+    hedged
 }
 
 impl RobustMpcController {
@@ -121,6 +137,8 @@ impl RobustMpcController {
             cached_grow_deg: 0.0,
             cached_factor: 1.0,
             cached_floor: None,
+            margined: None,
+            widened: None,
         }
     }
 
@@ -144,13 +162,6 @@ impl RobustMpcController {
 
 impl Controller for RobustMpcController {
     fn plan(&mut self, ctx: &SegmentContext) -> SegmentPlan {
-        // One throwaway buffer set: `plan_into` is the real path, this
-        // convenience entry merely feeds it fresh (empty) buffers.
-        let mut buffers = PlanBuffers::new();
-        self.plan_into(ctx, &mut buffers)
-    }
-
-    fn plan_into(&mut self, ctx: &SegmentContext, buffers: &mut PlanBuffers) -> SegmentPlan {
         self.last_estimate_bps = Some(ctx.predicted_bandwidth_bps);
         let grow_deg = self.cached_grow_deg;
         // The cached pair reproduces `BandwidthMargin::factor_for`: an
@@ -171,21 +182,17 @@ impl Controller for RobustMpcController {
             // the same point solver — the reduction-to-point-MPC
             // guarantee.
             self.stats.last_width_deg = 0.0;
-            return self.inner.plan_into(ctx, buffers);
+            return self.inner.plan(ctx);
         }
-        // The hedged contexts are *taken* out of the buffers (not
-        // borrowed) so the same `PlanBuffers` can ride into the inner
-        // solves, and returned to their slots before every exit.
-        let margined = if factor < 1.0 {
-            let mut b = recycle_context(&mut buffers.margined, ctx);
-            b.predicted_bandwidth_bps = ctx.predicted_bandwidth_bps * factor;
+        let base: &SegmentContext = if factor < 1.0 {
+            let margined = hedge_from(&mut self.margined, ctx);
+            margined.predicted_bandwidth_bps = ctx.predicted_bandwidth_bps * factor;
             self.stats.margin_applied += 1;
-            Some(b)
+            margined
         } else {
-            None
+            ctx
         };
-        let base: &SegmentContext = margined.as_ref().unwrap_or(ctx);
-        let base_plan = self.inner.plan_into(base, buffers);
+        let base_plan = self.inner.plan(base);
         let mut chosen = base_plan;
         self.stats.last_width_deg = 0.0;
         if widen {
@@ -193,10 +200,9 @@ impl Controller for RobustMpcController {
             // point plan misses by growing the planned viewport grow_deg
             // on each side, expressed as an area ratio of the 100° FoV.
             let side = (FOV_DEG + 2.0 * grow_deg) / FOV_DEG;
-            let mut wctx = recycle_context(&mut buffers.widened, base);
+            let wctx = hedge_from(&mut self.widened, base);
             wctx.ptile_area_frac = (base.ptile_area_frac * side * side).min(1.0);
-            let wide_plan = self.inner.plan_into(&wctx, buffers);
-            buffers.widened = Some(wctx);
+            let wide_plan = self.inner.plan(wctx);
             // Acceptance rule: coverage is bought only while the quality
             // constraint stays slack — the widened solve must hold the
             // base plan's rung and frame rate, otherwise hedging against
@@ -209,9 +215,6 @@ impl Controller for RobustMpcController {
                 self.stats.width_sum_deg += grow_deg;
                 chosen = wide_plan;
             }
-        }
-        if let Some(b) = margined {
-            buffers.margined = Some(b);
         }
         chosen
     }

@@ -30,7 +30,7 @@ use std::fmt;
 use ee360_abr::baselines::RateBasedController;
 use ee360_abr::controller::{Controller, Scheme};
 use ee360_abr::mpc::{MpcConfig, MpcController};
-use ee360_abr::plan::{PlanBuffers, SegmentContext, SegmentPlan};
+use ee360_abr::plan::{SegmentContext, SegmentPlan};
 use ee360_abr::robust::RobustMpcController;
 use ee360_cluster::ftile::FtileSet;
 use ee360_geom::grid::TileGrid;
@@ -54,7 +54,7 @@ use ee360_trace::fault::FaultPlan;
 use ee360_trace::head::{HeadTrace, VIEW_FOV_DEG, VIEW_SAMPLES};
 use ee360_trace::network::NetworkTrace;
 use ee360_video::ladder::QualityLevel;
-use ee360_video::segment::SEGMENT_DURATION_SEC;
+use ee360_video::segment::{BUFFER_THRESHOLD_SEC, LOOKAHEAD_SEGMENTS, SEGMENT_DURATION_SEC};
 
 use crate::gaze::SessionGaze;
 use crate::server::VideoServer;
@@ -263,12 +263,15 @@ pub fn try_run_session_traced(
 }
 
 /// The in-flight download a [`SessionRunner`] is waiting on: the plan,
-/// the lazily grown degradation ladder, and the planning-time context the
-/// booking phase needs once the outcome lands.
+/// the latest rung requested of the degradation ladder, and the values
+/// booking needs once the outcome lands. The planning context stays on
+/// the runner.
 struct PendingDownload {
-    ctx: SegmentContext,
     plan: SegmentPlan,
-    rung_plans: Vec<SegmentPlan>,
+    /// The rung last requested and its plan. A download starts at rung 0
+    /// (the plan itself) and its rung only rises, so this one slot holds
+    /// the delivering attempt's plan once the outcome lands.
+    rung: (usize, SegmentPlan),
     st: DownloadState,
     /// Buffer level read at the top of the segment iteration.
     buffer: f64,
@@ -304,21 +307,15 @@ pub struct SessionRunner<'a> {
     decoder: DecoderPipeline,
     metrics: SessionMetrics,
     grid: TileGrid,
-    horizon: usize,
     n: usize,
     q1_bitrate: f64,
     prev_qo: Option<f64>,
     prev_decode: Option<DecoderScheme>,
     k: usize,
     pending: Option<PendingDownload>,
-    /// Recycled controller scratch (horizon bandwidths, hedged context
-    /// clones): pure allocation reuse, carries no state between plans.
-    plan_buffers: PlanBuffers,
-    /// Recycled `SegmentContext::upcoming` allocation: handed to the
-    /// next `plan_segment` when a booked download returns its context.
-    spare_upcoming: Vec<ee360_video::content::SiTi>,
-    /// Recycled degradation-ladder vector, same lifecycle.
-    spare_rungs: Vec<SegmentPlan>,
+    /// The context the controller planned segment `k` from, refilled in
+    /// place by each `plan_segment`; degraded replans and booking read it.
+    ctx: SegmentContext,
     /// The user's gaze: the plan window's prediction and speed, the
     /// booked segment's realised centre and speed, over the tables every
     /// live session over the trace shares.
@@ -357,7 +354,6 @@ impl<'a> SessionRunner<'a> {
             });
         }
         policy.check().map_err(SessionError::Policy)?;
-        let horizon = 5usize;
         let n = setup
             .max_segments
             .map_or(setup.server.segment_count(), |m| {
@@ -372,30 +368,28 @@ impl<'a> SessionRunner<'a> {
             qo_model: QoModel::paper_default(),
             weights: QoeWeights::paper_default(),
             bw_estimator: HarmonicMeanEstimator::paper_default(),
-            core: SessionCore::new(3.0),
+            core: SessionCore::new(BUFFER_THRESHOLD_SEC),
             faults: faults.clone(),
             policy: *policy,
             decoder: DecoderPipeline::paper_default(),
             metrics: SessionMetrics::with_capacity(n),
             grid: *setup.server.grid(),
-            horizon,
             n,
             q1_bitrate,
             prev_qo: None,
             prev_decode: None,
             k: 0,
             pending: None,
-            plan_buffers: PlanBuffers::new(),
-            spare_upcoming: Vec::new(),
-            spare_rungs: Vec::new(),
+            ctx: SegmentContext::default(),
             gaze: SessionGaze::new(setup.user),
         })
     }
 
-    /// The download engine and the inputs it runs over. The network is
+    /// The download engine, the inputs it runs over and the planning
+    /// context the degradation ladder replans from. The network is
     /// borrowed from the setup; fault keys are the segment indices
     /// themselves (`fault_base: 0`), the single-session behaviour.
-    fn download_parts(&mut self) -> (&mut SessionCore, DownloadEnv<'_>) {
+    fn download_parts(&mut self) -> (&mut SessionCore, DownloadEnv<'_>, &SegmentContext) {
         let env = DownloadEnv {
             network: self.setup.network,
             plan: &self.faults,
@@ -403,7 +397,7 @@ impl<'a> SessionRunner<'a> {
             decoder: &self.decoder,
             fault_base: 0,
         };
-        (&mut self.core, env)
+        (&mut self.core, env, &self.ctx)
     }
 
     /// Startup: fetch the manifests of the first H segments (Section IV-C
@@ -412,11 +406,11 @@ impl<'a> SessionRunner<'a> {
     /// timeout/backoff machinery; if even that fails the session proceeds
     /// with the time (and radio energy) burned.
     pub fn start(&mut self, rec: &mut dyn Record) {
-        let metadata_bits = 128_000.0 * self.horizon as f64;
+        let metadata_bits = 128_000.0 * LOOKAHEAD_SEGMENTS as f64;
         rec.span_open("session", self.core.clock_sec());
         rec.span_open("startup", self.core.clock_sec());
         let clock_before_metadata = self.core.clock_sec();
-        let (core, env) = self.download_parts();
+        let (core, env, _) = self.download_parts();
         let _ = core.fetch_metadata_traced(&env, metadata_bits, rec);
         let metadata_sec = self.core.clock_sec() - clock_before_metadata;
         let startup_energy_mj = self.power.transmission_power_mw() * metadata_sec;
@@ -488,7 +482,7 @@ impl<'a> SessionRunner<'a> {
         // branch read the selection, so other schemes skip the layout
         // walk; their context carries the same `(0, 0.0)` the
         // selection-less path always produced.
-        let predicted_vp = Viewport::new(predicted, 100.0, 100.0);
+        let predicted_vp = Viewport::new(predicted, VIEW_FOV_DEG, VIEW_FOV_DEG);
         let ftile_selection = if self.scheme == Scheme::Ftile {
             self.setup
                 .server
@@ -512,18 +506,18 @@ impl<'a> SessionRunner<'a> {
             .unwrap_or_else(|| 0.7 * self.setup.network.bandwidth_at(0.0));
 
         // --- 4. controller decision ------------------------------------
-        // The horizon-content vector recycles the allocation the last
-        // booked segment returned (same capacity, fully overwritten).
-        let mut upcoming = std::mem::take(&mut self.spare_upcoming);
+        // The context is rebuilt around last segment's horizon vector,
+        // whose capacity it keeps.
+        let mut upcoming = std::mem::take(&mut self.ctx.upcoming);
         upcoming.clear();
-        upcoming.extend((k..k + self.horizon).map(|i| {
+        upcoming.extend((k..k + LOOKAHEAD_SEGMENTS).map(|i| {
             timeline
                 .segment(i.min(timeline.len() - 1))
                 // lint:allow(no-panic-paths, "documented invariant: index is clamped to len-1")
                 .expect("clamped index is valid")
                 .si_ti
         }));
-        let ctx = SegmentContext {
+        self.ctx = SegmentContext {
             index: k,
             upcoming,
             predicted_bandwidth_bps: bw_est,
@@ -540,7 +534,7 @@ impl<'a> SessionRunner<'a> {
         let stats_before = controller.solver_stats();
         let robust_before = controller.robust_stats();
         let solver_timer = StageTimer::start(rec.profiling());
-        let plan = controller.plan_into(&ctx, &mut self.plan_buffers);
+        let plan = controller.plan(&self.ctx);
         if let Some(dt) = solver_timer.stop() {
             rec.observe("profile.solver_wall_sec", dt);
         }
@@ -595,19 +589,14 @@ impl<'a> SessionRunner<'a> {
         });
 
         // --- 5. download (with retry/abandon/degrade/skip) --------------
-        // Rung 0 is the controller's plan; deeper rungs are produced
-        // lazily by its replan hook when the pipeline abandons a download.
-        let mut rung_plans = std::mem::take(&mut self.spare_rungs);
-        rung_plans.clear();
-        // lint:allow(hot-path-alloc, "recycled: rung_plans is the cleared ladder of the last booked segment, whose capacity is retained")
-        rung_plans.push(plan);
+        // Rung 0 is the controller's plan; deeper rungs are produced by
+        // its replan hook when the pipeline abandons a download.
         let download_timer = StageTimer::start(rec.profiling());
-        let (core, env) = self.download_parts();
+        let (core, env, _) = self.download_parts();
         let st = core.begin_download(&env, k);
         self.pending = Some(PendingDownload {
-            ctx,
             plan,
-            rung_plans,
+            rung: (0, plan),
             st,
             buffer,
             predicted,
@@ -634,21 +623,14 @@ impl<'a> SessionRunner<'a> {
             return None;
         };
         let stepped = {
-            let PendingDownload {
-                ctx,
-                plan,
-                rung_plans,
-                st,
-                ..
-            } = &mut pending;
-            let mut request = |rung: usize| {
-                while rung_plans.len() <= rung {
-                    let next = controller.replan_degraded(ctx, plan, rung_plans.len());
-                    rung_plans.push(next);
+            let PendingDownload { plan, rung, st, .. } = &mut pending;
+            let (core, env, ctx) = self.download_parts();
+            let mut request = |requested: usize| {
+                if requested != rung.0 {
+                    *rung = (requested, controller.replan_degraded(ctx, plan, requested));
                 }
-                rung_plans[rung].bits
+                rung.1.bits
             };
-            let (core, env) = self.download_parts();
             core.step_download(&env, st, &mut request, rec)
         };
         let Some(outcome) = stepped else {
@@ -667,16 +649,6 @@ impl<'a> SessionRunner<'a> {
         Some(outcome)
     }
 
-    /// Recovers a booked download's heap allocations — the context's
-    /// horizon vector and the degradation ladder — so the next
-    /// `plan_segment` reuses them instead of allocating afresh.
-    fn reclaim_pending(&mut self, pending: PendingDownload) {
-        self.spare_upcoming = pending.ctx.upcoming;
-        self.spare_upcoming.clear();
-        self.spare_rungs = pending.rung_plans;
-        self.spare_rungs.clear();
-    }
-
     /// Phase 6: books energy (Eq. 1) and QoE (Eq. 2) for a finished
     /// download, then [`Self::record_segment`].
     fn book_outcome(
@@ -692,13 +664,12 @@ impl<'a> SessionRunner<'a> {
                 timing,
                 bits,
                 wasted_bits,
-                degraded_rungs,
                 ..
             } => {
                 self.bw_estimator.observe(timing.throughput_bps);
                 controller.observe_throughput(timing.throughput_bps);
-                let used = pending.rung_plans[degraded_rungs.min(pending.rung_plans.len() - 1)];
-                (timing, used, bits, wasted_bits)
+                // The delivering attempt's rung is the last one requested.
+                (timing, pending.rung.1, bits, wasted_bits)
             }
             DownloadOutcome::Skipped {
                 request_time_sec,
@@ -743,7 +714,7 @@ impl<'a> SessionRunner<'a> {
                     energy,
                     qoe,
                 };
-                self.record_segment(pending, record, None, rec);
+                self.record_segment(record, None, rec);
                 return;
             }
         };
@@ -762,7 +733,7 @@ impl<'a> SessionRunner<'a> {
         );
 
         // --- 6b. QoE (Eq. 2) against the ACTUAL gaze --------------------
-        let content = pending.ctx.upcoming[0];
+        let content = self.ctx.content();
         let predicted = pending.predicted;
         let actual = self.gaze.segment_center(k).unwrap_or(predicted);
         // The played segment reveals the true viewing center: feed the
@@ -819,9 +790,8 @@ impl<'a> SessionRunner<'a> {
                 // center: the quality the user sees depends on how much of
                 // the actual FoV those tiles cover. Coverage reads only
                 // the region's tile set, which is the block's.
-                let predicted_region = self
-                    .grid
-                    .fov_block_region(&Viewport::new(predicted, 100.0, 100.0));
+                let predicted_vp = Viewport::new(predicted, VIEW_FOV_DEG, VIEW_FOV_DEG);
+                let predicted_region = self.grid.fov_block_region(&predicted_vp);
                 overlap_fraction(
                     self.setup.user,
                     k,
@@ -866,17 +836,16 @@ impl<'a> SessionRunner<'a> {
             energy,
             qoe,
         };
-        self.record_segment(pending, record, switched_from, rec);
+        self.record_segment(record, switched_from, rec);
     }
 
     /// Mirrors a booked segment into `rec` — the stall and energy
     /// histograms, the Stall, DecoderSwitch and EnergySample events —
-    /// then pushes its record, closes the segment span and reclaims the
-    /// download's allocations. `switched_from` is the decoder scheme of
-    /// the last delivered segment when this one changed it.
+    /// then pushes its record and closes the segment span.
+    /// `switched_from` is the decoder scheme of the last delivered
+    /// segment when this one changed it.
     fn record_segment(
         &mut self,
-        pending: PendingDownload,
         record: SegmentRecord,
         switched_from: Option<DecoderScheme>,
         rec: &mut dyn Record,
@@ -911,7 +880,6 @@ impl<'a> SessionRunner<'a> {
         });
         self.metrics.push(record);
         rec.span_close(t_book);
-        self.reclaim_pending(pending);
     }
 
     /// Seals the session: stamps the resilience counters, records the

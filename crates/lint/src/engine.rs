@@ -59,8 +59,8 @@ impl Default for Config {
                 "sim::fleet::ScaleDriver::on_event",
                 "sim::fleet::ScaleDriver::start",
                 "abr::mpc::MpcController::solve_with_bandwidths",
-                "abr::mpc::MpcController::plan_into",
-                "abr::robust::RobustMpcController::plan_into",
+                "abr::mpc::MpcController::plan",
+                "abr::robust::RobustMpcController::plan",
                 // The per-segment client step: prediction, Ptile lookup,
                 // bandwidth estimate and the controller call.
                 "core::client::SessionRunner::plan_segment",

@@ -36,6 +36,4 @@ pub use bandwidth::{
     LastSampleEstimator,
 };
 pub use forecast::ArForecaster;
-pub use viewport::{
-    PredictError, PredictorKind, ResidualTracker, ViewportForecast, ViewportPredictor,
-};
+pub use viewport::{PredictError, PredictorKind, ResidualTracker, ViewportPredictor};

@@ -362,23 +362,6 @@ impl ViewportPredictor {
         self.predict(history, horizon_sec)
             .map(|p| p.distance_deg(&truth))
     }
-
-    /// Point prediction plus the residual error quantile fitted online by
-    /// `tracker` — the uncertainty-aware counterpart of [`Self::predict`].
-    /// While the tracker is cold the quantile is 0° and the forecast
-    /// degenerates to the point estimate.
-    pub fn forecast(
-        &self,
-        history: &[SwitchingSample],
-        horizon_sec: f64,
-        tracker: &ResidualTracker,
-    ) -> Option<ViewportForecast> {
-        let center = self.predict(history, horizon_sec)?;
-        Some(ViewportForecast {
-            center,
-            error_quantile_deg: tracker.width_deg(),
-        })
-    }
 }
 
 /// What a window's history gives to extrapolate from:
@@ -442,18 +425,6 @@ pub struct PredictorWorkspace {
     ts: Vec<f64>,
     yaw: Vec<f64>,
     pitch: Vec<f64>,
-}
-
-/// A viewport prediction with its uncertainty: the point estimate plus
-/// the residual error quantile realised so far at this horizon.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ViewportForecast {
-    /// The point estimate (same value [`ViewportPredictor::predict`]
-    /// returns).
-    pub center: ViewCenter,
-    /// The tracked residual quantile in degrees; 0.0 until the tracker
-    /// has seen enough realised errors.
-    pub error_quantile_deg: f64,
 }
 
 /// Online tracker of *realised* viewport prediction errors.
@@ -931,27 +902,5 @@ mod tests {
         tr.reset();
         assert!(tr.is_empty());
         assert_eq!(tr.width_deg(), 0.0);
-    }
-
-    #[test]
-    fn forecast_pairs_point_estimate_with_tracked_width() {
-        let p = ViewportPredictor::paper_default();
-        let h = pan_history(15.0, 21, 0.1);
-        let mut tr = ResidualTracker::new(32, 0.9, 2);
-        let cold = p.forecast(&h, 0.5, &tr).unwrap();
-        assert_eq!(cold.error_quantile_deg, 0.0);
-        assert_eq!(cold.center, p.predict(&h, 0.5).unwrap());
-        tr.observe_error_deg(4.0);
-        tr.observe_error_deg(8.0);
-        let warm = p.forecast(&h, 0.5, &tr).unwrap();
-        assert_eq!(warm.center, cold.center, "width must not move the point");
-        assert!(warm.error_quantile_deg > 0.0);
-    }
-
-    #[test]
-    fn forecast_empty_history_is_none() {
-        let p = ViewportPredictor::paper_default();
-        let tr = ResidualTracker::paper_default();
-        assert!(p.forecast(&[], 1.0, &tr).is_none());
     }
 }

@@ -57,7 +57,7 @@ use ee360_support::rng::StdRng;
 use ee360_trace::fault::FaultPlan;
 use ee360_trace::network::NetworkTrace;
 use ee360_video::content::SiTi;
-use ee360_video::segment::SEGMENT_DURATION_SEC;
+use ee360_video::segment::{BUFFER_THRESHOLD_SEC, SEGMENT_DURATION_SEC};
 
 use crate::decoder::DecoderPipeline;
 use crate::resilience::{
@@ -505,7 +505,7 @@ impl<'a> ScaleDriver<'a> {
         Self {
             env,
             index,
-            core: SessionCore::new(3.0),
+            core: SessionCore::new(BUFFER_THRESHOLD_SEC),
             rng,
             st: None,
             next_segment: 0,

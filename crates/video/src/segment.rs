@@ -11,6 +11,15 @@ use crate::content::SiTi;
 /// Length of one video segment in seconds (`L` in the paper).
 pub const SEGMENT_DURATION_SEC: f64 = 1.0;
 
+/// Segments of prefetched SI/TI metadata the player holds ahead of the
+/// one it requests, counting that one: the MPC horizon `H` of
+/// Section IV-C step (a).
+pub const LOOKAHEAD_SEGMENTS: usize = 5;
+
+/// The player's buffer threshold β, seconds: it waits before requesting
+/// while the buffer holds more (Eq. 6).
+pub const BUFFER_THRESHOLD_SEC: f64 = 3.0;
+
 /// The content descriptor of one segment.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SegmentContent {
