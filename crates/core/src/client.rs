@@ -34,7 +34,6 @@ use ee360_abr::plan::{SegmentContext, SegmentPlan};
 use ee360_abr::robust::RobustMpcController;
 use ee360_cluster::ftile::FtileSet;
 use ee360_geom::grid::TileGrid;
-use ee360_geom::projection::{coverage_from_counts, pixel_coverage};
 use ee360_geom::region::TileRegion;
 use ee360_geom::viewport::{ViewCenter, Viewport};
 use ee360_obs::profile::StageTimer;
@@ -50,8 +49,9 @@ use ee360_sim::metrics::{SegmentRecord, SegmentTiming, SessionMetrics};
 use ee360_sim::resilience::{
     DownloadEnv, DownloadOutcome, DownloadState, PolicyError, RetryPolicy, SessionCore,
 };
+use ee360_trace::derived::VIEW_FOV_DEG;
 use ee360_trace::fault::FaultPlan;
-use ee360_trace::head::{HeadTrace, VIEW_FOV_DEG, VIEW_SAMPLES};
+use ee360_trace::head::HeadTrace;
 use ee360_trace::network::NetworkTrace;
 use ee360_video::ladder::QualityLevel;
 use ee360_video::segment::{BUFFER_THRESHOLD_SEC, LOOKAHEAD_SEGMENTS, SEGMENT_DURATION_SEC};
@@ -126,26 +126,6 @@ pub fn make_controller(scheme: Scheme, phone: Phone) -> Box<dyn Controller> {
             Box::new(RobustMpcController::new(cfg))
         }
         other => Box::new(RateBasedController::new(other)),
-    }
-}
-
-/// Pixel-weighted fraction of what the user sees in segment `k` that a
-/// region stores — the rectilinear render mapping of Section II, sampled
-/// at 16×16. `actual` is the segment's realised viewport. Its sample
-/// counts come from the trace's per-segment table, filled once per
-/// segment for every session over the trace. Without a table entry (no
-/// recorded centre, or a non-paper grid) the viewport is sampled afresh;
-/// both paths give the same bits.
-fn overlap_fraction(
-    user: &HeadTrace,
-    k: usize,
-    region: &TileRegion,
-    grid: &TileGrid,
-    actual: &Viewport,
-) -> f64 {
-    match user.segment_view_counts(k, grid) {
-        Some(counts) => coverage_from_counts(counts, region, grid, VIEW_SAMPLES),
-        None => pixel_coverage(actual, region, grid, VIEW_SAMPLES),
     }
 }
 
@@ -317,8 +297,8 @@ pub struct SessionRunner<'a> {
     /// place by each `plan_segment`; degraded replans and booking read it.
     ctx: SegmentContext,
     /// The user's gaze: the plan window's prediction and speed, the
-    /// booked segment's realised centre and speed, over the tables every
-    /// live session over the trace shares.
+    /// booked segment's realised centre, speed and coverage, over the
+    /// tables every live session over the trace shares.
     gaze: SessionGaze<'a>,
 }
 
@@ -776,15 +756,16 @@ impl<'a> SessionRunner<'a> {
                 let w = pending.robust_width_deg;
                 let widened = Viewport::new(
                     predicted,
-                    (100.0 + 2.0 * w).min(360.0),
-                    (100.0 + 2.0 * w).min(180.0),
+                    (VIEW_FOV_DEG + 2.0 * w).min(360.0),
+                    (VIEW_FOV_DEG + 2.0 * w).min(180.0),
                 );
                 let union = region.union(&self.grid.fov_block_region(&widened));
-                overlap_fraction(self.setup.user, k, &union, &self.grid, &actual_vp)
+                self.gaze
+                    .overlap_fraction(k, &union, &self.grid, &actual_vp)
             }
-            (_, Some(region)) if used_plan.decode_scheme == DecoderScheme::Ptile => {
-                overlap_fraction(self.setup.user, k, region, &self.grid, &actual_vp)
-            }
+            (_, Some(region)) if used_plan.decode_scheme == DecoderScheme::Ptile => self
+                .gaze
+                .overlap_fraction(k, region, &self.grid, &actual_vp),
             _ => {
                 // Conventional tiles were fetched around the *predicted*
                 // center: the quality the user sees depends on how much of
@@ -792,13 +773,8 @@ impl<'a> SessionRunner<'a> {
                 // the region's tile set, which is the block's.
                 let predicted_vp = Viewport::new(predicted, VIEW_FOV_DEG, VIEW_FOV_DEG);
                 let predicted_region = self.grid.fov_block_region(&predicted_vp);
-                overlap_fraction(
-                    self.setup.user,
-                    k,
-                    &predicted_region,
-                    &self.grid,
-                    &actual_vp,
-                )
+                self.gaze
+                    .overlap_fraction(k, &predicted_region, &self.grid, &actual_vp)
             }
         };
         let a = alpha(actual_s_fov, content.ti());

@@ -1,17 +1,22 @@
 //! A session's per-segment gaze work (Section IV-B): the viewport
 //! prediction and fast switching speed of the 2 s planning window, and
-//! the realised centre and speed each booking reads.
+//! the realised centre, speed and viewport coverage each booking reads.
 //!
 //! The window is read in place from the trace's stored samples, found
 //! by searches that start where the previous segment's ended, and fitted
 //! in one two-pass sweep. While two or more sessions over a trace are
 //! live, a plan window's fit and fast speed are shared through the
 //! trace's window-fit ring, so the sessions that reach the same window
-//! compute it once.
+//! compute it once. [`SessionGaze`] is a session's only way to its
+//! trace's derived state ([`ee360_trace::derived`]).
 
-use ee360_geom::viewport::ViewCenter;
+use ee360_geom::grid::TileGrid;
+use ee360_geom::projection::{coverage_from_counts, pixel_coverage};
+use ee360_geom::region::TileRegion;
+use ee360_geom::viewport::{ViewCenter, Viewport};
 use ee360_predict::viewport::{LinearFit, SingleRidge, ViewportPredictor, WindowFit};
-use ee360_trace::head::{HeadTrace, IntervalSpeeds, SharedFit, WindowKey};
+use ee360_trace::derived::{IntervalSpeeds, SharedFit, WindowKey, VIEW_SAMPLES};
+use ee360_trace::head::HeadTrace;
 
 /// The predictor every session plans with: the paper's ridge regression
 /// over 2 s. The ring's key names a window's samples and nothing else,
@@ -113,6 +118,23 @@ impl<'a> SessionGaze<'a> {
     pub fn segment_fast_speed(&mut self, segment: usize) -> Option<f64> {
         self.speeds
             .segment_fast_speed_from(&mut self.booking, segment)
+    }
+
+    /// Pixel-weighted fraction of `segment`'s realised viewport `actual`
+    /// that `region` stores (Section II's render mapping at 16×16 rays),
+    /// from the trace's shared view counts, or by sampling `actual` when
+    /// the trace has none for it: both paths give the same bits.
+    pub fn overlap_fraction(
+        &self,
+        segment: usize,
+        region: &TileRegion,
+        grid: &TileGrid,
+        actual: &Viewport,
+    ) -> f64 {
+        match self.trace.segment_view_counts(segment, grid) {
+            Some(counts) => coverage_from_counts(counts, region, grid, VIEW_SAMPLES),
+            None => pixel_coverage(actual, region, grid, VIEW_SAMPLES),
+        }
     }
 }
 

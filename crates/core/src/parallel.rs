@@ -6,15 +6,16 @@
 //! thread pool — a straggler cell (a long video or an expensive scheme)
 //! no longer serialises its whole column behind one worker, which is
 //! what kept the cell-granular sweep flat. A work item runs one user's
-//! sessions under every scheme back to back, so they share the trace's
-//! interval-speed table ([`ee360_trace::head::IntervalSpeeds`]). Results
-//! are regrouped and returned in deterministic (video, scheme) order
-//! regardless of the execution schedule.
+//! sessions under every scheme back to back, holding the trace's
+//! interval-speed table ([`ee360_trace::derived::IntervalSpeeds`]) so
+//! they share it: the one non-session user of a trace's derived state.
+//! Results are regrouped and returned in deterministic (video, scheme)
+//! order regardless of the execution schedule.
 
 use ee360_abr::controller::Scheme;
 use ee360_sim::metrics::SessionMetrics;
 use ee360_support::parallel::parallel_map_indexed;
-use ee360_trace::head::IntervalSpeeds;
+use ee360_trace::derived::IntervalSpeeds;
 
 use crate::experiment::{Evaluation, SchemeOutcome};
 

@@ -41,6 +41,7 @@
 //! ```
 
 pub mod dataset;
+pub mod derived;
 pub mod fault;
 pub mod head;
 pub mod io;
