@@ -1,6 +1,5 @@
 //! The controller abstraction shared by all five schemes.
 
-use ee360_power::model::DecoderScheme;
 use ee360_video::ladder::EncodingLadder;
 
 use crate::plan::{PlanBuffers, SegmentContext, SegmentPlan};
@@ -81,18 +80,6 @@ impl Scheme {
             "ours" => Some(Scheme::Ours),
             "robust-mpc" => Some(Scheme::RobustMpc),
             _ => None,
-        }
-    }
-
-    /// The Table I decode-pipeline row this scheme runs when the viewport
-    /// is Ptile-covered. (Ptile/Ours fall back to the Ctile pipeline when
-    /// no Ptile covers the predicted viewport.)
-    pub fn decoder_scheme(&self) -> DecoderScheme {
-        match self {
-            Scheme::Ctile => DecoderScheme::Ctile,
-            Scheme::Ftile => DecoderScheme::Ftile,
-            Scheme::Nontile => DecoderScheme::Nontile,
-            Scheme::Ptile | Scheme::Ours | Scheme::RobustMpc => DecoderScheme::Ptile,
         }
     }
 }
@@ -293,15 +280,6 @@ mod tests {
     }
 
     #[test]
-    fn decoder_mapping() {
-        assert_eq!(Scheme::Ctile.decoder_scheme(), DecoderScheme::Ctile);
-        assert_eq!(Scheme::Ftile.decoder_scheme(), DecoderScheme::Ftile);
-        assert_eq!(Scheme::Nontile.decoder_scheme(), DecoderScheme::Nontile);
-        assert_eq!(Scheme::Ptile.decoder_scheme(), DecoderScheme::Ptile);
-        assert_eq!(Scheme::Ours.decoder_scheme(), DecoderScheme::Ptile);
-    }
-
-    #[test]
     fn serde_roundtrip() {
         let json = ee360_support::json::to_string(&Scheme::Ours).unwrap();
         let back: Scheme = ee360_support::json::from_str(&json).unwrap();
@@ -343,6 +321,7 @@ mod tests {
         assert_eq!(Scheme::from_cli_token(""), None);
     }
 
+    use ee360_power::model::DecoderScheme;
     use ee360_video::content::SiTi;
     use ee360_video::ladder::QualityLevel;
 

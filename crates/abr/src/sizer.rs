@@ -27,8 +27,6 @@ pub const BACKGROUND_TILE_COUNT: usize = 32 - 9;
 pub const FTILE_FOV_TILES: usize = 3;
 /// Ftile: the area those tiles cover (cluster boundaries overshoot the FoV).
 pub const FTILE_FOV_AREA: f64 = 0.34;
-/// Ftile: remaining tiles.
-pub const FTILE_BACKGROUND_TILES: usize = 7;
 
 impl SchemeSizer {
     /// A sizer over the calibrated paper model.

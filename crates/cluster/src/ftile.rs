@@ -279,7 +279,7 @@ impl FtileSet {
 fn block_weights(block_grid: &TileGrid, centers: &[ViewCenter]) -> Vec<Vec<f64>> {
     let mut counts = vec![vec![0usize; block_grid.cols()]; block_grid.rows()];
     for c in centers {
-        let span = block_grid.covering_span(&Viewport::new(*c, 100.0, 100.0));
+        let span = block_grid.covering_span(&Viewport::paper_fov(*c));
         for row in &mut counts[span.rows] {
             for cols in &span.cols {
                 for count in &mut row[cols.clone()] {
@@ -458,7 +458,7 @@ mod tests {
         let block_grid = TileGrid::new(FTILE_BLOCK_ROWS, FTILE_BLOCK_COLS);
         let mut weights = vec![vec![0.05f64; FTILE_BLOCK_COLS]; FTILE_BLOCK_ROWS];
         for c in centers {
-            let vp = Viewport::new(*c, 100.0, 100.0);
+            let vp = Viewport::paper_fov(*c);
             for b in &block_grid.tiles_covering(&vp) {
                 weights[b.row][b.col] += 1.0;
             }

@@ -9,7 +9,7 @@
 
 use ee360_geom::grid::TileGrid;
 use ee360_geom::region::TileRegion;
-use ee360_geom::viewport::{ViewCenter, Viewport};
+use ee360_geom::viewport::{ViewCenter, Viewport, PAPER_FOV_DEG};
 
 use crate::algorithm1::{cluster_viewing_centers, ClusteringParams};
 
@@ -41,8 +41,8 @@ impl PtileConfig {
         Self {
             clustering: ClusteringParams::paper_default(),
             min_users: 5,
-            fov_h_deg: 100.0,
-            fov_v_deg: 100.0,
+            fov_h_deg: PAPER_FOV_DEG,
+            fov_v_deg: PAPER_FOV_DEG,
         }
     }
 }

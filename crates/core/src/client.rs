@@ -140,8 +140,8 @@ pub fn make_controller(scheme: Scheme, phone: Phone) -> Box<dyn Controller> {
 /// # Panics
 ///
 /// Panics if the user's trace belongs to a different video than the server,
-/// or the retry policy is malformed; [`try_run_session_resilient`] returns
-/// those cases as a [`SessionError`].
+/// or the retry policy is malformed; [`try_run_session_traced`] and
+/// [`SessionRunner::try_new`] return those cases as a [`SessionError`].
 pub fn run_session_resilient(
     scheme: Scheme,
     setup: &SessionSetup,
@@ -152,26 +152,14 @@ pub fn run_session_resilient(
     run_session_resilient_with(controller.as_mut(), setup, faults, policy)
 }
 
-/// Fallible [`run_session_resilient`]: a mismatched trace or a malformed
-/// retry policy is an error instead of a panic.
-pub fn try_run_session_resilient(
-    scheme: Scheme,
-    setup: &SessionSetup,
-    faults: &FaultPlan,
-    policy: &RetryPolicy,
-) -> Result<SessionMetrics, SessionError> {
-    let mut controller = make_controller(scheme, setup.phone);
-    try_run_session_resilient_with(controller.as_mut(), setup, faults, policy)
-}
-
 /// [`run_session_resilient`] with a caller-supplied controller (used by
 /// the ablation benches: custom ε, custom frame-rate ladder, …).
 ///
 /// # Panics
 ///
 /// Panics if the user's trace belongs to a different video than the server,
-/// or the retry policy is malformed; [`try_run_session_resilient_with`]
-/// returns those cases as a [`SessionError`].
+/// or the retry policy is malformed; [`try_run_session_traced`] returns
+/// those cases as a [`SessionError`].
 pub fn run_session_resilient_with(
     controller: &mut dyn Controller,
     setup: &SessionSetup,
@@ -179,16 +167,6 @@ pub fn run_session_resilient_with(
     policy: &RetryPolicy,
 ) -> SessionMetrics {
     run_session_traced(controller, setup, faults, policy, &mut NoopRecorder)
-}
-
-/// Fallible [`run_session_resilient_with`].
-pub fn try_run_session_resilient_with(
-    controller: &mut dyn Controller,
-    setup: &SessionSetup,
-    faults: &FaultPlan,
-    policy: &RetryPolicy,
-) -> Result<SessionMetrics, SessionError> {
-    try_run_session_traced(controller, setup, faults, policy, &mut NoopRecorder)
 }
 
 /// The session loop: [`SessionRunner`] driven to completion. Every other
@@ -1094,8 +1072,16 @@ mod tests {
             SessionRunner::try_new(Scheme::Ctile, &setup, &faults, &policy).err(),
             Some(err)
         );
+        let mut controller = make_controller(Scheme::Ctile, setup.phone);
         assert_eq!(
-            try_run_session_resilient(Scheme::Ctile, &setup, &faults, &policy).err(),
+            try_run_session_traced(
+                controller.as_mut(),
+                &setup,
+                &faults,
+                &policy,
+                &mut NoopRecorder
+            )
+            .err(),
             Some(err)
         );
         assert!(err.to_string().contains("same video"));
@@ -1131,11 +1117,12 @@ mod tests {
         );
         assert_eq!(err.to_string(), "segment deadline must be positive");
         // A valid policy still runs the session.
-        assert!(try_run_session_resilient(
-            Scheme::Ours,
+        assert!(try_run_session_traced(
+            controller.as_mut(),
             &setup,
             &FaultPlan::none(),
-            &RetryPolicy::default_mobile()
+            &RetryPolicy::default_mobile(),
+            &mut NoopRecorder
         )
         .is_ok());
     }

@@ -5,12 +5,12 @@ use std::collections::BTreeMap;
 use ee360_abr::controller::Scheme;
 use ee360_cluster::ptile::PtileConfig;
 use ee360_geom::grid::TileGrid;
-use ee360_obs::{Record, Recorder};
+use ee360_obs::{Level, Record, Recorder};
 use ee360_power::model::Phone;
 use ee360_sim::metrics::SessionMetrics;
 use ee360_sim::resilience::RetryPolicy;
 use ee360_support::parallel::parallel_map_indexed;
-use ee360_trace::dataset::VideoTraces;
+use ee360_trace::dataset::{VideoTraces, PAPER_TRAIN_USERS, PAPER_USER_COUNT};
 use ee360_trace::fault::FaultPlan;
 use ee360_trace::head::{GazeConfig, HeadTrace};
 use ee360_trace::network::NetworkTrace;
@@ -51,8 +51,8 @@ impl ExperimentConfig {
         Self {
             phone: Phone::Pixel3,
             seed: 20220706,
-            users_total: 48,
-            train_users: 40,
+            users_total: PAPER_USER_COUNT,
+            train_users: PAPER_TRAIN_USERS,
             network_scale: 1.0,
             max_segments: None,
         }
@@ -357,25 +357,22 @@ impl Evaluation {
     }
 
     /// Runs one (video, scheme) cell over all evaluation users, fanning
-    /// sessions across [`Self::session_threads`] workers. Sessions share
-    /// nothing mutable and land in user order, so the outcome matches the
-    /// sequential path for any worker count.
+    /// sessions across [`Self::session_threads`] workers: [`Self::run_traced`]
+    /// in the paper's benign world with a recorder that keeps nothing.
+    /// Sessions share nothing mutable and land in user order, so the
+    /// outcome matches the sequential path for any worker count.
     ///
     /// # Panics
     ///
     /// Panics if the video was not prepared.
     pub fn run(&self, video_id: usize, scheme: Scheme) -> SchemeOutcome {
-        let (server, users) = self.prepared(video_id);
-        let sessions: Vec<SessionMetrics> =
-            parallel_map_indexed(self.session_threads, users.len(), |i| {
-                run_session_resilient(
-                    scheme,
-                    &self.setup(server, &users[i]),
-                    &FaultPlan::none(),
-                    &RetryPolicy::disabled(),
-                )
-            });
-        SchemeOutcome::from_sessions(scheme, video_id, &sessions)
+        self.run_traced(
+            video_id,
+            scheme,
+            &FaultPlan::none(),
+            &RetryPolicy::disabled(),
+            &mut Recorder::new(Level::Off),
+        )
     }
 
     /// [`Self::run`] under a fault plan with observability: each session
@@ -478,17 +475,6 @@ impl Evaluation {
     pub fn catalog(&self) -> &VideoCatalog {
         &self.catalog
     }
-}
-
-/// Convenience: prepare a single video and run one scheme.
-pub fn run_video_scheme(
-    spec: &VideoSpec,
-    scheme: Scheme,
-    config: &ExperimentConfig,
-) -> SchemeOutcome {
-    let catalog = VideoCatalog::paper_default();
-    let eval = Evaluation::prepare_videos(*config, &catalog, Some(&[spec.id]));
-    eval.run(spec.id, scheme)
 }
 
 #[cfg(test)]

@@ -17,15 +17,15 @@
 //! # Example
 //!
 //! ```
-//! use ee360_core::experiment::{ExperimentConfig, run_video_scheme};
+//! use ee360_core::experiment::{Evaluation, ExperimentConfig};
 //! use ee360_abr::controller::Scheme;
 //! use ee360_video::catalog::VideoCatalog;
 //!
 //! let mut config = ExperimentConfig::quick_test();
 //! config.max_segments = Some(20); // keep the doctest fast
 //! let catalog = VideoCatalog::paper_default();
-//! let spec = catalog.video(6).unwrap();
-//! let outcome = run_video_scheme(spec, Scheme::Ptile, &config);
+//! let eval = Evaluation::prepare_videos(config, &catalog, Some(&[6]));
+//! let outcome = eval.run(6, Scheme::Ptile);
 //! assert!(outcome.mean_energy_mj_per_segment > 0.0);
 //! assert!(outcome.mean_qoe > 0.0);
 //! ```
@@ -39,11 +39,11 @@ pub mod report;
 pub mod server;
 
 pub use client::{
-    make_controller, run_session_resilient, run_session_traced, try_run_session_resilient,
-    try_run_session_traced, SessionError, SessionSetup,
+    make_controller, run_session_resilient, run_session_traced, try_run_session_traced,
+    SessionError, SessionSetup,
 };
-pub use experiment::{run_video_scheme, ExperimentConfig, SchemeOutcome};
+pub use experiment::{ExperimentConfig, SchemeOutcome};
 pub use fleet::{fleet_sessions_traced, run_fleet_traced, FleetSessionDriver};
 pub use parallel::{default_threads, run_matrix};
-pub use report::{normalize_to, BarChart, TableWriter};
+pub use report::{BarChart, TableWriter};
 pub use server::{PrepareError, VideoServer};

@@ -2,21 +2,6 @@
 
 use std::fmt::Write as _;
 
-/// Normalises a series against a baseline value (the figures normalise
-/// everything to Ctile).
-///
-/// # Panics
-///
-/// Panics if the baseline is zero or not finite.
-pub fn normalize_to(baseline: f64, values: &[f64]) -> Vec<f64> {
-    assert!(
-        // lint:allow(float-compare, "intentional exact check: any non-zero baseline divides cleanly")
-        baseline.is_finite() && baseline != 0.0,
-        "baseline must be finite and non-zero"
-    );
-    values.iter().map(|v| v / baseline).collect()
-}
-
 /// A minimal fixed-width table printer for the figure binaries.
 ///
 /// # Example
@@ -195,18 +180,6 @@ pub fn fmt_pct(v: f64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn normalize_simple() {
-        let n = normalize_to(2.0, &[2.0, 1.0, 4.0]);
-        assert_eq!(n, vec![1.0, 0.5, 2.0]);
-    }
-
-    #[test]
-    #[should_panic(expected = "baseline")]
-    fn zero_baseline_panics() {
-        let _ = normalize_to(0.0, &[1.0]);
-    }
 
     #[test]
     fn table_renders_aligned() {

@@ -224,11 +224,6 @@ impl TileRegion {
         self.col_span as f64 * grid.tile_width_deg()
     }
 
-    /// Height of the region in degrees of pitch on the given grid.
-    pub fn height_deg(&self, grid: &TileGrid) -> f64 {
-        self.row_span() as f64 * grid.tile_height_deg()
-    }
-
     /// Fraction of the whole frame the region covers, in planar degrees.
     pub fn area_fraction(&self, grid: &TileGrid) -> f64 {
         self.tile_count() as f64 / grid.tile_count() as f64
@@ -333,7 +328,6 @@ mod tests {
         let g = grid();
         let r = TileRegion::new(&g, 1, 2, 0, 3);
         assert!((r.width_deg(&g) - 135.0).abs() < 1e-12);
-        assert!((r.height_deg(&g) - 90.0).abs() < 1e-12);
         assert!((r.area_fraction(&g) - 6.0 / 32.0).abs() < 1e-12);
     }
 

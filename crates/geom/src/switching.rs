@@ -67,20 +67,6 @@ pub fn switching_speeds(samples: &[SwitchingSample]) -> Vec<f64> {
         .collect()
 }
 
-/// Mean switching speed over a window of samples, in degrees per second.
-///
-/// Useful as the `S_fov` input to the QoE frame-rate factor (Eq. 4), which
-/// needs one representative speed per video segment. Returns `0.0` for
-/// traces with fewer than two samples.
-pub fn mean_switching_speed(samples: &[SwitchingSample]) -> f64 {
-    let speeds = switching_speeds(samples);
-    if speeds.is_empty() {
-        0.0
-    } else {
-        speeds.iter().sum::<f64>() / speeds.len() as f64
-    }
-}
-
 /// The *fast* switching speed of a window: the 75th percentile of its
 /// per-interval speeds, in degrees per second. Eq. 4's blur argument is
 /// about the fast phases of the gaze ("during fast view switching"), which
@@ -149,22 +135,6 @@ mod tests {
             .map(|i| SwitchingSample::new(i as f64 * 0.02, ViewCenter::new(i as f64, 0.0)))
             .collect();
         assert_eq!(switching_speeds(&samples).len(), 4);
-    }
-
-    #[test]
-    fn mean_speed_of_uniform_motion() {
-        let samples: Vec<_> = (0..11)
-            .map(|i| SwitchingSample::new(i as f64 * 0.1, ViewCenter::new(i as f64 * 2.0, 0.0)))
-            .collect();
-        // 2° per 0.1 s = 20°/s throughout.
-        assert!((mean_switching_speed(&samples) - 20.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn mean_speed_short_trace_is_zero() {
-        assert_eq!(mean_switching_speed(&[]), 0.0);
-        let one = [SwitchingSample::new(0.0, ViewCenter::default())];
-        assert_eq!(mean_switching_speed(&one), 0.0);
     }
 
     #[test]

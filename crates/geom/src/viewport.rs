@@ -164,14 +164,6 @@ impl Viewport {
         }
         p.pitch_deg() >= self.pitch_min_deg() - 1e-9 && p.pitch_deg() <= self.pitch_max_deg() + 1e-9
     }
-
-    /// Fraction of the full equirectangular plane the viewport covers,
-    /// measured in planar degrees (not solid angle).
-    pub fn planar_area_fraction(&self) -> f64 {
-        let h = self.fov_h_deg.min(360.0);
-        let v = self.pitch_max_deg() - self.pitch_min_deg();
-        (h / 360.0) * (v / 180.0)
-    }
 }
 
 #[cfg(test)]
@@ -218,13 +210,6 @@ mod tests {
         let vp = Viewport::paper_fov(ViewCenter::new(0.0, 80.0));
         assert_eq!(vp.pitch_max_deg(), 90.0);
         assert!((vp.pitch_min_deg() - 30.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn paper_fov_area_fraction() {
-        let vp = Viewport::paper_fov(ViewCenter::new(0.0, 0.0));
-        // 100/360 * 100/180
-        assert!((vp.planar_area_fraction() - (100.0 / 360.0) * (100.0 / 180.0)).abs() < 1e-12);
     }
 
     #[test]

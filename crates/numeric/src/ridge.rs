@@ -167,22 +167,6 @@ impl RidgeRegression {
     pub fn lambda(&self) -> f64 {
         self.lambda
     }
-
-    /// Mean squared error over a dataset.
-    pub fn mse(&self, xs: &[Vec<f64>], ys: &[f64]) -> f64 {
-        assert_eq!(xs.len(), ys.len(), "dataset shapes mismatch");
-        if xs.is_empty() {
-            return 0.0;
-        }
-        xs.iter()
-            .zip(ys)
-            .map(|(x, &y)| {
-                let e = self.predict(x) - y;
-                e * e
-            })
-            .sum::<f64>()
-            / xs.len() as f64
-    }
 }
 
 /// A fitted single-feature ridge model `y ≈ w·x + b`, held by value.
@@ -391,14 +375,6 @@ mod tests {
             RidgeRegression::fit(&[vec![1.0]], &[1.0], -1.0),
             Err(RidgeError::NegativeLambda)
         );
-    }
-
-    #[test]
-    fn mse_zero_on_perfect_fit() {
-        let xs: Vec<Vec<f64>> = (0..6).map(|i| vec![i as f64]).collect();
-        let ys: Vec<f64> = (0..6).map(|i| i as f64).collect();
-        let m = RidgeRegression::fit(&xs, &ys, 0.0).unwrap();
-        assert!(m.mse(&xs, &ys) < 1e-10);
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //!   than the arithmetic mean under bursty LTE conditions.
 //! * [`Ecdf`] — empirical CDFs, used for Fig. 5 (switching speed) and
 //!   Fig. 8 (Ptile size ratios).
-//! * [`percentile`], [`mean`], [`std_dev`], [`pearson_correlation`] —
+//! * [`percentile`], [`mean`], [`pearson_correlation`] —
 //!   assorted summaries reported in the paper's tables.
 
 /// Arithmetic mean. Returns `0.0` for an empty slice.
@@ -14,17 +14,6 @@ pub fn mean(xs: &[f64]) -> f64 {
         return 0.0;
     }
     xs.iter().sum::<f64>() / xs.len() as f64
-}
-
-/// Sample standard deviation (n−1 denominator). Returns `0.0` for fewer
-/// than two samples.
-pub fn std_dev(xs: &[f64]) -> f64 {
-    if xs.len() < 2 {
-        return 0.0;
-    }
-    let m = mean(xs);
-    let var = xs.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / (xs.len() - 1) as f64;
-    var.sqrt()
 }
 
 /// Harmonic mean of strictly positive samples.
@@ -194,17 +183,14 @@ mod tests {
     use ee360_support::prelude::*;
 
     #[test]
-    fn mean_and_std() {
+    fn mean_of_samples() {
         let xs = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0];
         assert!((mean(&xs) - 5.0).abs() < 1e-12);
-        assert!((std_dev(&xs) - 2.138089935299395).abs() < 1e-12);
     }
 
     #[test]
     fn empty_mean_is_zero() {
         assert_eq!(mean(&[]), 0.0);
-        assert_eq!(std_dev(&[]), 0.0);
-        assert_eq!(std_dev(&[1.0]), 0.0);
     }
 
     #[test]

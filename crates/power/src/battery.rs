@@ -1,7 +1,7 @@
 //! From millijoules to battery life.
 //!
-//! The paper reports energy in joules; what a user feels is battery drain.
-//! This module converts session energy into percent-of-battery for the
+//! The paper reports energy in joules; what a user feels is battery life.
+//! This module converts streaming power into hours of battery for the
 //! three measured phones, using their nominal battery capacities.
 
 use crate::model::Phone;
@@ -47,19 +47,6 @@ impl Battery {
         self.capacity_mah * self.voltage_v * 3600.0
     }
 
-    /// Fraction of the battery an energy expenditure consumes, `0..`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `energy_mj` is negative.
-    pub fn drain_fraction(&self, energy_mj: f64) -> f64 {
-        assert!(
-            energy_mj.is_finite() && energy_mj >= 0.0,
-            "energy must be non-negative"
-        );
-        energy_mj / self.capacity_mj()
-    }
-
     /// How many hours of streaming a full battery sustains at the given
     /// average power.
     ///
@@ -95,15 +82,6 @@ mod tests {
     }
 
     #[test]
-    fn drain_fraction_scales_linearly() {
-        let b = Battery::for_phone(Phone::Pixel3);
-        let one = b.drain_fraction(1.0e6);
-        let two = b.drain_fraction(2.0e6);
-        assert!((two / one - 2.0).abs() < 1e-12);
-        assert_eq!(b.drain_fraction(0.0), 0.0);
-    }
-
-    #[test]
     fn streaming_hours_are_plausible() {
         // ~2.4 W total streaming power should give the Pixel 3 roughly
         // 4–5 hours — the ballpark real phones show.
@@ -119,12 +97,6 @@ mod tests {
         let b = Battery::for_phone(Phone::Pixel3);
         let gain = b.hours_at(1300.0) / b.hours_at(2400.0);
         assert!((gain - 2400.0 / 1300.0).abs() < 1e-9);
-    }
-
-    #[test]
-    #[should_panic(expected = "non-negative")]
-    fn negative_energy_panics() {
-        let _ = Battery::for_phone(Phone::Pixel3).drain_fraction(-1.0);
     }
 
     #[test]

@@ -113,12 +113,6 @@ impl DecoderPipeline {
         PTILE_DECODE_TIME_SEC * PTILE_DECODE_POWER_MW
     }
 
-    /// Whether `n` decoders can decode one 1-second segment in real time
-    /// (decode time below the segment duration).
-    pub fn is_realtime(&self, n_decoders: usize, segment_sec: f64) -> bool {
-        self.decode_time_sec(n_decoders) <= segment_sec
-    }
-
     /// Fallible variant of [`DecoderPipeline::decode_time_sec`]: a zero
     /// decoder count is an
     /// [`SimError::InvalidRequest`](crate::error::SimError::InvalidRequest),
@@ -191,8 +185,8 @@ mod tests {
     fn one_decoder_is_not_realtime_for_ctile() {
         // 1.3 s to decode a 1 s segment: why multiple decoders are needed.
         let p = pipe();
-        assert!(!p.is_realtime(1, 1.0));
-        assert!(p.is_realtime(4, 1.0));
+        assert!(p.decode_time_sec(1) > 1.0);
+        assert!(p.decode_time_sec(4) <= 1.0);
     }
 
     #[test]

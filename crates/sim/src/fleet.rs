@@ -809,24 +809,21 @@ fn run_scale_shards(
             range.map(|index| ScaleDriver::new(&env, index)).collect();
         // The shard's window-log arena: one allocation for the whole
         // shard, one slot per session, kept out of the drivers so the
-        // event loop's hot working set stays compact.
+        // event loop's hot working set stays compact. With windows off
+        // it stays empty and every slot lookup is `None`.
         let mut window_log: Vec<SessionWindows> = Vec::new();
         if keep_windows {
             window_log.resize_with(drivers.len(), SessionWindows::default);
         }
         let setup_wall_sec = setup_timer.stop();
         let loop_timer = StageTimer::start(profiling);
-        let stats = if keep_windows {
-            drive_sessions_via(
-                &mut drivers,
-                ScaleDriver::start,
-                |driver, i, kind, sched| {
-                    driver.on_event_windowed(kind, sched, window_log.get_mut(i));
-                },
-            )
-        } else {
-            drive_sessions(&mut drivers)
-        };
+        let stats = drive_sessions_via(
+            &mut drivers,
+            ScaleDriver::start,
+            |driver, i, kind, sched| {
+                driver.on_event_windowed(kind, sched, window_log.get_mut(i));
+            },
+        );
         let loop_wall_sec = loop_timer.stop();
         let mut out = ShardOut {
             summaries: Vec::with_capacity(drivers.len()),

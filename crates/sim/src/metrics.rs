@@ -263,16 +263,6 @@ impl SessionMetrics {
         self.resilience = counters;
     }
 
-    /// Adds another run's resilience tallies (fleet aggregation).
-    pub fn accumulate_resilience(&mut self, counters: &ResilienceCounters) {
-        self.resilience.accumulate(counters);
-    }
-
-    /// Segments the resilient pipeline gave up on and skipped.
-    pub fn skipped_count(&self) -> usize {
-        self.resilience.skipped_segments
-    }
-
     /// Fraction of wall-clock playback spent frozen: stalls plus skip
     /// blackouts over frozen-plus-played time. Zero for an empty session —
     /// no playback means nothing rebuffered.
@@ -332,7 +322,7 @@ mod tests {
         assert_eq!(m.stall_count(), 0);
         assert_eq!(m.mean_fps(), 0.0);
         assert_eq!(m.rebuffer_ratio(), 0.0);
-        assert_eq!(m.skipped_count(), 0);
+        assert_eq!(m.resilience().skipped_segments, 0);
         assert!(m.resilience().is_clean());
     }
 
@@ -421,12 +411,12 @@ mod tests {
         m.push(record(1, 1000.0, 70.0, 0.0));
         // Two 1 s segments played, 0.5 s stall: ratio 0.5/2.5.
         assert!((m.rebuffer_ratio() - 0.5 / 2.5).abs() < 1e-12);
-        m.accumulate_resilience(&ResilienceCounters {
+        m.set_resilience(ResilienceCounters {
             skipped_segments: 1,
             blackout_sec: 1.5,
             ..ResilienceCounters::default()
         });
         assert!((m.rebuffer_ratio() - 2.0 / 4.0).abs() < 1e-12);
-        assert_eq!(m.skipped_count(), 1);
+        assert_eq!(m.resilience().skipped_segments, 1);
     }
 }

@@ -83,16 +83,6 @@ impl StdRng {
         (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
     }
 
-    /// An exponential sample with the given rate `lambda` (mean `1/lambda`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lambda` is not positive.
-    pub fn exponential(&mut self, lambda: f64) -> f64 {
-        assert!(lambda > 0.0, "rate must be positive, got {lambda}");
-        -(1.0 - self.gen_f64()).ln() / lambda
-    }
-
     /// Fisher–Yates shuffle in place.
     pub fn shuffle<T>(&mut self, slice: &mut [T]) {
         for i in (1..slice.len()).rev() {
@@ -273,14 +263,6 @@ mod tests {
         let var = samples.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / n as f64;
         assert!(mean.abs() < 0.02, "mean = {mean}");
         assert!((var - 1.0).abs() < 0.05, "var = {var}");
-    }
-
-    #[test]
-    fn exponential_mean() {
-        let mut rng = StdRng::seed_from_u64(23);
-        let n = 50_000;
-        let mean = (0..n).map(|_| rng.exponential(2.0)).sum::<f64>() / n as f64;
-        assert!((mean - 0.5).abs() < 0.02, "mean = {mean}");
     }
 
     #[test]

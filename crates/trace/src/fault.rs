@@ -374,15 +374,6 @@ impl FaultPlan {
             .any(|e| e.kind == FaultKind::Outage && e.covers(t_sec))
     }
 
-    /// Seconds until the outage covering `t_sec` ends (`0` outside one).
-    pub fn outage_remaining_sec(&self, t_sec: f64) -> f64 {
-        self.events
-            .iter()
-            .filter(|e| e.kind == FaultKind::Outage && e.covers(t_sec))
-            .map(|e| e.end_sec() - t_sec)
-            .fold(0.0, f64::max)
-    }
-
     /// Extra first-byte latency a request issued at `t_sec` pays, seconds.
     pub fn extra_latency_sec(&self, t_sec: f64) -> f64 {
         self.events
@@ -636,8 +627,6 @@ mod tests {
         assert!(plan.in_outage(10.0));
         assert!(plan.in_outage(14.9));
         assert!(!plan.in_outage(15.0));
-        assert!((plan.outage_remaining_sec(12.0) - 3.0).abs() < 1e-12);
-        assert_eq!(plan.outage_remaining_sec(20.0), 0.0);
     }
 
     #[test]

@@ -24,6 +24,7 @@ use std::error::Error;
 use std::fmt;
 use std::ops::Range;
 
+use ee360_support::json::{field, FromJson, Json, JsonError, ToJson};
 use ee360_support::rng::StdRng;
 
 use ee360_geom::angles::{lerp_yaw_deg, wrap_yaw_deg};
@@ -98,14 +99,42 @@ pub struct HeadTrace {
     pub(crate) derived: Derived,
 }
 
-ee360_support::impl_json_struct!(HeadTrace {
-    video_id,
-    user_id,
-    sample_hz,
-    samples
-} skip {
-    derived
-});
+impl ToJson for HeadTrace {
+    fn to_json(&self) -> Json {
+        Json::Obj(vec![
+            ("video_id".to_owned(), self.video_id.to_json()),
+            ("user_id".to_owned(), self.user_id.to_json()),
+            ("sample_hz".to_owned(), self.sample_hz.to_json()),
+            ("samples".to_owned(), self.samples.to_json()),
+        ])
+    }
+}
+
+impl FromJson for HeadTrace {
+    /// Reads a trace back through the sample checks of
+    /// [`HeadTrace::try_from_samples`], so a stored trace is held to the
+    /// same rules as an imported one. The stored `sample_hz` is kept: a
+    /// generated trace records its configured rate, not the rate its
+    /// sample span implies.
+    fn from_json(v: &Json) -> Result<Self, JsonError> {
+        if v.as_object().is_none() {
+            return Err(JsonError::Type {
+                expected: "object",
+                found: "non-object",
+            });
+        }
+        let trace = Self {
+            video_id: field(v, "video_id")?,
+            user_id: field(v, "user_id")?,
+            sample_hz: field(v, "sample_hz")?,
+            samples: field(v, "samples")?,
+            derived: Derived::default(),
+        };
+        check_samples(&trace.samples)
+            .map_err(|e| JsonError::Invalid(format!("field `samples`: {e}")))?;
+        Ok(trace)
+    }
+}
 
 /// A malformed raw head trace (the import path external datasets use).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -149,6 +178,28 @@ impl fmt::Display for HeadTraceError {
 
 impl Error for HeadTraceError {}
 
+/// The rules every trace's samples obey, however the trace is built:
+/// at least one sample, finite times and angles, strictly increasing
+/// times. Finiteness is checked first, on every sample: a NaN compares
+/// false both ways, so the ordering check alone would let it through.
+fn check_samples(samples: &[(f64, f64, f64)]) -> Result<(), HeadTraceError> {
+    if samples.is_empty() {
+        return Err(HeadTraceError::EmptyTrace);
+    }
+    for (index, &(t, yaw, pitch)) in samples.iter().enumerate() {
+        if !t.is_finite() {
+            return Err(HeadTraceError::NonFiniteTime { index });
+        }
+        if !(yaw.is_finite() && pitch.is_finite()) {
+            return Err(HeadTraceError::NonFiniteAngle { index });
+        }
+    }
+    match samples.windows(2).position(|w| w[1].0 <= w[0].0) {
+        Some(index) => Err(HeadTraceError::NonIncreasingTime { index: index + 1 }),
+        None => Ok(()),
+    }
+}
+
 impl HeadTrace {
     /// Builds a trace from raw `(t_sec, yaw_deg, pitch_deg)` samples — the
     /// entry point for external datasets (see [`crate::mmsys`]).
@@ -169,28 +220,13 @@ impl HeadTrace {
     /// Fallible [`HeadTrace::from_samples`]: empty input, non-finite
     /// timestamps or angles and out-of-order timestamps come back as
     /// [`HeadTraceError`]s instead of panicking — the path external
-    /// datasets arrive through. Finiteness is checked first, on every
-    /// sample: a NaN compares false both ways, so the ordering check
-    /// alone would let it through.
+    /// datasets arrive through.
     pub fn try_from_samples(
         video_id: usize,
         user_id: usize,
         samples: Vec<(f64, f64, f64)>,
     ) -> Result<Self, HeadTraceError> {
-        if samples.is_empty() {
-            return Err(HeadTraceError::EmptyTrace);
-        }
-        for (index, &(t, yaw, pitch)) in samples.iter().enumerate() {
-            if !t.is_finite() {
-                return Err(HeadTraceError::NonFiniteTime { index });
-            }
-            if !(yaw.is_finite() && pitch.is_finite()) {
-                return Err(HeadTraceError::NonFiniteAngle { index });
-            }
-        }
-        if let Some(index) = samples.windows(2).position(|w| w[1].0 <= w[0].0) {
-            return Err(HeadTraceError::NonIncreasingTime { index: index + 1 });
-        }
+        check_samples(&samples)?;
         let sample_hz = match (samples.first(), samples.last()) {
             (Some(first), Some(last)) if samples.len() >= 2 => {
                 let span = last.0 - first.0;
@@ -1305,5 +1341,26 @@ mod tests {
         );
         let trace = HeadTrace::try_from_samples(0, 0, finite).expect("finite input is accepted");
         assert_eq!(trace.samples.len(), 200);
+    }
+
+    #[test]
+    fn decoding_rejects_what_try_from_samples_rejects() {
+        let decode = |samples: &str| {
+            ee360_support::json::from_str::<HeadTrace>(&format!(
+                r#"{{"video_id":1,"user_id":0,"sample_hz":10.0,"samples":{samples}}}"#
+            ))
+        };
+        for bad in [
+            "[]",
+            "[[1.0,0.0,0.0],[0.5,0.0,0.0]]",
+            "[[1.0,0.0,0.0],[1.0,0.0,0.0]]",
+        ] {
+            let err = decode(bad).expect_err(bad);
+            assert!(matches!(err, JsonError::Invalid(_)), "{bad}: {err}");
+        }
+        // A valid list decodes, and the stored rate is kept as written.
+        let trace = decode("[[0.0,0.0,0.0],[0.5,10.0,0.0]]").expect("valid samples");
+        assert_eq!(trace.sample_hz, 10.0);
+        assert!(trace.segment_center(0).is_some());
     }
 }

@@ -10,11 +10,7 @@ use std::fs;
 use std::io;
 use std::path::Path;
 
-use ee360_support::json::{FromJson, ToJson};
-
 use crate::dataset::Dataset;
-use crate::head::HeadTrace;
-use crate::network::NetworkTrace;
 
 /// Error returned by the persistence helpers.
 #[derive(Debug)]
@@ -55,24 +51,15 @@ impl From<ee360_support::json::JsonError> for TraceIoError {
     }
 }
 
-fn save_json<T: ToJson>(value: &T, path: &Path) -> Result<(), TraceIoError> {
-    let json = ee360_support::json::to_string(value)?;
-    fs::write(path, json)?;
-    Ok(())
-}
-
-fn load_json<T: FromJson>(path: &Path) -> Result<T, TraceIoError> {
-    let json = fs::read_to_string(path)?;
-    Ok(ee360_support::json::from_str(&json)?)
-}
-
 /// Saves a dataset to a JSON file.
 ///
 /// # Errors
 ///
 /// Returns [`TraceIoError::Io`] when the file cannot be written.
 pub fn save_dataset(dataset: &Dataset, path: impl AsRef<Path>) -> Result<(), TraceIoError> {
-    save_json(dataset, path.as_ref())
+    let json = ee360_support::json::to_string(dataset)?;
+    fs::write(path, json)?;
+    Ok(())
 }
 
 /// Loads a dataset from a JSON file.
@@ -82,52 +69,13 @@ pub fn save_dataset(dataset: &Dataset, path: impl AsRef<Path>) -> Result<(), Tra
 /// Returns [`TraceIoError::Io`] when the file cannot be read and
 /// [`TraceIoError::Format`] when it does not contain a dataset.
 pub fn load_dataset(path: impl AsRef<Path>) -> Result<Dataset, TraceIoError> {
-    load_json(path.as_ref())
-}
-
-/// Saves a single head trace to a JSON file.
-///
-/// # Errors
-///
-/// Returns [`TraceIoError::Io`] when the file cannot be written.
-pub fn save_head_trace(trace: &HeadTrace, path: impl AsRef<Path>) -> Result<(), TraceIoError> {
-    save_json(trace, path.as_ref())
-}
-
-/// Loads a single head trace from a JSON file.
-///
-/// # Errors
-///
-/// See [`load_dataset`].
-pub fn load_head_trace(path: impl AsRef<Path>) -> Result<HeadTrace, TraceIoError> {
-    load_json(path.as_ref())
-}
-
-/// Saves a network trace to a JSON file.
-///
-/// # Errors
-///
-/// Returns [`TraceIoError::Io`] when the file cannot be written.
-pub fn save_network_trace(
-    trace: &NetworkTrace,
-    path: impl AsRef<Path>,
-) -> Result<(), TraceIoError> {
-    save_json(trace, path.as_ref())
-}
-
-/// Loads a network trace from a JSON file.
-///
-/// # Errors
-///
-/// See [`load_dataset`].
-pub fn load_network_trace(path: impl AsRef<Path>) -> Result<NetworkTrace, TraceIoError> {
-    load_json(path.as_ref())
+    let json = fs::read_to_string(path)?;
+    Ok(ee360_support::json::from_str(&json)?)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::head::{GazeConfig, HeadTraceGenerator};
     use ee360_video::catalog::VideoCatalog;
 
     fn tmp(name: &str) -> std::path::PathBuf {
@@ -148,28 +96,6 @@ mod tests {
     }
 
     #[test]
-    fn head_trace_roundtrip() {
-        let catalog = VideoCatalog::paper_default();
-        let spec = catalog.video(6).unwrap();
-        let trace = HeadTraceGenerator::new(GazeConfig::default()).generate(spec, 0, 9);
-        let path = tmp("head.json");
-        save_head_trace(&trace, &path).unwrap();
-        let back = load_head_trace(&path).unwrap();
-        assert_eq!(back, trace);
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn network_trace_roundtrip() {
-        let trace = NetworkTrace::paper_trace2(120, 3);
-        let path = tmp("net.json");
-        save_network_trace(&trace, &path).unwrap();
-        let back = load_network_trace(&path).unwrap();
-        assert_eq!(back, trace);
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
     fn missing_file_is_io_error() {
         let err = load_dataset("/definitely/not/a/path.json").unwrap_err();
         assert!(matches!(err, TraceIoError::Io(_)));
@@ -180,7 +106,7 @@ mod tests {
     fn malformed_file_is_format_error() {
         let path = tmp("garbage.json");
         std::fs::write(&path, "{not json").unwrap();
-        let err = load_network_trace(&path).unwrap_err();
+        let err = load_dataset(&path).unwrap_err();
         assert!(matches!(err, TraceIoError::Format(_)));
         let _ = std::fs::remove_file(&path);
     }

@@ -47,7 +47,6 @@ pub mod head;
 pub mod io;
 pub mod mmsys;
 pub mod network;
-pub mod stats;
 
 pub use dataset::{Dataset, VideoTraces};
 pub use fault::{FaultConfig, FaultEvent, FaultKind, FaultPlan, FaultyLink};
@@ -55,4 +54,3 @@ pub use head::{GazeConfig, HeadTrace, HeadTraceError, HeadTraceGenerator};
 pub use io::{load_dataset, save_dataset, TraceIoError};
 pub use mmsys::{load_head_trace as load_mmsys_trace, MmsysError};
 pub use network::{LteProfile, NetworkTrace};
-pub use stats::{gaze_stats, GazeStats};

@@ -69,8 +69,8 @@ impl NetworkTrace {
     /// Zero samples are legal — they model a dead radio (tunnel, airplane
     /// mode, deep outage). Downloads make no progress during zero-bandwidth
     /// seconds; see [`NetworkTrace::download_time`] for the all-zero
-    /// sentinel and [`NetworkTrace::try_download_time`] for the deadline-
-    /// bounded variant resilient clients use.
+    /// sentinel and [`FaultyLink::try_download`](crate::fault::FaultyLink::try_download)
+    /// for the deadline-bounded download resilient clients use.
     ///
     /// # Panics
     ///
@@ -138,7 +138,7 @@ impl NetworkTrace {
     /// A floor of `0.0` is legal and models a true dead-radio window:
     /// downloads crossing it make no progress until the window ends, and
     /// resilient clients bound their exposure with
-    /// [`NetworkTrace::try_download_time`].
+    /// [`FaultyLink::try_download`](crate::fault::FaultyLink::try_download).
     ///
     /// # Panics
     ///
@@ -225,7 +225,8 @@ impl NetworkTrace {
     /// Zero-bandwidth seconds contribute time but no progress. If the
     /// trace has no positive sample at all the download can never finish
     /// and the sentinel `f64::INFINITY` is returned — callers that must
-    /// bound their exposure use [`NetworkTrace::try_download_time`].
+    /// bound their exposure use
+    /// [`FaultyLink::try_download`](crate::fault::FaultyLink::try_download).
     ///
     /// # Panics
     ///
@@ -253,77 +254,6 @@ impl NetworkTrace {
             remaining -= capacity;
             t = slot_end;
         }
-    }
-
-    /// Deadline-bounded download: the time to fetch `bits` starting at
-    /// `start_sec`, or `None` if the download is still unfinished when
-    /// `deadline_sec` (measured from `start_sec`) expires. This is the
-    /// primitive the resilient pipeline's timeout/abandon logic is built
-    /// on — unlike [`NetworkTrace::download_time`] it terminates even on a
-    /// trace whose every sample is zero.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bits` or `start_sec` is negative, or `deadline_sec` is
-    /// not positive.
-    pub fn try_download_time(&self, bits: f64, start_sec: f64, deadline_sec: f64) -> Option<f64> {
-        assert!(bits >= 0.0, "bits must be non-negative");
-        assert!(start_sec >= 0.0, "start time must be non-negative");
-        assert!(
-            deadline_sec.is_finite() && deadline_sec > 0.0,
-            "deadline must be positive"
-        );
-        if bits <= 0.0 {
-            return Some(0.0);
-        }
-        let end = start_sec + deadline_sec;
-        let mut remaining = bits;
-        let mut t = start_sec;
-        while t < end {
-            let bw = self.bandwidth_at(t);
-            let slot_end = (t.floor() + 1.0).min(end);
-            let capacity = bw * (slot_end - t);
-            if bw > 0.0 && remaining <= capacity {
-                return Some(t + remaining / bw - start_sec);
-            }
-            remaining -= capacity;
-            t = slot_end;
-        }
-        None
-    }
-
-    /// Bits the link delivers over `[start_sec, start_sec + duration_sec)`
-    /// (the integral of the piecewise-constant bandwidth) — how much of an
-    /// abandoned download had already arrived.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `start_sec` is negative or `duration_sec` is negative or
-    /// not finite.
-    pub fn bits_delivered(&self, start_sec: f64, duration_sec: f64) -> f64 {
-        assert!(start_sec >= 0.0, "start time must be non-negative");
-        assert!(
-            duration_sec.is_finite() && duration_sec >= 0.0,
-            "duration must be non-negative and finite"
-        );
-        let end = start_sec + duration_sec;
-        let mut delivered = 0.0;
-        let mut t = start_sec;
-        while t < end {
-            let slot_end = (t.floor() + 1.0).min(end);
-            delivered += self.bandwidth_at(t) * (slot_end - t);
-            t = slot_end;
-        }
-        delivered
-    }
-
-    /// The average bandwidth experienced while downloading `bits` starting
-    /// at `start_sec` (`bits / download_time`), bits per second.
-    pub fn effective_bandwidth(&self, bits: f64, start_sec: f64) -> f64 {
-        if bits <= 0.0 {
-            return self.bandwidth_at(start_sec);
-        }
-        bits / self.download_time(bits, start_sec)
     }
 }
 
@@ -412,13 +342,6 @@ mod tests {
     }
 
     #[test]
-    fn effective_bandwidth_between_bounds() {
-        let t = NetworkTrace::from_samples(vec![1.0e6, 3.0e6]);
-        let eff = t.effective_bandwidth(2.0e6, 0.0);
-        assert!(eff > 1.0e6 && eff < 3.0e6);
-    }
-
-    #[test]
     fn outage_clamps_window_only() {
         let t = NetworkTrace::from_samples(vec![4.0e6; 10]);
         let o = t.with_outage(3, 4, 0.5e6);
@@ -478,32 +401,10 @@ mod tests {
     fn all_zero_trace_returns_infinity_sentinel() {
         let t = NetworkTrace::from_samples(vec![0.0, 0.0]);
         assert_eq!(t.download_time(1.0e6, 0.0), f64::INFINITY);
-        // The bounded variant terminates with None instead.
-        assert_eq!(t.try_download_time(1.0e6, 0.0, 30.0), None);
-    }
-
-    #[test]
-    fn try_download_time_matches_unbounded_when_it_fits() {
-        let t = trace2();
-        let d = t.download_time(3.0e6, 4.2);
-        let bounded = t.try_download_time(3.0e6, 4.2, d + 1.0);
-        assert!((bounded.expect("fits inside deadline") - d).abs() < 1e-9);
-    }
-
-    #[test]
-    fn try_download_time_gives_up_at_deadline() {
-        let t = NetworkTrace::from_samples(vec![1.0e6; 4]);
-        // 3 Mb over 1 Mbps needs 3 s; a 2 s deadline abandons it.
-        assert_eq!(t.try_download_time(3.0e6, 0.0, 2.0), None);
-        assert!(t.try_download_time(3.0e6, 0.0, 3.5).is_some());
-    }
-
-    #[test]
-    fn bits_delivered_integrates_the_trace() {
-        let t = NetworkTrace::from_samples(vec![1.0e6, 3.0e6]);
-        assert!((t.bits_delivered(0.5, 1.0) - (0.5e6 + 1.5e6)).abs() < 1e-6);
-        let dead = t.with_outage(0, 2, 0.0);
-        assert_eq!(dead.bits_delivered(0.0, 2.0), 0.0);
+        // The deadline-bounded download terminates with None instead.
+        let plan = crate::fault::FaultPlan::none();
+        let link = crate::fault::FaultyLink::new(&t, &plan);
+        assert_eq!(link.try_download(1.0e6, 0.0, 30.0), None);
     }
 
     #[test]

@@ -253,14 +253,6 @@ impl VideoCatalog {
     pub fn require(&self, id: usize) -> Result<&VideoSpec, VideoError> {
         self.video(id).ok_or(VideoError::UnknownVideo { id })
     }
-
-    /// Videos with the given behaviour profile.
-    pub fn with_behavior(&self, behavior: BehaviorProfile) -> Vec<&VideoSpec> {
-        self.videos
-            .iter()
-            .filter(|v| v.behavior == behavior)
-            .collect()
-    }
 }
 
 impl Default for VideoCatalog {
@@ -284,16 +276,15 @@ mod tests {
     #[test]
     fn behavior_split_matches_paper() {
         let c = VideoCatalog::paper_default();
-        let focused = c.with_behavior(BehaviorProfile::Focused);
-        let exploratory = c.with_behavior(BehaviorProfile::Exploratory);
-        assert_eq!(
-            focused.iter().map(|v| v.id).collect::<Vec<_>>(),
-            vec![1, 2, 3, 4]
-        );
-        assert_eq!(
-            exploratory.iter().map(|v| v.id).collect::<Vec<_>>(),
-            vec![5, 6, 7, 8]
-        );
+        let ids = |behavior| {
+            c.videos()
+                .iter()
+                .filter(|v| v.behavior == behavior)
+                .map(|v| v.id)
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(ids(BehaviorProfile::Focused), vec![1, 2, 3, 4]);
+        assert_eq!(ids(BehaviorProfile::Exploratory), vec![5, 6, 7, 8]);
     }
 
     #[test]

@@ -14,8 +14,7 @@
 ///
 /// ```
 /// use ee360_video::ladder::QualityLevel;
-/// assert_eq!(QualityLevel::Q5.crf(), 18);
-/// assert_eq!(QualityLevel::Q1.crf(), 38);
+/// assert_eq!(QualityLevel::Q5.index(), 5);
 /// assert!(QualityLevel::Q5 > QualityLevel::Q1);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -69,11 +68,6 @@ impl QualityLevel {
         }
     }
 
-    /// The x264 constant rate factor this level maps to (38 down to 18).
-    pub fn crf(&self) -> u32 {
-        38 - 5 * (self.index() as u32 - 1)
-    }
-
     /// The next lower level, or `None` at the bottom.
     pub fn lower(&self) -> Option<Self> {
         Self::from_index(self.index() - 1)
@@ -125,7 +119,6 @@ impl FrameRate {
 /// let ladder = EncodingLadder::paper_default();
 /// assert_eq!(ladder.frame_rates().len(), 4); // 21, 24, 27, 30 fps
 /// assert_eq!(ladder.max_frame_rate().fps(), 30.0);
-/// assert_eq!(ladder.quality_count(), 5);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct EncodingLadder {
@@ -194,11 +187,6 @@ impl EncodingLadder {
         self.reductions.len() + 1
     }
 
-    /// Number of quality levels (`V` in the paper; always 5 here).
-    pub fn quality_count(&self) -> usize {
-        QualityLevel::ALL.len()
-    }
-
     /// Iterates over every (quality, frame-rate) tuple of the ladder.
     pub fn variants(&self) -> Vec<(QualityLevel, FrameRate)> {
         let rates = self.frame_rates();
@@ -218,13 +206,6 @@ impl Default for EncodingLadder {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn crf_mapping_matches_paper() {
-        // CRF ranges from 38 to 18 with an interval of 5 (Section V-A).
-        let crfs: Vec<u32> = QualityLevel::ALL.iter().map(|q| q.crf()).collect();
-        assert_eq!(crfs, vec![38, 33, 28, 23, 18]);
-    }
 
     #[test]
     fn index_roundtrip() {

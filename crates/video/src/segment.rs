@@ -121,14 +121,6 @@ impl SegmentTimeline {
     pub fn segments(&self) -> &[SegmentContent] {
         &self.segments
     }
-
-    /// Mean SI/TI over the whole timeline.
-    pub fn mean_si_ti(&self) -> SiTi {
-        let n = self.segments.len().max(1) as f64;
-        let si = self.segments.iter().map(|s| s.si_ti.si()).sum::<f64>() / n;
-        let ti = self.segments.iter().map(|s| s.si_ti.ti()).sum::<f64>() / n;
-        SiTi::new(si, ti)
-    }
 }
 
 #[cfg(test)]
@@ -170,7 +162,11 @@ mod tests {
         let c = VideoCatalog::paper_default();
         for v in c.videos() {
             let t = SegmentTimeline::for_video(v);
-            let m = t.mean_si_ti();
+            let n = t.len() as f64;
+            let m = SiTi::new(
+                t.segments().iter().map(|s| s.si_ti.si()).sum::<f64>() / n,
+                t.segments().iter().map(|s| s.si_ti.ti()).sum::<f64>() / n,
+            );
             let base = v.base_si_ti;
             assert!(
                 (m.si() - base.si()).abs() / base.si() < 0.2,
