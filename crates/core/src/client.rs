@@ -367,10 +367,8 @@ impl<'a> SessionRunner<'a> {
         let metadata_bits = 128_000.0 * LOOKAHEAD_SEGMENTS as f64;
         rec.span_open("session", self.core.clock_sec());
         rec.span_open("startup", self.core.clock_sec());
-        let clock_before_metadata = self.core.clock_sec();
         let (core, env, _) = self.download_parts();
-        let _ = core.fetch_metadata_traced(&env, metadata_bits, rec);
-        let metadata_sec = self.core.clock_sec() - clock_before_metadata;
+        let metadata_sec = core.fetch_metadata(&env, metadata_bits, rec);
         let startup_energy_mj = self.power.transmission_power_mw() * metadata_sec;
         self.metrics.set_startup(ee360_sim::metrics::StartupRecord {
             bits: metadata_bits,
@@ -646,7 +644,7 @@ impl<'a> SessionRunner<'a> {
                     download_sec: elapsed_sec,
                     throughput_bps: 0.0,
                     buffer_at_request_sec: (pending.buffer - wait_sec).max(0.0),
-                    stall_sec: (blackout_sec - SEGMENT_DURATION_SEC).max(0.0),
+                    stall_sec: outcome.stall_sec(),
                     buffer_after_sec: self.core.buffer_level_sec(),
                 };
                 let energy = SegmentEnergy {

@@ -21,11 +21,10 @@ use ee360_abr::controller::Scheme;
 use ee360_obs::{Record, Recorder};
 use ee360_sim::fleet::{drive_sessions, shard_ranges, EngineStats, EventKind, Scheduler};
 use ee360_sim::metrics::SessionMetrics;
-use ee360_sim::resilience::{DownloadOutcome, RetryPolicy};
+use ee360_sim::resilience::RetryPolicy;
 use ee360_sim::SessionDriver;
 use ee360_support::parallel::parallel_map_indexed;
 use ee360_trace::fault::FaultPlan;
-use ee360_video::segment::SEGMENT_DURATION_SEC;
 
 use crate::client::{make_controller, SessionRunner, SessionSetup};
 use crate::experiment::{merge_session, Evaluation, SchemeOutcome};
@@ -101,12 +100,7 @@ impl<'a> FleetSessionDriver<'a> {
         match runner.step_download(self.controller.as_mut(), &mut self.rec) {
             None => sched.schedule(runner.clock_sec(), EventKind::FaultFire),
             Some(outcome) => {
-                let stall_sec = match outcome {
-                    DownloadOutcome::Delivered { timing, .. } => timing.stall_sec,
-                    DownloadOutcome::Skipped { blackout_sec, .. } => {
-                        (blackout_sec - SEGMENT_DURATION_SEC).max(0.0)
-                    }
-                };
+                let stall_sec = outcome.stall_sec();
                 if stall_sec > 0.0 {
                     let end = runner.clock_sec();
                     sched.schedule((end - stall_sec).max(0.0), EventKind::StallStart);

@@ -113,20 +113,6 @@ impl DecoderPipeline {
         PTILE_DECODE_TIME_SEC * PTILE_DECODE_POWER_MW
     }
 
-    /// Fallible variant of [`DecoderPipeline::decode_time_sec`]: a zero
-    /// decoder count is an
-    /// [`SimError::InvalidRequest`](crate::error::SimError::InvalidRequest),
-    /// not a panic — the Result-based pipeline never aborts the whole
-    /// session over a malformed decode request.
-    pub fn try_decode_time_sec(&self, n_decoders: usize) -> Result<f64, crate::error::SimError> {
-        if n_decoders == 0 {
-            return Err(crate::error::SimError::InvalidRequest(
-                "need at least one decoder",
-            ));
-        }
-        Ok(self.t1_sec / (1.0 + self.speedup_a * (n_decoders as f64 - 1.0)))
-    }
-
     /// Wall-clock cost of recovering from a wedged decoder with `n`
     /// concurrent decoders: codec reinitialisation plus the re-decode.
     ///
@@ -214,18 +200,6 @@ mod tests {
     #[should_panic(expected = "at least one decoder")]
     fn zero_decoders_panics() {
         let _ = pipe().decode_time_sec(0);
-    }
-
-    #[test]
-    fn try_decode_matches_infallible_path() {
-        let p = pipe();
-        for n in 1..=9 {
-            assert_eq!(p.try_decode_time_sec(n).unwrap(), p.decode_time_sec(n));
-        }
-        assert!(matches!(
-            p.try_decode_time_sec(0),
-            Err(crate::error::SimError::InvalidRequest(_))
-        ));
     }
 
     #[test]

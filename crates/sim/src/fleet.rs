@@ -653,7 +653,9 @@ impl<'a> ScaleDriver<'a> {
         let k = self.next_segment;
         self.next_segment += 1;
         self.summary.segments += 1;
-        let stall_sec = match outcome {
+        let stall_sec = outcome.stall_sec();
+        self.summary.stall_sec += stall_sec;
+        match outcome {
             DownloadOutcome::Delivered {
                 timing,
                 bits,
@@ -666,7 +668,6 @@ impl<'a> ScaleDriver<'a> {
                     self.summary.startup_sec = self.core.clock_sec() - self.start_sec;
                 }
                 self.summary.bits += bits + wasted_bits;
-                self.summary.stall_sec += timing.stall_sec;
                 self.bw_est_bps = 0.8 * self.bw_est_bps + 0.2 * timing.throughput_bps;
                 let energy = SegmentEnergy::compute(
                     &self.env.power,
@@ -701,7 +702,6 @@ impl<'a> ScaleDriver<'a> {
                 );
                 self.prev_qo = Some(qo_eff);
                 self.summary.qoe_sum += qoe.total;
-                timing.stall_sec
             }
             DownloadOutcome::Skipped {
                 blackout_sec,
@@ -711,16 +711,13 @@ impl<'a> ScaleDriver<'a> {
             } => {
                 self.summary.skipped += 1;
                 self.summary.bits += wasted_bits;
-                let stall = (blackout_sec - SEGMENT_DURATION_SEC).max(0.0);
-                self.summary.stall_sec += stall;
                 self.summary.energy_mj += self.env.power.transmission_power_mw() * elapsed_sec;
                 let qoe =
                     SegmentQoe::evaluate(self.env.weights, 0.0, self.prev_qo, blackout_sec, 0.0);
                 self.prev_qo = Some(0.0);
                 self.summary.qoe_sum += qoe.total;
-                stall
             }
-        };
+        }
         if stall_sec > 0.0 {
             let end = self.core.clock_sec();
             sched.schedule((end - stall_sec).max(0.0), EventKind::StallStart);

@@ -10,16 +10,15 @@
 //!   the number of concurrent decoders,
 //! * [`metrics`] — per-segment timing and records, and whole-session
 //!   aggregates (energy breakdown, QoE decomposition, stall statistics),
-//! * [`error`] — the [`error::SimError`] taxonomy the fallible pipeline
-//!   trades in (timeouts, losses, corruption, exhausted deadlines),
 //! * [`resilience`] — the one download engine: a
 //!   [`resilience::SessionCore`] (buffer, clock, counters) downloads over
 //!   a [`resilience::DownloadEnv`] (network trace, fault plan, retry
 //!   policy) with the Eq. 6 wait, per-attempt timeouts, exponential-backoff
 //!   retries, mid-download abandon with ladder degradation, and
-//!   skip-with-blackout when a segment's deadline is exhausted — the
-//!   paper's benign world is the same engine with no faults and the
-//!   wait-forever policy,
+//!   skip-with-blackout when a segment's deadline is exhausted, each
+//!   download ending in a [`resilience::DownloadOutcome`] — the paper's
+//!   benign world is the same engine with no faults and the wait-forever
+//!   policy,
 //! * [`fleet`] — the discrete-event fleet engine: many sessions on one
 //!   logical-time queue with O(100 B) hot state each, deterministically
 //!   sharded and bit-identical to the loop engine at any thread count.
@@ -39,14 +38,12 @@
 
 pub mod buffer;
 pub mod decoder;
-pub mod error;
 pub mod fleet;
 pub mod metrics;
 pub mod resilience;
 
 pub use buffer::{BufferStep, PlaybackBuffer};
 pub use decoder::DecoderPipeline;
-pub use error::SimError;
 pub use fleet::{
     drive_sessions, run_scale_fleet, shard_ranges, EngineStats, EventKind, FleetConfig,
     FleetReport, Scheduler, SessionDriver, SessionSummary,

@@ -46,7 +46,6 @@ use ee360_video::segment::SEGMENT_DURATION_SEC;
 
 use crate::buffer::PlaybackBuffer;
 use crate::decoder::DecoderPipeline;
-use crate::error::SimError;
 use crate::metrics::SegmentTiming;
 
 /// Stand-in for an infinite per-attempt budget ([`RetryPolicy::disabled`]):
@@ -309,8 +308,6 @@ pub enum DownloadOutcome {
         wasted_bits: f64,
         /// Attempts made before giving up.
         attempts: usize,
-        /// The last error that exhausted the deadline.
-        last_error: SimError,
     },
 }
 
@@ -318,6 +315,18 @@ impl DownloadOutcome {
     /// `true` for the delivered arm.
     pub fn is_delivered(&self) -> bool {
         matches!(self, DownloadOutcome::Delivered { .. })
+    }
+
+    /// Rebuffering this download charged, seconds: the delivered
+    /// segment's stall, or for a skip the blackout less the skipped
+    /// segment's own duration (the time the buffer sat empty).
+    pub fn stall_sec(&self) -> f64 {
+        match *self {
+            DownloadOutcome::Delivered { timing, .. } => timing.stall_sec,
+            DownloadOutcome::Skipped { blackout_sec, .. } => {
+                (blackout_sec - SEGMENT_DURATION_SEC).max(0.0)
+            }
+        }
     }
 }
 
@@ -364,12 +373,10 @@ pub struct DownloadState {
     pub request_time_sec: f64,
     /// Absolute deadline: request time plus the per-segment budget.
     pub deadline_end_sec: f64,
-    /// The most recent failure (reported if the segment is skipped).
-    pub last_error: SimError,
 }
 
 /// The mutable heart of a resilient session: playback buffer, wall
-/// clock, delivery count and fault tallies — ~100 bytes, no vectors.
+/// clock, delivery count and fault tallies — 144 B on x86-64, no vectors.
 /// Both engines (the loop and the [`crate::fleet`] event queue) drive
 /// downloads through this same struct, which is the mechanical half of
 /// the bit-identical-replay argument.
@@ -395,6 +402,10 @@ pub struct DownloadState {
 ///     fault_base: 0,
 /// };
 /// let mut core = SessionCore::new(3.0);
+/// // Startup metadata: the elapsed time comes back even if every attempt
+/// // times out.
+/// let startup_sec = core.fetch_metadata(&env, 640_000.0, &mut NoopRecorder);
+/// assert_eq!(core.clock_sec(), startup_sec);
 /// let mut st = core.begin_download(&env, 0);
 /// // 2 Mb planned, halving per degradation rung.
 /// let mut request = |rung: usize| 2.0e6 / (1u64 << rung) as f64;
@@ -404,6 +415,7 @@ pub struct DownloadState {
 ///     }
 /// };
 /// assert!(out.is_delivered() || core.counters().skipped_segments == 1);
+/// assert!(out.stall_sec() >= 0.0);
 /// ```
 #[derive(Debug, Clone)]
 pub struct SessionCore {
@@ -463,59 +475,45 @@ impl SessionCore {
     /// Section IV-C step (a)), riding out outages with the same
     /// timeout/backoff machinery (metadata is small but the radio can
     /// still be dead). Advances the clock only, never the buffer, and
-    /// returns the elapsed time. Counter bumps are mirrored into the
-    /// recorder and retries emit detail-level events under segment
-    /// index 0.
-    ///
-    /// # Errors
-    ///
-    /// [`SimError::InvalidRequest`] for non-positive bits;
-    /// [`SimError::DeadlineExhausted`] if every attempt timed out.
-    pub fn fetch_metadata_traced(
+    /// returns the elapsed time, whether the fetch succeeded or every
+    /// attempt timed out (the session then proceeds without it). Counter
+    /// bumps are mirrored into the recorder and retries emit
+    /// detail-level events under segment index 0.
+    pub fn fetch_metadata(
         &mut self,
         env: &DownloadEnv<'_>,
         bits: f64,
         rec: &mut dyn Record,
-    ) -> Result<f64, SimError> {
-        if !(bits.is_finite() && bits > 0.0) {
-            return Err(SimError::InvalidRequest("metadata bits must be positive"));
-        }
+    ) -> f64 {
         let started = self.clock_sec;
         let link = FaultyLink::new(env.network, env.plan);
         for attempt in 0..=env.policy.max_retries {
             let budget = finite_budget(env.policy.attempt_timeout_sec);
-            match link.try_download(bits, self.clock_sec, budget) {
-                Some(d) => {
-                    self.clock_sec += d;
-                    return Ok(self.clock_sec - started);
-                }
-                None => {
-                    self.counters.attempts += 1;
-                    self.counters.timeouts += 1;
-                    rec.count_at("resilience.attempts", self.clock_sec, 1);
-                    rec.count_at("resilience.timeouts", self.clock_sec, 1);
-                    self.clock_sec += budget;
-                    if attempt < env.policy.max_retries {
-                        self.counters.retries += 1;
-                        rec.count_at("resilience.retries", self.clock_sec, 1);
-                        let pause = env.policy.backoff_sec(attempt);
-                        self.counters.backoff_sec += pause;
-                        rec.observe_at("resilience.backoff_sec", self.clock_sec, pause);
-                        rec.record(Event::Retry {
-                            segment: 0,
-                            attempt,
-                            t_sec: self.clock_sec,
-                            backoff_sec: pause,
-                        });
-                        self.clock_sec += pause;
-                    }
-                }
+            if let Some(d) = link.try_download(bits, self.clock_sec, budget) {
+                self.clock_sec += d;
+                break;
+            }
+            self.counters.attempts += 1;
+            self.counters.timeouts += 1;
+            rec.count_at("resilience.attempts", self.clock_sec, 1);
+            rec.count_at("resilience.timeouts", self.clock_sec, 1);
+            self.clock_sec += budget;
+            if attempt < env.policy.max_retries {
+                self.counters.retries += 1;
+                rec.count_at("resilience.retries", self.clock_sec, 1);
+                let pause = env.policy.backoff_sec(attempt);
+                self.counters.backoff_sec += pause;
+                rec.observe_at("resilience.backoff_sec", self.clock_sec, pause);
+                rec.record(Event::Retry {
+                    segment: 0,
+                    attempt,
+                    t_sec: self.clock_sec,
+                    backoff_sec: pause,
+                });
+                self.clock_sec += pause;
             }
         }
-        Err(SimError::DeadlineExhausted {
-            segment: 0,
-            attempts: env.policy.max_retries + 1,
-        })
+        self.clock_sec - started
     }
 
     /// Opens a segment download: charges the Eq. 6 wait, stamps the
@@ -535,10 +533,6 @@ impl SessionCore {
             wait_sec,
             request_time_sec,
             deadline_end_sec: request_time_sec + env.policy.segment_deadline_sec,
-            last_error: SimError::DeadlineExhausted {
-                segment,
-                attempts: 0,
-            },
         }
     }
 
@@ -627,7 +621,6 @@ impl SessionCore {
                 elapsed_sec: budget,
                 deadline_margin_sec: deadline_end - self.clock_sec,
             });
-            st.last_error = SimError::SegmentLost { segment, attempt };
         } else {
             match link.try_download(bits, self.clock_sec, budget) {
                 Some(dur) => {
@@ -647,7 +640,6 @@ impl SessionCore {
                             elapsed_sec: dur,
                             deadline_margin_sec: deadline_end - self.clock_sec,
                         });
-                        st.last_error = SimError::SegmentCorrupt { segment, attempt };
                     } else {
                         // Success — maybe after a decoder wedge.
                         self.clock_sec += dur;
@@ -722,11 +714,6 @@ impl SessionCore {
                         rung,
                         wasted_bits: partial,
                     });
-                    st.last_error = SimError::Timeout {
-                        segment,
-                        attempt,
-                        elapsed_sec: budget,
-                    };
                     st.rung += 1;
                 }
             }
@@ -782,7 +769,6 @@ impl SessionCore {
             blackout_sec,
             wasted_bits: st.wasted_bits,
             attempts: st.attempts,
-            last_error: st.last_error,
         }
     }
 }
@@ -910,14 +896,43 @@ mod tests {
     fn metadata_fetch_advances_clock_only() {
         let mut s = Session::benign(constant_net(4.0e6, 1));
         let (core, env) = s.parts();
-        let d = core.fetch_metadata_traced(&env, 1.0e6, &mut NoopRecorder);
-        assert!((d.unwrap() - 0.25).abs() < 1e-9);
-        assert!(matches!(
-            core.fetch_metadata_traced(&env, 0.0, &mut NoopRecorder),
-            Err(SimError::InvalidRequest(_))
-        ));
+        let d = core.fetch_metadata(&env, 1.0e6, &mut NoopRecorder);
+        assert!((d - 0.25).abs() < 1e-9);
         assert!((s.core.clock_sec() - 0.25).abs() < 1e-9);
         assert_eq!(s.core.buffer_level_sec(), 0.0);
+    }
+
+    #[test]
+    fn failed_metadata_fetch_returns_the_burned_time() {
+        let policy = RetryPolicy::default_mobile();
+        let mut s = Session::new(constant_net(0.0, 60), FaultPlan::none(), policy);
+        let (core, env) = s.parts();
+        let d = core.fetch_metadata(&env, 1.0e6, &mut NoopRecorder);
+        let backoffs: f64 = (0..policy.max_retries).map(|r| policy.backoff_sec(r)).sum();
+        let burned = (policy.max_retries + 1) as f64 * policy.attempt_timeout_sec + backoffs;
+        assert!((d - burned).abs() < 1e-9, "{d} vs {burned}");
+        assert_eq!(s.core.clock_sec().to_bits(), d.to_bits());
+        assert_eq!(s.core.buffer_level_sec(), 0.0);
+        let c = s.core.counters();
+        assert_eq!(c.timeouts, policy.max_retries + 1);
+        assert_eq!(c.retries, policy.max_retries);
+    }
+
+    #[test]
+    fn stall_sec_is_the_stall_or_the_blackout_past_the_segment() {
+        // 6 Mb over 4 Mbps into an empty buffer: a 1.5 s startup stall.
+        let mut s = Session::benign(constant_net(4.0e6, 1));
+        assert_eq!(s.download(0, &mut fixed_request(6.0e6)).stall_sec(), 1.5);
+        let skip = |blackout_sec| DownloadOutcome::Skipped {
+            request_time_sec: 0.0,
+            wait_sec: 0.0,
+            elapsed_sec: 4.0,
+            blackout_sec,
+            wasted_bits: 0.0,
+            attempts: 1,
+        };
+        assert_eq!(skip(0.5 * SEGMENT_DURATION_SEC).stall_sec(), 0.0);
+        assert_eq!(skip(SEGMENT_DURATION_SEC + 2.5).stall_sec(), 2.5);
     }
 
     #[test]

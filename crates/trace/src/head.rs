@@ -91,7 +91,6 @@ impl Default for GazeConfig {
 pub struct HeadTrace {
     video_id: usize,
     user_id: usize,
-    sample_hz: f64,
     /// (t_sec, yaw_deg, pitch_deg) triples, strictly increasing in time.
     samples: Vec<(f64, f64, f64)>,
     /// Not part of the trace's value: a clone starts without it, and
@@ -104,7 +103,6 @@ impl ToJson for HeadTrace {
         Json::Obj(vec![
             ("video_id".to_owned(), self.video_id.to_json()),
             ("user_id".to_owned(), self.user_id.to_json()),
-            ("sample_hz".to_owned(), self.sample_hz.to_json()),
             ("samples".to_owned(), self.samples.to_json()),
         ])
     }
@@ -113,9 +111,8 @@ impl ToJson for HeadTrace {
 impl FromJson for HeadTrace {
     /// Reads a trace back through the sample checks of
     /// [`HeadTrace::try_from_samples`], so a stored trace is held to the
-    /// same rules as an imported one. The stored `sample_hz` is kept: a
-    /// generated trace records its configured rate, not the rate its
-    /// sample span implies.
+    /// same rules as an imported one. Keys other than the ids and the
+    /// samples are ignored, so files that carry a sample rate still load.
     fn from_json(v: &Json) -> Result<Self, JsonError> {
         if v.as_object().is_none() {
             return Err(JsonError::Type {
@@ -126,7 +123,6 @@ impl FromJson for HeadTrace {
         let trace = Self {
             video_id: field(v, "video_id")?,
             user_id: field(v, "user_id")?,
-            sample_hz: field(v, "sample_hz")?,
             samples: field(v, "samples")?,
             derived: Derived::default(),
         };
@@ -227,17 +223,9 @@ impl HeadTrace {
         samples: Vec<(f64, f64, f64)>,
     ) -> Result<Self, HeadTraceError> {
         check_samples(&samples)?;
-        let sample_hz = match (samples.first(), samples.last()) {
-            (Some(first), Some(last)) if samples.len() >= 2 => {
-                let span = last.0 - first.0;
-                (samples.len() as f64 - 1.0) / span.max(1e-9)
-            }
-            _ => 1.0,
-        };
         Ok(Self {
             video_id,
             user_id,
-            sample_hz,
             samples,
             derived: Derived::default(),
         })
@@ -827,7 +815,6 @@ impl HeadTraceGenerator {
         HeadTrace {
             video_id: spec.id,
             user_id,
-            sample_hz: self.config.sample_hz,
             samples,
             derived: Derived::default(),
         }
@@ -1358,9 +1345,8 @@ mod tests {
             let err = decode(bad).expect_err(bad);
             assert!(matches!(err, JsonError::Invalid(_)), "{bad}: {err}");
         }
-        // A valid list decodes, and the stored rate is kept as written.
+        // A valid list decodes; the rate key older files carry is ignored.
         let trace = decode("[[0.0,0.0,0.0],[0.5,10.0,0.0]]").expect("valid samples");
-        assert_eq!(trace.sample_hz, 10.0);
         assert!(trace.segment_center(0).is_some());
     }
 }

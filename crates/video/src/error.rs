@@ -1,9 +1,8 @@
 //! Failure taxonomy of the video catalog.
 //!
-//! Mirrors the simulator's `SimError` style: construction problems that
-//! the seed treated as panics become values a caller can route — a CLI
-//! can name the bad video id, a server can reject a malformed catalog
-//! upload without dying.
+//! Construction problems that the seed treated as panics become values
+//! a caller can route — a CLI can name the bad video id, a server can
+//! reject a malformed catalog upload without dying.
 
 use std::error::Error;
 use std::fmt;
