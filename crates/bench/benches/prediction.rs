@@ -11,7 +11,7 @@ use ee360_bench::bench_harness;
 use ee360_geom::switching::SwitchingSample;
 use ee360_geom::viewport::ViewCenter;
 use ee360_predict::bandwidth::{BandwidthEstimator, HarmonicMeanEstimator};
-use ee360_predict::viewport::{PredictorWorkspace, ViewportPredictor};
+use ee360_predict::viewport::ViewportPredictor;
 
 fn history(samples: usize) -> Vec<SwitchingSample> {
     (0..samples)
@@ -28,13 +28,11 @@ fn history(samples: usize) -> Vec<SwitchingSample> {
 fn main() {
     let mut bench = bench_harness();
     let predictor = ViewportPredictor::paper_default();
-    // The slice API over a workspace reused across iterations, so the
-    // rows time the fit and not three fresh `Vec`s per call.
-    let mut ws = PredictorWorkspace::default();
+    // The slice API: each call builds its three series afresh.
     for n in [10usize, 20, 50, 100] {
         let h = history(n);
         bench.run(&format!("viewport_predict/ridge/{n}"), || {
-            predictor.predict_with(black_box(&h), 1.0, &mut ws)
+            predictor.predict(black_box(&h), 1.0)
         });
     }
 

@@ -3,10 +3,11 @@
 //! Reports the three hot-path figures the optimisation PRs steer by —
 //! solver plans/sec (optimised vs. the retained straightforward
 //! reference), single-session wall time, and the quick-matrix sweep wall
-//! time at 1 and N threads — and writes them to `BENCH_perf.json` at the
-//! repo root and `results/bench_perf.json` (same bytes, written by this
-//! binary so the two can never drift), so the perf trajectory is
-//! machine-tracked from PR 4 onward. Speedups are computed against the
+//! time at 1 and N threads — and writes them to `results/bench_perf.json`
+//! (untracked). The checked-in `BENCH_perf.json` at the repo root is only
+//! read, as the solver gate's baseline, so a run never rewrites it;
+//! re-baselining means copying `results/bench_perf.json` over
+//! `BENCH_perf.json` and committing it. Speedups are computed against the
 //! pinned seed-sequential figures measured immediately before the first
 //! optimisation landed.
 //!
@@ -685,24 +686,22 @@ fn main() {
     // --- regression gate (EE360_BENCH_GATE=1) ---------------------------
     // Compares this run's solver throughput against the checked-in
     // baseline, both canary-normalised so machine weather cancels out.
-    // The prior file is read before the overwrite and the fresh report
-    // is written regardless, so a failing run still leaves the evidence
-    // on disk; exit code 2 is reserved for a genuine >20% regression
-    // (`scripts/ci.sh` hard-fails on it and stays non-blocking on
-    // everything else).
+    // The fresh report is written regardless, so a failing run still
+    // leaves the evidence on disk; exit code 2 is reserved for a genuine
+    // >20% regression (`scripts/ci.sh` hard-fails on it and stays
+    // non-blocking on everything else).
     let gate = std::env::var_os("EE360_BENCH_GATE").is_some_and(|v| v == "1");
     let prior = std::fs::read_to_string("BENCH_perf.json")
         .ok()
         .and_then(|prior_text| parse(&prior_text).ok());
 
     let text = to_string_pretty(&report).expect("report serialises");
-    std::fs::write("BENCH_perf.json", &text).expect("write BENCH_perf.json");
     std::fs::create_dir_all("results").expect("create results/");
     std::fs::write("results/bench_perf.json", &text).expect("write results/bench_perf.json");
-    println!("wrote BENCH_perf.json + results/bench_perf.json");
+    println!("wrote results/bench_perf.json");
 
     if gate {
-        // Gate on the median per-alternation speedup over the seed
+        // Gate on the p75 per-alternation speedup over the seed
         // reference, scaled back to plans/sec by the pinned seed
         // figure: both sides of each sample share one sub-millisecond
         // window, so this number is immune to the box speeding up or

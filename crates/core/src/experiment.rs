@@ -396,14 +396,9 @@ impl Evaluation {
         rec: &mut Recorder,
     ) -> SchemeOutcome {
         let (server, users) = self.prepared(video_id);
-        let level = rec.level();
-        let profiling = rec.profiling();
-        let window_sec = rec.windows().map_or(0.0, |w| w.window_sec());
         let results: Vec<(SessionMetrics, Recorder)> =
             parallel_map_indexed(self.session_threads, users.len(), |i| {
-                let mut session_rec = Recorder::new(level)
-                    .with_profiling(profiling)
-                    .with_windows(window_sec);
+                let mut session_rec = rec.worker();
                 let mut controller = make_controller(scheme, self.config.phone);
                 let metrics = run_session_traced(
                     controller.as_mut(),
@@ -446,7 +441,7 @@ impl Evaluation {
     ///
     /// # Panics
     ///
-    /// Panics if the video was not prepared.
+    /// Panics if the video was not prepared or has no evaluation users.
     pub fn run_fleet_traced(
         &self,
         video_id: usize,
@@ -455,7 +450,7 @@ impl Evaluation {
         policy: &RetryPolicy,
         rec: &mut Recorder,
     ) -> SchemeOutcome {
-        crate::fleet::run_fleet_traced(
+        let (sessions, _stats) = crate::fleet::fleet_sessions_traced(
             self,
             video_id,
             scheme,
@@ -463,7 +458,8 @@ impl Evaluation {
             policy,
             self.session_threads,
             rec,
-        )
+        );
+        SchemeOutcome::from_sessions(scheme, video_id, &sessions)
     }
 
     /// Runs every scheme for one video.

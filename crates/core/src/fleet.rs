@@ -7,18 +7,20 @@
 //! discrete-event engine of [`ee360_sim::fleet`] instead: each session
 //! becomes a [`FleetSessionDriver`] reacting to replan /
 //! download-complete / fault-fire events on a shared logical-time queue,
-//! sharded deterministically across the worker pool.
+//! sharded deterministically across the worker pool; a cell's entry
+//! point is [`Evaluation::run_fleet_traced`].
 //!
 //! Because every event handler calls the same [`SessionRunner`] phase
 //! the loop engine would call next, and sessions share nothing mutable,
 //! the per-session [`SessionMetrics`] are **bit-identical** to
 //! [`crate::client::run_session_traced`] — the property
-//! `tests/fleet_equivalence.rs` pins across the paper matrix. Recorders
-//! are merged into the caller's in user-index order, exactly as
-//! `run_traced` does, so the merged obs report bytes match too.
+//! `tests/fleet_equivalence.rs` pins across the paper matrix. Session
+//! recorders ([`Recorder::worker`]s) are merged into the caller's in
+//! user-index order, exactly as `run_traced` does, so the merged obs
+//! report bytes match too.
 
 use ee360_abr::controller::Scheme;
-use ee360_obs::{Record, Recorder};
+use ee360_obs::Recorder;
 use ee360_sim::fleet::{drive_sessions, shard_ranges, EngineStats, EventKind, Scheduler};
 use ee360_sim::metrics::SessionMetrics;
 use ee360_sim::resilience::RetryPolicy;
@@ -27,7 +29,7 @@ use ee360_support::parallel::parallel_map_indexed;
 use ee360_trace::fault::FaultPlan;
 
 use crate::client::{make_controller, SessionRunner, SessionSetup};
-use crate::experiment::{merge_session, Evaluation, SchemeOutcome};
+use crate::experiment::{merge_session, Evaluation};
 
 /// One full paper session as an event-queue driver: the boxed
 /// controller, the phase-decomposed [`SessionRunner`], and the session's
@@ -56,29 +58,29 @@ impl<'a> FleetSessionDriver<'a> {
         level: ee360_obs::Level,
         profiling: bool,
     ) -> Self {
-        Self::with_windows(scheme, setup, faults, policy, level, profiling, 0.0)
+        let rec = Recorder::new(level).with_profiling(profiling);
+        Self::with_recorder(scheme, setup, faults, policy, rec)
     }
 
-    /// [`FleetSessionDriver::new`] with logical-time windowing enabled
-    /// on the session's private recorder (`window_sec <= 0` leaves it
-    /// off). The per-session windows merge into the caller's recorder
-    /// in user-index order, mirroring the registry merge.
-    #[allow(clippy::too_many_arguments)]
-    pub fn with_windows(
+    /// [`FleetSessionDriver::new`] recording into `rec`, typically a
+    /// [`Recorder::worker`] of the caller's recorder, which the caller
+    /// merges back in user-index order after the run.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the user's trace belongs to a different video than the
+    /// server.
+    pub fn with_recorder(
         scheme: Scheme,
         setup: &SessionSetup<'a>,
         faults: &FaultPlan,
         policy: &RetryPolicy,
-        level: ee360_obs::Level,
-        profiling: bool,
-        window_sec: f64,
+        rec: Recorder,
     ) -> Self {
         Self {
             controller: make_controller(scheme, setup.phone),
             runner: Some(SessionRunner::new(scheme, setup, faults, policy)),
-            rec: Recorder::new(level)
-                .with_profiling(profiling)
-                .with_windows(window_sec),
+            rec,
             metrics: None,
         }
     }
@@ -170,23 +172,18 @@ pub fn fleet_sessions_traced(
     rec: &mut Recorder,
 ) -> (Vec<SessionMetrics>, EngineStats) {
     let (server, users) = eval.prepared(video_id);
-    let level = rec.level();
-    let profiling = rec.profiling();
-    let window_sec = rec.windows().map_or(0.0, |w| w.window_sec());
     let threads = threads.max(1);
     let ranges = shard_ranges(users.len(), threads);
     let shards = parallel_map_indexed(threads, ranges.len(), |shard| {
         let range = ranges.get(shard).cloned().unwrap_or(0..0);
         let mut drivers: Vec<FleetSessionDriver> = range
             .map(|i| {
-                FleetSessionDriver::with_windows(
+                FleetSessionDriver::with_recorder(
                     scheme,
                     &eval.setup(server, &users[i]),
                     faults,
                     policy,
-                    level,
-                    profiling,
-                    window_sec,
+                    rec.worker(),
                 )
             })
             .collect();
@@ -209,27 +206,6 @@ pub fn fleet_sessions_traced(
         }
     }
     (sessions, stats)
-}
-
-/// [`fleet_sessions_traced`] aggregated into the cell's
-/// [`SchemeOutcome`] — the event-engine counterpart of
-/// [`Evaluation::run_traced`], bit-identical to it.
-///
-/// # Panics
-///
-/// Panics if the video was not prepared or has no evaluation users.
-pub fn run_fleet_traced(
-    eval: &Evaluation,
-    video_id: usize,
-    scheme: Scheme,
-    faults: &FaultPlan,
-    policy: &RetryPolicy,
-    threads: usize,
-    rec: &mut Recorder,
-) -> SchemeOutcome {
-    let (sessions, _stats) =
-        fleet_sessions_traced(eval, video_id, scheme, faults, policy, threads, rec);
-    SchemeOutcome::from_sessions(scheme, video_id, &sessions)
 }
 
 #[cfg(test)]
@@ -255,8 +231,9 @@ mod tests {
         let mut loop_rec = Recorder::new(Level::Detail);
         let loop_outcome = eval.run_traced(2, Scheme::Ours, &faults, &policy, &mut loop_rec);
         let mut fleet_rec = Recorder::new(Level::Detail);
+        let eval = eval.clone().with_session_threads(1);
         let fleet_outcome =
-            run_fleet_traced(&eval, 2, Scheme::Ours, &faults, &policy, 1, &mut fleet_rec);
+            eval.run_fleet_traced(2, Scheme::Ours, &faults, &policy, &mut fleet_rec);
         assert_eq!(
             json::to_string(&fleet_outcome).unwrap(),
             json::to_string(&loop_outcome).unwrap()
@@ -310,8 +287,8 @@ mod tests {
         let policy = RetryPolicy::default_mobile();
         let run = |threads: usize| {
             let mut rec = Recorder::new(Level::Summary);
-            let out =
-                run_fleet_traced(&eval, 2, Scheme::Ptile, &faults, &policy, threads, &mut rec);
+            let eval = eval.clone().with_session_threads(threads);
+            let out = eval.run_fleet_traced(2, Scheme::Ptile, &faults, &policy, &mut rec);
             (
                 json::to_string(&out).unwrap(),
                 json::to_string(&ee360_obs::export::report_json(&rec)).unwrap(),

@@ -147,16 +147,15 @@ fn ridge((weight, intercept): (f64, f64)) -> SingleRidge {
 mod tests {
     use super::*;
     use ee360_geom::switching::fast_switching_speed;
-    use ee360_predict::viewport::PredictorWorkspace;
     use ee360_support::prelude::*;
 
     /// The plan of `pos` the way it was made before the fused path: the
-    /// window copied out, `predict_with` and `fast_switching_speed`.
+    /// window copied out, `predict` and `fast_switching_speed`.
     fn reference(trace: &HeadTrace, pos: f64, horizon: f64) -> (ViewCenter, f64) {
         let mut window = Vec::new();
         trace.switching_window_into(pos - 2.0, pos + 1e-9, &mut window);
         let predicted = PREDICTOR
-            .predict_with(&window, horizon, &mut PredictorWorkspace::default())
+            .predict(&window, horizon)
             .unwrap_or_else(|| trace.first_center().unwrap_or_default());
         (predicted, fast_switching_speed(&window))
     }
@@ -196,7 +195,7 @@ mod tests {
 
     proptest! {
         #[test]
-        fn shared_window_fits_match_predict_with_across_two_threads(
+        fn shared_window_fits_match_predict_across_two_threads(
             steps in prop::collection::vec(
                 (0.02f64..0.3, -400.0f64..400.0, -120.0f64..120.0),
                 2..400,

@@ -43,7 +43,7 @@ pub use client::{
     SessionError, SessionSetup,
 };
 pub use experiment::{ExperimentConfig, SchemeOutcome};
-pub use fleet::{fleet_sessions_traced, run_fleet_traced, FleetSessionDriver};
+pub use fleet::{fleet_sessions_traced, FleetSessionDriver};
 pub use parallel::{default_threads, run_matrix};
 pub use report::{BarChart, TableWriter};
 pub use server::{PrepareError, VideoServer};

@@ -187,6 +187,17 @@ impl Recorder {
         self
     }
 
+    /// An empty recorder for one worker of a fan-out: this recorder's
+    /// level, profiling flag and window width, the default ring
+    /// capacity, and nothing recorded. The caller merges it back with
+    /// [`Recorder::merge_registry`] and [`Recorder::merge_windows`].
+    #[must_use]
+    pub fn worker(&self) -> Self {
+        Recorder::new(self.level)
+            .with_profiling(self.profiling)
+            .with_windows(self.windows.as_deref().map_or(0.0, TimeSeries::window_sec))
+    }
+
     /// The windowed series, when enabled via [`Recorder::with_windows`].
     #[must_use]
     pub fn windows(&self) -> Option<&TimeSeries> {
@@ -416,6 +427,28 @@ mod tests {
         rec.span_close(1.0);
         rec.merge_registry(worker.registry());
         rec.merge_windows(worker.windows());
+    }
+
+    #[test]
+    fn worker_copies_the_settings_and_starts_empty() {
+        for (level, profiling, window_sec) in
+            [(Level::Detail, true, 5.0), (Level::Summary, false, 0.0)]
+        {
+            let fresh = Recorder::new(level).with_windows(window_sec);
+            let mut parent = fresh.clone().with_profiling(profiling).with_capacity(1);
+            exercise(&mut parent);
+            let mut worker = parent.worker();
+            assert_eq!((worker.level(), worker.profiling()), (level, profiling));
+            assert_eq!(worker.windows(), fresh.windows());
+            assert_eq!(
+                crate::export::report_json(&worker),
+                crate::export::report_json(&fresh)
+            );
+            // The default ring capacity, not the parent's.
+            worker.record(stall(0));
+            worker.record(stall(1));
+            assert_eq!((worker.events_len(), worker.dropped()), (2, 0));
+        }
     }
 
     #[test]

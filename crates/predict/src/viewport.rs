@@ -170,23 +170,7 @@ impl ViewportPredictor {
     ///
     /// Panics if `horizon_sec` is negative or non-finite.
     pub fn predict(&self, history: &[SwitchingSample], horizon_sec: f64) -> Option<ViewCenter> {
-        self.predict_with(history, horizon_sec, &mut PredictorWorkspace::default())
-    }
-
-    /// [`Self::predict`] over a caller-owned [`PredictorWorkspace`]: the
-    /// same value, bit for bit, and with a warm workspace the default
-    /// ridge predictor allocates nothing.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `horizon_sec` is negative or non-finite.
-    pub fn predict_with(
-        &self,
-        history: &[SwitchingSample],
-        horizon_sec: f64,
-        ws: &mut PredictorWorkspace,
-    ) -> Option<ViewCenter> {
-        match self.try_predict_with(history, horizon_sec, ws) {
+        match self.try_predict(history, horizon_sec) {
             Ok(c) => c,
             // lint:allow(no-panic-paths, "documented panic: infallible wrapper; try_predict is the graceful API")
             Err(e) => panic!("invalid prediction request: {e}"),
@@ -201,28 +185,14 @@ impl ViewportPredictor {
         history: &[SwitchingSample],
         horizon_sec: f64,
     ) -> Result<Option<ViewCenter>, PredictError> {
-        self.try_predict_with(history, horizon_sec, &mut PredictorWorkspace::default())
-    }
-
-    fn try_predict_with(
-        &self,
-        history: &[SwitchingSample],
-        horizon_sec: f64,
-        ws: &mut PredictorWorkspace,
-    ) -> Result<Option<ViewCenter>, PredictError> {
         if !(horizon_sec.is_finite() && horizon_sec >= 0.0) {
             return Err(PredictError::InvalidHorizon { horizon_sec });
         }
-        Ok(self.predict_inner(history, horizon_sec, ws))
+        Ok(self.predict_inner(history, horizon_sec))
     }
 
     /// The regression core, reached only with a validated horizon.
-    fn predict_inner(
-        &self,
-        history: &[SwitchingSample],
-        horizon_sec: f64,
-        ws: &mut PredictorWorkspace,
-    ) -> Option<ViewCenter> {
+    fn predict_inner(&self, history: &[SwitchingSample], horizon_sec: f64) -> Option<ViewCenter> {
         let last = history.last()?;
         if matches!(self.kind, PredictorKind::LastSample) || history.len() == 1 {
             return Some(last.center);
@@ -238,15 +208,14 @@ impl ViewportPredictor {
 
         // Regress against time relative to the window start (conditioning).
         let t0 = first.t_sec;
-        ws.ts.clear();
-        ws.ts.extend(window().map(|s| s.t_sec - t0));
-        ws.pitch.clear();
-        ws.pitch.extend(window().map(|s| s.center.pitch_deg()));
+        let mut series = Series::default();
+        series.ts.extend(window().map(|s| s.t_sec - t0));
+        series.pitch.extend(window().map(|s| s.center.pitch_deg()));
         // Unwrap yaw into a continuous series.
         let mut prev = first.center.yaw_deg();
         let mut acc = prev;
-        ws.yaw.clear();
-        ws.yaw
+        series
+            .yaw
             .extend(std::iter::once(acc).chain(window().skip(1).map(|s| {
                 let yaw = s.center.yaw_deg();
                 acc += ee360_geom::angles::signed_yaw_diff_deg(yaw, prev);
@@ -263,8 +232,8 @@ impl ViewportPredictor {
         let t_pred = (t_end - t0) + horizon_sec;
         // Single time feature: the allocation-free fast path, bit-identical
         // to `fit` on one-element rows (see `SingleRidge`).
-        let yaw_model = SingleRidge::fit(&ws.ts, &ws.yaw, lambda).ok()?;
-        let pitch_model = SingleRidge::fit(&ws.ts, &ws.pitch, lambda).ok()?;
+        let yaw_model = SingleRidge::fit(&series.ts, &series.yaw, lambda).ok()?;
+        let pitch_model = SingleRidge::fit(&series.ts, &series.pitch, lambda).ok()?;
         Some(ViewCenter::new(
             yaw_model.predict(t_pred),
             pitch_model.predict(t_pred),
@@ -414,14 +383,12 @@ impl LinearFit {
     }
 }
 
-/// Caller-owned scratch for [`ViewportPredictor::predict_with`]: the
-/// window's relative times, unwrapped yaw and pitch series. Every call
-/// clears and refills it, so it carries no state between predictions.
-/// Its users are the slice API ([`ViewportPredictor::predict`] and
-/// `predict_with`); sessions read their windows through
-/// [`ViewportPredictor::fit_window`] instead.
-#[derive(Debug, Clone, Default)]
-pub struct PredictorWorkspace {
+/// The series [`ViewportPredictor::predict`] regresses, built per call:
+/// the window's relative times, unwrapped yaw and pitch. Sessions read
+/// their windows in place through [`ViewportPredictor::fit_window`]
+/// instead.
+#[derive(Debug, Default)]
+struct Series {
     ts: Vec<f64>,
     yaw: Vec<f64>,
     pitch: Vec<f64>,
@@ -539,30 +506,13 @@ mod tests {
             .collect()
     }
 
-    #[test]
-    fn recycled_workspace_predicts_the_same_bits() {
-        // One workspace reused across windows of different lengths and
-        // kinds gives exactly what a fresh one gives.
-        let mut ws = PredictorWorkspace::default();
-        for kind in [PredictorKind::Ridge, PredictorKind::OrdinaryLeastSquares] {
-            let p = ViewportPredictor::new(kind, 0.1, 2.0);
-            for (speed, n) in [(170.0, 40), (-35.0, 3), (12.0, 21), (400.0, 2)] {
-                let h = pan_history(speed, n, 0.1);
-                let fresh = p.predict(&h, 1.0).unwrap();
-                let reused = p.predict_with(&h, 1.0, &mut ws).unwrap();
-                assert_eq!(fresh.yaw_deg().to_bits(), reused.yaw_deg().to_bits());
-                assert_eq!(fresh.pitch_deg().to_bits(), reused.pitch_deg().to_bits());
-            }
-        }
-    }
-
-    /// `fit_window` over `history`'s iterator against `predict_with`,
-    /// bit for bit, at a few horizons.
+    /// `fit_window` over `history`'s iterator against `predict`, bit for
+    /// bit, at a few horizons.
     fn assert_fit_window_matches(p: &ViewportPredictor, history: &[SwitchingSample]) {
         let fit = p.fit_window(history.iter().copied());
         for horizon in [0.0, 0.37, 1.0, 3.0] {
             let fused = fit.predict(horizon);
-            let reference = p.predict_with(history, horizon, &mut PredictorWorkspace::default());
+            let reference = p.predict(history, horizon);
             assert_eq!(
                 fused.map(|c| (c.yaw_deg().to_bits(), c.pitch_deg().to_bits())),
                 reference.map(|c| (c.yaw_deg().to_bits(), c.pitch_deg().to_bits())),
@@ -614,7 +564,7 @@ mod tests {
     }
 
     #[test]
-    fn fit_window_matches_predict_with_on_edge_windows() {
+    fn fit_window_matches_predict_on_edge_windows() {
         let p = ViewportPredictor::paper_default();
         let at =
             |t: f64, yaw: f64, pitch: f64| SwitchingSample::new(t, ViewCenter::new(yaw, pitch));
@@ -680,7 +630,7 @@ mod tests {
 
     proptest! {
         #[test]
-        fn fit_window_matches_predict_with_bit_for_bit(
+        fn fit_window_matches_predict_bit_for_bit(
             steps in prop::collection::vec(
                 (0.001f64..0.4, -400.0f64..400.0, -120.0f64..120.0),
                 0..160,

@@ -4,10 +4,11 @@
 //! completion, and the full client loop in `ee360-core`) run one session
 //! at a time. This module interleaves many:
 //!
-//! * a **discrete-event core** — [`drive_sessions`] pops queued events
-//!   (replan, download-complete, fault-fire, stall-start/stall-end) off
-//!   one binary heap ordered by `(time, session, seq)` and dispatches
-//!   them to [`SessionDriver`]s;
+//! * a **discrete-event core** — [`drive_sessions`], the engine's one
+//!   loop, pops queued events (replan, download-complete, fault-fire,
+//!   stall-start/stall-end) off one binary heap ordered by `(time,
+//!   session, seq)` and dispatches them to [`SessionDriver`]s, which
+//!   are given everything they write to when they are built;
 //! * **deterministic sharding** — [`shard_ranges`] splits the fleet
 //!   into contiguous index ranges driven on the `ee360-support` worker
 //!   pool; sessions never interact, so per-shard queues are
@@ -17,7 +18,8 @@
 //! * a **floor driver for engine overhead** — [`ScaleDriver`] is a
 //!   synthetic session with a few hundred bytes of scalar state (the
 //!   download core, one in-flight [`DownloadState`], an RNG, an EWMA
-//!   bandwidth estimate and the running summary). It books energy and
+//!   bandwidth estimate, the running summary and a pointer to its slot
+//!   in the shard's window-log arena). It books energy and
 //!   QoE through the same `ee360-power`/`ee360-qoe` models as the full
 //!   client, but has no viewport prediction, Ptiles or MPC solve. Real
 //!   paper sessions (`ee360-core`'s fleet driver) cost 9–12 KB each, so
@@ -194,27 +196,12 @@ fn enqueue_pending(
 /// sequence a dedicated single-session loop would make, which is the
 /// engine half of the bit-identical-equivalence argument.
 pub fn drive_sessions<D: SessionDriver>(drivers: &mut [D]) -> EngineStats {
-    drive_sessions_via(drivers, D::start, |driver, _, kind, sched| {
-        driver.on_event(kind, sched);
-    })
-}
-
-/// The one event loop both entry points share: [`drive_sessions`]
-/// dispatches through the trait, the fleet's windowed runner routes a
-/// per-session arena slot alongside each event. The loop body is what
-/// fixes the dispatch order, so both paths are event-for-event
-/// identical by construction.
-fn drive_sessions_via<D>(
-    drivers: &mut [D],
-    mut start: impl FnMut(&mut D, &mut Scheduler),
-    mut dispatch: impl FnMut(&mut D, usize, EventKind, &mut Scheduler),
-) -> EngineStats {
     let mut heap: BinaryHeap<Reverse<QueuedEvent>> = BinaryHeap::new();
     let mut sched = Scheduler::default();
     let mut seq = 0u64;
     let mut stats = EngineStats::default();
     for (index, driver) in drivers.iter_mut().enumerate() {
-        start(driver, &mut sched);
+        driver.start(&mut sched);
         enqueue_pending(&mut heap, &mut sched, index as u32, &mut seq);
     }
     stats.peak_queue_len = heap.len();
@@ -228,7 +215,7 @@ fn drive_sessions_via<D>(
             EventKind::StallEnd => stats.stall_ends += 1,
         }
         if let Some(driver) = drivers.get_mut(event.session as usize) {
-            dispatch(driver, event.session as usize, event.kind, &mut sched);
+            driver.on_event(event.kind, &mut sched);
         }
         enqueue_pending(&mut heap, &mut sched, event.session, &mut seq);
         stats.peak_queue_len = stats.peak_queue_len.max(heap.len());
@@ -446,8 +433,9 @@ impl<'a> ScaleEnv<'a> {
 
 /// One scale session as an event-queue driver. All hot state is scalar:
 /// the [`SessionCore`] (buffer, clock, counters), at most one in-flight
-/// [`DownloadState`], a 32-byte RNG, an EWMA bandwidth estimate and the
-/// running [`SessionSummary`]. No allocation after construction.
+/// [`DownloadState`], a 32-byte RNG, an EWMA bandwidth estimate, the
+/// running [`SessionSummary`] and a pointer to the session's window-log
+/// slot. No allocation after construction.
 #[derive(Debug)]
 pub struct ScaleDriver<'a> {
     env: &'a ScaleEnv<'a>,
@@ -465,16 +453,11 @@ pub struct ScaleDriver<'a> {
     /// point for startup latency.
     start_sec: f64,
     /// The window the most recent booking landed in; [`WINDOW_NONE`]
-    /// until the first booking. The ~400 B cell log itself lives in a
-    /// shard-level arena (see [`run_scale_shards`]), *not* in the
-    /// driver: the event loop walks tens of thousands of interleaved
-    /// drivers, and keeping the log out keeps the hot working set
-    /// small — a session's slot is only touched on a window transition
-    /// (a handful of times per session). Cells are sealed lazily: the
-    /// booking hot path only tracks `cur_window`, and a snapshot is
-    /// stamped when a booking lands in a *later* window (plus a final
-    /// seal at teardown), so the per-booking cost is one float compare,
-    /// not a struct copy.
+    /// until the first booking. Cells are sealed lazily: the booking hot
+    /// path only tracks `cur_window`, and a snapshot is stamped into
+    /// [`Self::windows`] when a booking lands in a *later* window (plus
+    /// a final seal in [`Self::finish`]), so the per-booking cost is one
+    /// float compare, not a struct copy.
     cur_window: u32,
     /// End of `cur_window` in simulation seconds (0.0 until the first
     /// booking), so the same-window fast path is a single compare with
@@ -483,6 +466,12 @@ pub struct ScaleDriver<'a> {
     /// Full `Detail` trace for sessions picked by the `(seed, session)`
     /// sampling hash; `None` (no heap) for everyone else.
     trace: Option<Box<Recorder>>,
+    /// The session's slot in its shard's window-log arena (see
+    /// [`run_scale_shards`]); `None` when windowing is off. The event
+    /// loop walks tens of thousands of interleaved drivers, so the
+    /// ~400 B log stays out of the driver, touched only on a window
+    /// transition (a handful of times per session).
+    windows: Option<&'a mut SessionWindows>,
 }
 
 /// Ring-buffer bound for one sampled session's `Detail` trace: deep
@@ -498,8 +487,14 @@ const WINDOW_NONE: u32 = u32::MAX;
 impl<'a> ScaleDriver<'a> {
     /// Builds session `index` of the fleet: its RNG stream is derived
     /// from `config.seed + index` (SplitMix64 decorrelates neighbours)
-    /// and its fault keys live at `index * FLEET_FAULT_STRIDE`.
-    pub fn new(env: &'a ScaleEnv<'a>, index: usize) -> Self {
+    /// and its fault keys live at `index * FLEET_FAULT_STRIDE`. Window
+    /// cells are stamped into `windows` when one is given and windowing
+    /// is on.
+    pub fn new(
+        env: &'a ScaleEnv<'a>,
+        index: usize,
+        windows: Option<&'a mut SessionWindows>,
+    ) -> Self {
         let rng = StdRng::seed_from_u64(env.config.seed.wrapping_add(index as u64));
         let tel = env.config.telemetry;
         Self {
@@ -523,45 +518,45 @@ impl<'a> ScaleDriver<'a> {
             trace: (tel.sampling_enabled()
                 && sampled(env.config.seed, index as u64, tel.sample_ppm))
             .then(|| Box::new(Recorder::new(Level::Detail).with_capacity(TRACE_EVENT_CAPACITY))),
+            windows,
         }
     }
 
     /// Seals the driver into its per-session summary (counters and final
-    /// clock stamped from the core).
-    pub fn into_summary(self) -> SessionSummary {
-        self.into_telemetry_parts(None).0
-    }
-
-    /// Seals the driver into its summary plus the `Detail` trace it
-    /// carried (for sampled sessions), stamping the last booked window
-    /// into the session's arena slot when one is given. That final
-    /// snapshot is the session's final accumulators, which is what
-    /// makes the series' final row bit-exact against the fleet report.
-    pub fn into_telemetry_parts(
-        self,
-        windows: Option<&mut SessionWindows>,
-    ) -> (SessionSummary, Option<Box<Recorder>>) {
-        if self.cur_window != WINDOW_NONE {
-            if let Some(windows) = windows {
-                windows.stamp(self.cur_window, self.window_cums());
-            }
-        }
+    /// clock stamped from the core) plus the `Detail` trace it carried
+    /// (for sampled sessions), stamping the last booked window into the
+    /// session's slot. That final snapshot is the session's final
+    /// accumulators, which is what makes the series' final row bit-exact
+    /// against the fleet report.
+    pub fn finish(mut self) -> (SessionSummary, Option<Box<Recorder>>) {
+        self.seal_window();
         let mut summary = self.summary;
         summary.counters = *self.core.counters();
         summary.clock_sec = self.core.clock_sec();
         (summary, self.trace)
     }
 
-    /// Bit-copies of the running accumulators the fold will total.
-    fn window_cums(&self) -> WindowCums {
-        WindowCums {
-            stall_sec: self.summary.stall_sec,
-            qoe_sum: self.summary.qoe_sum,
-            energy_mj: self.summary.energy_mj,
-            bits: self.summary.bits,
-            segments: self.summary.segments as u32,
-            delivered: self.summary.delivered as u32,
-            skipped: self.summary.skipped as u32,
+    /// Stamps bit-copies of the running accumulators the fold will total
+    /// into the slot's cell for `cur_window` (nothing before the first
+    /// booking or without a slot).
+    fn seal_window(&mut self) {
+        if self.cur_window == WINDOW_NONE {
+            return;
+        }
+        if let Some(windows) = self.windows.as_deref_mut() {
+            let s = &self.summary;
+            windows.stamp(
+                self.cur_window,
+                WindowCums {
+                    stall_sec: s.stall_sec,
+                    qoe_sum: s.qoe_sum,
+                    energy_mj: s.energy_mj,
+                    bits: s.bits,
+                    segments: s.segments as u32,
+                    delivered: s.delivered as u32,
+                    skipped: s.skipped as u32,
+                },
+            );
         }
     }
 
@@ -575,7 +570,7 @@ impl<'a> ScaleDriver<'a> {
         }
     }
 
-    fn replan(&mut self, sched: &mut Scheduler, windows: Option<&mut SessionWindows>) {
+    fn replan(&mut self, sched: &mut Scheduler) {
         if self.next_segment >= self.env.config.segments {
             return; // session finished; schedule nothing
         }
@@ -598,10 +593,10 @@ impl<'a> ScaleDriver<'a> {
         self.level = level;
         let denv = self.download_env();
         self.st = Some(self.core.begin_download(&denv, self.next_segment));
-        self.step(sched, windows);
+        self.step(sched);
     }
 
-    fn step(&mut self, sched: &mut Scheduler, windows: Option<&mut SessionWindows>) {
+    fn step(&mut self, sched: &mut Scheduler) {
         let denv = self.download_env();
         let level = self.level;
         let Some(st) = self.st.as_mut() else {
@@ -621,17 +616,12 @@ impl<'a> ScaleDriver<'a> {
             None => sched.schedule(self.core.clock_sec(), EventKind::FaultFire),
             Some(outcome) => {
                 self.st = None;
-                self.book(outcome, sched, windows);
+                self.book(outcome, sched);
             }
         }
     }
 
-    fn book(
-        &mut self,
-        outcome: DownloadOutcome,
-        sched: &mut Scheduler,
-        windows: Option<&mut SessionWindows>,
-    ) {
+    fn book(&mut self, outcome: DownloadOutcome, sched: &mut Scheduler) {
         let tel = &self.env.config.telemetry;
         if tel.windows_enabled() && self.core.clock_sec() >= self.window_end_sec {
             // Lazy seal: the summary still holds the previous booking's
@@ -641,11 +631,7 @@ impl<'a> ScaleDriver<'a> {
             // compare; the divide only runs on a window transition.
             let w = window_index(self.core.clock_sec(), tel.window_sec);
             if w != self.cur_window {
-                if self.cur_window != WINDOW_NONE {
-                    if let Some(windows) = windows {
-                        windows.stamp(self.cur_window, self.window_cums());
-                    }
-                }
+                self.seal_window();
                 self.cur_window = w;
             }
             self.window_end_sec = (f64::from(w) + 1.0) * tel.window_sec;
@@ -727,29 +713,6 @@ impl<'a> ScaleDriver<'a> {
     }
 }
 
-impl ScaleDriver<'_> {
-    /// [`SessionDriver::on_event`] with the session's window-log arena
-    /// slot routed alongside — the windowed fleet runner's dispatch
-    /// path. `on_event` is this with no slot; both take the same
-    /// branches, so windowed and plain runs stay event-for-event
-    /// identical.
-    fn on_event_windowed(
-        &mut self,
-        kind: EventKind,
-        sched: &mut Scheduler,
-        windows: Option<&mut SessionWindows>,
-    ) {
-        match kind {
-            EventKind::Replan => self.replan(sched, windows),
-            EventKind::FaultFire => self.step(sched, windows),
-            EventKind::DownloadComplete => {
-                sched.schedule(self.core.clock_sec(), EventKind::Replan);
-            }
-            EventKind::StallStart | EventKind::StallEnd => {}
-        }
-    }
-}
-
 impl SessionDriver for ScaleDriver<'_> {
     fn start(&mut self, sched: &mut Scheduler) {
         let offset = self.rng.gen_f64() * START_SPREAD_SEC;
@@ -759,7 +722,14 @@ impl SessionDriver for ScaleDriver<'_> {
     }
 
     fn on_event(&mut self, kind: EventKind, sched: &mut Scheduler) {
-        self.on_event_windowed(kind, sched, None);
+        match kind {
+            EventKind::Replan => self.replan(sched),
+            EventKind::FaultFire => self.step(sched),
+            EventKind::DownloadComplete => {
+                sched.schedule(self.core.clock_sec(), EventKind::Replan);
+            }
+            EventKind::StallStart | EventKind::StallEnd => {}
+        }
     }
 }
 
@@ -779,7 +749,7 @@ struct ShardOut {
     /// wholesale — no per-session move or allocation anywhere.
     windows: Vec<SessionWindows>,
     /// Dense window count this shard needs (`max(last_window) + 1`),
-    /// computed in the worker while its cells are cache-hot so the fold
+    /// read in the worker while its cells are cache-hot, so the fold
     /// thread never re-scans the window logs just to size the series.
     n_windows: usize,
     traces: Vec<(u64, Box<Recorder>)>,
@@ -797,53 +767,49 @@ fn run_scale_shards(
     let threads = config.threads.max(1);
     let shard_count = threads.max(config.sessions.div_ceil(MAX_SHARD_SESSIONS));
     let ranges = shard_ranges(config.sessions, shard_count);
-    let keep_windows = config.telemetry.windows_enabled();
     parallel_map_indexed(threads, ranges.len(), |shard| {
         let range = ranges.get(shard).cloned().unwrap_or(0..0);
         let env = ScaleEnv::new(config, network, faults);
         let setup_timer = StageTimer::start(profiling);
-        let mut drivers: Vec<ScaleDriver> =
-            range.map(|index| ScaleDriver::new(&env, index)).collect();
         // The shard's window-log arena: one allocation for the whole
-        // shard, one slot per session, kept out of the drivers so the
-        // event loop's hot working set stays compact. With windows off
-        // it stays empty and every slot lookup is `None`.
+        // shard, one slot per session, each driver holding a pointer to
+        // its own. With windows off it stays empty: every driver gets
+        // `None`.
         let mut window_log: Vec<SessionWindows> = Vec::new();
-        if keep_windows {
-            window_log.resize_with(drivers.len(), SessionWindows::default);
+        if config.telemetry.windows_enabled() {
+            window_log.resize_with(range.len(), SessionWindows::default);
         }
+        let mut slots = window_log.iter_mut();
+        let mut drivers: Vec<ScaleDriver> = range
+            .map(|index| ScaleDriver::new(&env, index, slots.next()))
+            .collect();
         let setup_wall_sec = setup_timer.stop();
         let loop_timer = StageTimer::start(profiling);
-        let stats = drive_sessions_via(
-            &mut drivers,
-            ScaleDriver::start,
-            |driver, i, kind, sched| {
-                driver.on_event_windowed(kind, sched, window_log.get_mut(i));
-            },
-        );
+        let stats = drive_sessions(&mut drivers);
         let loop_wall_sec = loop_timer.stop();
-        let mut out = ShardOut {
-            summaries: Vec::with_capacity(drivers.len()),
-            windows: Vec::new(),
-            n_windows: 1,
-            traces: Vec::new(),
+        let mut summaries = Vec::with_capacity(drivers.len());
+        let mut traces = Vec::new();
+        for driver in drivers {
+            let index = driver.index as u64;
+            let (summary, trace) = driver.finish();
+            summaries.push(summary);
+            if let Some(trace) = trace {
+                traces.push((index, trace));
+            }
+        }
+        let n_windows = window_log
+            .iter()
+            .filter_map(SessionWindows::last_window)
+            .fold(1, |n, last| n.max(last as usize + 1));
+        ShardOut {
+            summaries,
+            windows: window_log,
+            n_windows,
+            traces,
             stats,
             setup_wall_sec,
             loop_wall_sec,
-        };
-        for (i, driver) in drivers.into_iter().enumerate() {
-            let index = driver.index as u64;
-            let (summary, trace) = driver.into_telemetry_parts(window_log.get_mut(i));
-            out.summaries.push(summary);
-            if let Some(last) = window_log.get(i).and_then(SessionWindows::last_window) {
-                out.n_windows = out.n_windows.max(last as usize + 1);
-            }
-            if let Some(trace) = trace {
-                out.traces.push((index, trace));
-            }
         }
-        out.windows = window_log;
-        out
     })
 }
 
@@ -1126,11 +1092,11 @@ pub fn run_scale_sessions_isolated(
     let env = ScaleEnv::new(config, network, faults);
     (0..config.sessions)
         .map(|index| {
-            let mut drivers = vec![ScaleDriver::new(&env, index)];
+            let mut drivers = vec![ScaleDriver::new(&env, index, None)];
             let _ = drive_sessions(&mut drivers);
             drivers
                 .pop()
-                .map(ScaleDriver::into_summary)
+                .map(|driver| driver.finish().0)
                 .unwrap_or_default()
         })
         .collect()
@@ -1214,6 +1180,33 @@ mod tests {
             to_string(&interleaved).unwrap(),
             to_string(&isolated).unwrap()
         );
+    }
+
+    #[test]
+    fn windowed_shard_logs_match_sessions_driven_alone() {
+        // 2 s windows over 20 segments spill past the inline cells.
+        let (network, faults) = chaos_inputs();
+        let telemetry = TelemetryConfig {
+            window_sec: 2.0,
+            sample_ppm: 0,
+            exemplar_k: 0,
+        };
+        let config = FleetConfig::new(24, 20, 31)
+            .with_threads(2)
+            .with_telemetry(telemetry);
+        let shards = run_scale_shards(&config, &network, &faults, false);
+        let logs: Vec<_> = shards.into_iter().flat_map(|shard| shard.windows).collect();
+        assert_eq!(logs.len(), config.sessions);
+        let env = ScaleEnv::new(&config, &network, &faults);
+        for (index, log) in logs.iter().enumerate() {
+            assert!(log.len() > ee360_obs::timeseries::INLINE_CELLS);
+            let mut alone = SessionWindows::default();
+            let mut drivers = vec![ScaleDriver::new(&env, index, Some(&mut alone))];
+            drive_sessions(&mut drivers);
+            drivers.pop().expect("one driver").finish();
+            drop(drivers);
+            assert_eq!(&alone, log, "session {index} diverged under interleaving");
+        }
     }
 
     #[test]

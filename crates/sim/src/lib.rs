@@ -19,9 +19,10 @@
 //!   download ending in a [`resilience::DownloadOutcome`] — the paper's
 //!   benign world is the same engine with no faults and the wait-forever
 //!   policy,
-//! * [`fleet`] — the discrete-event fleet engine: many sessions on one
-//!   logical-time queue with O(100 B) hot state each, deterministically
-//!   sharded and bit-identical to the loop engine at any thread count.
+//! * [`fleet`] — the discrete-event fleet engine: one loop
+//!   ([`fleet::drive_sessions`]) runs many sessions on one logical-time
+//!   queue with O(100 B) hot state each, deterministically sharded and
+//!   bit-identical to the loop engine at any thread count.
 //!
 //! # Example
 //!
