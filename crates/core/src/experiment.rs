@@ -147,33 +147,75 @@ ee360_support::impl_json_struct!(SchemeOutcome {
 });
 
 impl SchemeOutcome {
-    pub(crate) fn from_sessions(
-        scheme: Scheme,
-        video_id: usize,
-        sessions: &[SessionMetrics],
-    ) -> Self {
+    /// The cell's outcome from its sessions' reductions, in user order:
+    /// each field is the sum of the per-session values over the users,
+    /// divided by the user count.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `sessions` is empty.
+    pub(crate) fn from_means(scheme: Scheme, video_id: usize, sessions: &[SessionMeans]) -> Self {
         assert!(!sessions.is_empty(), "need at least one session");
         let n = sessions.len() as f64;
-        let mean = |f: &dyn Fn(&SessionMetrics) -> f64| sessions.iter().map(f).sum::<f64>() / n;
-        let segs = sessions[0].len();
+        let mean = |f: fn(&SessionMeans) -> f64| sessions.iter().map(f).sum::<f64>() / n;
         Self {
             scheme,
             video_id,
             users: sessions.len(),
-            segments: segs,
-            mean_energy_mj_per_segment: mean(&|s| s.total_energy_mj() / s.len().max(1) as f64),
-            mean_transmission_mj: mean(&|s| {
-                s.energy_breakdown_mj().transmission_mj / s.len().max(1) as f64
-            }),
-            mean_decode_mj: mean(&|s| s.energy_breakdown_mj().decode_mj / s.len().max(1) as f64),
-            mean_render_mj: mean(&|s| s.energy_breakdown_mj().render_mj / s.len().max(1) as f64),
-            mean_qoe: mean(&|s| s.mean_qoe()),
-            mean_quality: mean(&|s| s.mean_quality()),
-            mean_variation: mean(&|s| s.mean_variation()),
-            mean_rebuffering: mean(&|s| s.mean_rebuffering()),
-            mean_stall_sec: mean(&|s| s.total_stall_sec()),
-            mean_quality_level: mean(&|s| s.mean_quality_level()),
-            mean_fps: mean(&|s| s.mean_fps()),
+            segments: sessions[0].segments,
+            mean_energy_mj_per_segment: mean(|s| s.energy_mj_per_segment),
+            mean_transmission_mj: mean(|s| s.transmission_mj),
+            mean_decode_mj: mean(|s| s.decode_mj),
+            mean_render_mj: mean(|s| s.render_mj),
+            mean_qoe: mean(|s| s.qoe),
+            mean_quality: mean(|s| s.quality),
+            mean_variation: mean(|s| s.variation),
+            mean_rebuffering: mean(|s| s.rebuffering),
+            mean_stall_sec: mean(|s| s.stall_sec),
+            mean_quality_level: mean(|s| s.quality_level),
+            mean_fps: mean(|s| s.fps),
+        }
+    }
+}
+
+/// One session reduced to what its cell averages: the segment count and
+/// the eleven per-session values behind [`SchemeOutcome`]'s means. Sweeps
+/// reduce each session on its worker as soon as it finishes, so a cell
+/// keeps these twelve numbers per user, not every segment record.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct SessionMeans {
+    segments: usize,
+    energy_mj_per_segment: f64,
+    transmission_mj: f64,
+    decode_mj: f64,
+    render_mj: f64,
+    qoe: f64,
+    quality: f64,
+    variation: f64,
+    rebuffering: f64,
+    stall_sec: f64,
+    quality_level: f64,
+    fps: f64,
+}
+
+impl SessionMeans {
+    /// Reduces one finished session.
+    pub(crate) fn of(session: &SessionMetrics) -> Self {
+        let n = session.len().max(1) as f64;
+        let energy = session.energy_breakdown_mj();
+        Self {
+            segments: session.len(),
+            energy_mj_per_segment: session.total_energy_mj() / n,
+            transmission_mj: energy.transmission_mj / n,
+            decode_mj: energy.decode_mj / n,
+            render_mj: energy.render_mj / n,
+            qoe: session.mean_qoe(),
+            quality: session.mean_quality(),
+            variation: session.mean_variation(),
+            rebuffering: session.mean_rebuffering(),
+            stall_sec: session.total_stall_sec(),
+            quality_level: session.mean_quality_level(),
+            fps: session.mean_fps(),
         }
     }
 }
@@ -382,7 +424,9 @@ impl Evaluation {
     /// fan-out joins. Merge order is therefore a pure function of the
     /// input — the aggregated metrics are identical for any
     /// [`Self::session_threads`] count, and the simulation results are
-    /// bit-identical to the untraced path.
+    /// bit-identical to the untraced path. Each worker reduces its
+    /// session to the values the cell averages before the join, so at
+    /// most one session's segment records per worker are live.
     ///
     /// # Panics
     ///
@@ -396,7 +440,7 @@ impl Evaluation {
         rec: &mut Recorder,
     ) -> SchemeOutcome {
         let (server, users) = self.prepared(video_id);
-        let results: Vec<(SessionMetrics, Recorder)> =
+        let results: Vec<(SessionMeans, Recorder)> =
             parallel_map_indexed(self.session_threads, users.len(), |i| {
                 let mut session_rec = rec.worker();
                 let mut controller = make_controller(scheme, self.config.phone);
@@ -407,14 +451,14 @@ impl Evaluation {
                     policy,
                     &mut session_rec,
                 );
-                (metrics, session_rec)
+                (SessionMeans::of(&metrics), session_rec)
             });
         let mut sessions = Vec::with_capacity(results.len());
-        for (metrics, session_rec) in results {
+        for (means, session_rec) in results {
             merge_session(rec, &session_rec);
-            sessions.push(metrics);
+            sessions.push(means);
         }
-        SchemeOutcome::from_sessions(scheme, video_id, &sessions)
+        SchemeOutcome::from_means(scheme, video_id, &sessions)
     }
 
     /// Runs a single evaluation user of a (video, scheme) cell — the
@@ -459,7 +503,8 @@ impl Evaluation {
             self.session_threads,
             rec,
         );
-        SchemeOutcome::from_sessions(scheme, video_id, &sessions)
+        let means: Vec<SessionMeans> = sessions.iter().map(SessionMeans::of).collect();
+        SchemeOutcome::from_means(scheme, video_id, &means)
     }
 
     /// Runs every scheme for one video.
@@ -476,6 +521,8 @@ impl Evaluation {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ee360_support::json;
+    use ee360_trace::fault::FaultConfig;
 
     fn quick_eval(videos: &[usize]) -> Evaluation {
         let mut config = ExperimentConfig::quick_test();
@@ -490,6 +537,85 @@ mod tests {
         assert!(eval.server(6).is_some());
         assert!(eval.server(1).is_none());
         assert_eq!(eval.eval_users(2).len(), 2); // 10 total − 8 train
+    }
+
+    /// The fold cells used before sessions were reduced on their
+    /// workers: every mean taken over whole sessions. Kept as the
+    /// reference [`SchemeOutcome::from_means`] must reproduce.
+    fn whole_session_fold(
+        scheme: Scheme,
+        video_id: usize,
+        sessions: &[SessionMetrics],
+    ) -> SchemeOutcome {
+        let n = sessions.len() as f64;
+        let mean = |f: &dyn Fn(&SessionMetrics) -> f64| sessions.iter().map(f).sum::<f64>() / n;
+        SchemeOutcome {
+            scheme,
+            video_id,
+            users: sessions.len(),
+            segments: sessions[0].len(),
+            mean_energy_mj_per_segment: mean(&|s| s.total_energy_mj() / s.len().max(1) as f64),
+            mean_transmission_mj: mean(&|s| {
+                s.energy_breakdown_mj().transmission_mj / s.len().max(1) as f64
+            }),
+            mean_decode_mj: mean(&|s| s.energy_breakdown_mj().decode_mj / s.len().max(1) as f64),
+            mean_render_mj: mean(&|s| s.energy_breakdown_mj().render_mj / s.len().max(1) as f64),
+            mean_qoe: mean(&|s| s.mean_qoe()),
+            mean_quality: mean(&|s| s.mean_quality()),
+            mean_variation: mean(&|s| s.mean_variation()),
+            mean_rebuffering: mean(&|s| s.mean_rebuffering()),
+            mean_stall_sec: mean(&|s| s.total_stall_sec()),
+            mean_quality_level: mean(&|s| s.mean_quality_level()),
+            mean_fps: mean(&|s| s.mean_fps()),
+        }
+    }
+
+    #[test]
+    fn means_fold_matches_the_whole_session_fold() {
+        let mut config = ExperimentConfig::quick_test();
+        config.users_total = 14; // six evaluation users
+        config.max_segments = Some(40);
+        let eval = Evaluation::prepare_videos(config, &VideoCatalog::paper_default(), Some(&[2]));
+        let fanned = [1usize, 4].map(|threads| eval.clone().with_session_threads(threads));
+        let (server, users) = eval.prepared(2);
+        assert_eq!(users.len(), 6);
+        let plans = [
+            (FaultPlan::none(), RetryPolicy::disabled()),
+            (
+                FaultPlan::generate(FaultConfig::chaos_default(), 300.0, 11),
+                RetryPolicy::default_mobile(),
+            ),
+        ];
+        let mut faulted = false;
+        for (faults, policy) in &plans {
+            for scheme in Scheme::ALL.into_iter().chain([Scheme::RobustMpc]) {
+                let sessions: Vec<SessionMetrics> = users
+                    .iter()
+                    .map(|user| {
+                        run_session_resilient(scheme, &eval.setup(server, user), faults, policy)
+                    })
+                    .collect();
+                faulted |= sessions.iter().any(|s| !s.resilience().is_clean());
+                let reference = json::to_string(&whole_session_fold(scheme, 2, &sessions)).unwrap();
+                let means: Vec<SessionMeans> = sessions.iter().map(SessionMeans::of).collect();
+                assert_eq!(
+                    json::to_string(&SchemeOutcome::from_means(scheme, 2, &means)).unwrap(),
+                    reference,
+                    "{scheme:?}: the means fold diverged"
+                );
+                for eval in &fanned {
+                    let mut rec = Recorder::new(Level::Off);
+                    let traced = eval.run_traced(2, scheme, faults, policy, &mut rec);
+                    assert_eq!(
+                        json::to_string(&traced).unwrap(),
+                        reference,
+                        "{scheme:?}: run_traced at {} session threads diverged",
+                        eval.session_threads()
+                    );
+                }
+            }
+        }
+        assert!(faulted, "the chaos plan must reach the sessions");
     }
 
     #[test]

@@ -9,15 +9,18 @@
 //! sessions under every scheme back to back, holding the trace's
 //! interval-speed table ([`ee360_trace::derived::IntervalSpeeds`]) so
 //! they share it: the one non-session user of a trace's derived state.
-//! Results are regrouped and returned in deterministic (video, scheme)
-//! order regardless of the execution schedule.
+//! Each session is reduced to its cell's per-session values the moment
+//! it finishes, so a worker holds one session's segment records at a
+//! time and the sweep's live heap grows with its workers, not with
+//! sessions × segments. The reductions are regrouped and folded in
+//! deterministic (video, scheme) order regardless of the execution
+//! schedule.
 
 use ee360_abr::controller::Scheme;
-use ee360_sim::metrics::SessionMetrics;
 use ee360_support::parallel::parallel_map_indexed;
 use ee360_trace::derived::IntervalSpeeds;
 
-use crate::experiment::{Evaluation, SchemeOutcome};
+use crate::experiment::{Evaluation, SchemeOutcome, SessionMeans};
 
 /// Runs every (video, scheme) cell of the matrix across `threads` workers,
 /// partitioning the work at (video, user) granularity.
@@ -25,11 +28,14 @@ use crate::experiment::{Evaluation, SchemeOutcome};
 /// Each task holds the user's interval-speed table while it runs that
 /// user's session under every scheme in `schemes` order, so the Eq. 5
 /// speeds are computed once per user rather than once per session. The
-/// table is freed when the task ends.
+/// table is freed when the task ends. A task returns each scheme's
+/// session already reduced to the values its cell averages; the segment
+/// records are dropped on the worker, so at most one session's records
+/// per worker are live at any time.
 ///
 /// Returns outcomes sorted by `(video, scheme-order)`, identical to what a
-/// sequential double loop would produce: each cell gathers its sessions
-/// in user order, as [`Evaluation::run`] does.
+/// sequential double loop would produce: each cell folds its sessions'
+/// values in user order, as [`Evaluation::run`] does.
 ///
 /// # Panics
 ///
@@ -47,12 +53,12 @@ pub fn run_matrix(
         .iter()
         .flat_map(|&video| (0..eval.eval_users(video).len()).map(move |user| (video, user)))
         .collect();
-    let sessions: Vec<Vec<SessionMetrics>> = parallel_map_indexed(threads, tasks.len(), |idx| {
+    let sessions: Vec<Vec<SessionMeans>> = parallel_map_indexed(threads, tasks.len(), |idx| {
         let (video, user) = tasks[idx];
         let _table = IntervalSpeeds::new(&eval.eval_users(video)[user]);
         schemes
             .iter()
-            .map(|&scheme| eval.run_user(video, scheme, user))
+            .map(|&scheme| SessionMeans::of(&eval.run_user(video, scheme, user)))
             .collect()
     });
     // Regroup into cells: each video owns a contiguous run of `users`
@@ -61,7 +67,7 @@ pub fn run_matrix(
     let mut tasks = sessions.into_iter();
     for &video in videos {
         let users = eval.eval_users(video).len();
-        let mut cells: Vec<Vec<SessionMetrics>> =
+        let mut cells: Vec<Vec<SessionMeans>> =
             schemes.iter().map(|_| Vec::with_capacity(users)).collect();
         for task in tasks.by_ref().take(users) {
             for (cell, session) in cells.iter_mut().zip(task) {
@@ -69,7 +75,7 @@ pub fn run_matrix(
             }
         }
         for (&scheme, cell) in schemes.iter().zip(&cells) {
-            outcomes.push(SchemeOutcome::from_sessions(scheme, video, cell));
+            outcomes.push(SchemeOutcome::from_means(scheme, video, cell));
         }
     }
     outcomes
