@@ -65,12 +65,12 @@ impl Default for Config {
                 // bandwidth estimate and the controller call.
                 "core::client::SessionRunner::plan_segment",
                 "support::parallel::parallel_map_indexed",
-                // Telemetry emission paths: windowed stamps, timestamped
-                // registry writes, and exemplar offers run once per
-                // booking or per session across the whole fleet.
+                // Telemetry emission paths: timestamped registry writes
+                // and exemplar offers run once per booking or per session
+                // across the whole fleet. Window cells are sealed inside
+                // `ScaleDriver::on_event`, a root above.
                 "obs::record::Recorder::count_at",
                 "obs::record::Recorder::observe_at",
-                "obs::timeseries::SessionWindows::stamp",
                 "obs::sample::ExemplarSet::offer",
             ]),
         );

@@ -452,8 +452,8 @@ fn binary_gates_determinism_taint_both_directions() {
 }
 
 /// The telemetry emission entries added with the fleet-telemetry work
-/// (`SessionWindows::stamp` for hot-path-alloc, `Recorder::observe_at`
-/// for determinism-taint) gate the binary in both directions too.
+/// (`ExemplarSet::offer` for hot-path-alloc, `Recorder::observe_at` for
+/// determinism-taint) gate the binary in both directions too.
 #[test]
 fn binary_gates_telemetry_entries_both_directions() {
     let seed = |name: &str, hazard_src: &str| -> std::path::PathBuf {
@@ -463,12 +463,12 @@ fn binary_gates_telemetry_entries_both_directions() {
         std::fs::create_dir_all(&obs).expect("create obs src");
         std::fs::create_dir_all(&sup).expect("create support src");
         std::fs::write(
-            obs.join("timeseries.rs"),
+            obs.join("sample.rs"),
             "use ee360_support::util::spill;\n\
-             pub struct SessionWindows;\n\
-             impl SessionWindows { pub fn stamp(&mut self) { spill(); } }\n",
+             pub struct ExemplarSet;\n\
+             impl ExemplarSet { pub fn offer(&mut self) { spill(); } }\n",
         )
-        .expect("write stamp entry");
+        .expect("write offer entry");
         std::fs::write(
             obs.join("record.rs"),
             "use ee360_support::util::salted;\n\
@@ -489,7 +489,7 @@ fn binary_gates_telemetry_entries_both_directions() {
     let (ok, stdout) = run_gate(&dir, &[]);
     assert!(!ok, "seeded telemetry hazards must fail:\n{stdout}");
     assert!(stdout.contains("hot-path-alloc"), "{stdout}");
-    assert!(stdout.contains("SessionWindows::stamp"), "{stdout}");
+    assert!(stdout.contains("ExemplarSet::offer"), "{stdout}");
     assert!(stdout.contains("determinism-taint"), "{stdout}");
     assert!(stdout.contains("Recorder::observe_at"), "{stdout}");
 

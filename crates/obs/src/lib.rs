@@ -51,6 +51,6 @@ pub use record::{NoopRecorder, Record, Recorder};
 pub use sample::{sampled, splitmix64, ExemplarSet, ExemplarSummary, Exemplars};
 pub use slo::{default_slos, evaluate_all, Objective, SloResult, SloSpec};
 pub use timeseries::{
-    window_index, FleetSeries, SessionWindows, TelemetryConfig, TimeSeries, WindowCums,
+    window_index, FleetSeries, TelemetryConfig, TimeSeries, WindowCell, WindowCums,
     TIMESERIES_SCHEMA,
 };

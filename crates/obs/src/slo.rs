@@ -221,22 +221,30 @@ pub fn evaluate_all(specs: &[SloSpec], series: &FleetSeries) -> Vec<SloResult> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::timeseries::{SessionWindows, WindowCums};
+    use crate::timeseries::{WindowCell, WindowCums};
 
     fn series_with(stalls: &[f64], qoes: &[f64], segments_per_window: u32) -> FleetSeries {
         // One synthetic session whose cumulative stall/qoe tracks the
         // requested per-window deltas.
-        let mut sw = SessionWindows::default();
         let mut cums = WindowCums::default();
-        for (w, (stall, qoe)) in stalls.iter().zip(qoes.iter()).enumerate() {
-            cums.stall_sec += stall;
-            cums.qoe_sum += qoe;
-            cums.segments += segments_per_window;
-            cums.delivered += segments_per_window;
-            sw.stamp(w as u32, cums);
-        }
+        let cells: Vec<WindowCell> = stalls
+            .iter()
+            .zip(qoes.iter())
+            .enumerate()
+            .map(|(w, (stall, qoe))| {
+                cums.stall_sec += stall;
+                cums.qoe_sum += qoe;
+                cums.segments += segments_per_window;
+                cums.delivered += segments_per_window;
+                WindowCell {
+                    window: w as u32,
+                    session: 0,
+                    cums,
+                }
+            })
+            .collect();
         let mut series = FleetSeries::new(5.0, stalls.len().max(1));
-        series.fold_session(&sw, Some(0.5));
+        series.fold_session(&cells, Some(0.5));
         series
     }
 

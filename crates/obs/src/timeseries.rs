@@ -13,18 +13,20 @@
 //!   per-window registry entry (mirror-don't-model: the whole-run
 //!   registry sees the identical observation, so per-window counters
 //!   partition the whole-run counters exactly).
-//! * [`SessionWindows`] + [`FleetSeries`] — the scale-fleet pipeline.
-//!   Each session stamps a **cumulative** snapshot of its own summary
+//! * [`WindowCell`] + [`FleetSeries`] — the scale-fleet pipeline.
+//!   Each session seals a **cumulative** snapshot of its own summary
 //!   accumulators ([`WindowCums`], bit-copies of the very `+=` chains
 //!   the fleet report folds) into at most one [`WindowCell`] per
-//!   window; the fold then walks sessions in user-index order and
-//!   accumulates, per window, each session's carried-forward cumulative
-//!   value. Because the last window's accumulation is exactly the
-//!   sequence `total += session_final` in user order — the same chain
-//!   `run_scale_fleet` uses for its report — the final cumulative row
-//!   reconciles **bit-exactly** (f64) and **integer-exactly** (u64)
-//!   with the whole-run registry, while per-window deltas (differences
-//!   of adjacent cumulative rows) give the plottable series.
+//!   window, appended to its shard's one log; the shard regroups the
+//!   log by session, and the fold then walks sessions in user-index
+//!   order and accumulates, per window, each session's carried-forward
+//!   cumulative value. Because the last window's accumulation is
+//!   exactly the sequence `total += session_final` in user order — the
+//!   same chain `run_scale_fleet` uses for its report — the final
+//!   cumulative row reconciles **bit-exactly** (f64) and
+//!   **integer-exactly** (u64) with the whole-run registry, while
+//!   per-window deltas (differences of adjacent cumulative rows) give
+//!   the plottable series.
 //!
 //! Windows are cumulative rather than per-window sums precisely because
 //! f64 addition is non-associative: regrouping per-booking values into
@@ -42,7 +44,7 @@ pub const TIMESERIES_SCHEMA: &str = "ee360.timeseries.v1";
 
 /// Hard cap on materialised windows: bookings past this index clamp
 /// into the last window, so a pathological session cannot make the
-/// series (or the per-session cell vectors) unbounded.
+/// series (or a shard's window log) unbounded.
 pub const MAX_WINDOWS: usize = 4096;
 
 /// O(1) bucket index of simulation time `t_sec` under `window_sec`-wide
@@ -149,129 +151,19 @@ pub struct WindowCums {
     pub skipped: u32,
 }
 
-/// One window's cumulative snapshot for one session.
+/// One window's cumulative snapshot for one session. A session seals
+/// at most one cell per window, in strictly increasing window order.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WindowCell {
     /// Window index ([`window_index`] of the booking clock).
     pub window: u32,
+    /// User index of the session that sealed the cell, so a shard's
+    /// log can be regrouped by session. It fills the padding before
+    /// `cums`: a cell is 56 B with or without it.
+    pub session: u32,
     /// The session's cumulative accumulators at its last booking in
     /// this window.
     pub cums: WindowCums,
-}
-
-/// Inline cell capacity of [`SessionWindows`]: sized so a typical
-/// session's whole window span lives in the driver struct with **zero
-/// heap**. At fleet scale the earlier `Vec`-backed log cost one
-/// malloc/free pair per session, which was the single largest telemetry
-/// overhead; only sessions spanning more than this many windows spill
-/// into the overflow `Vec`.
-pub const INLINE_CELLS: usize = 7;
-
-const EMPTY_CELL: WindowCell = WindowCell {
-    window: 0,
-    cums: WindowCums {
-        stall_sec: 0.0,
-        qoe_sum: 0.0,
-        energy_mj: 0.0,
-        bits: 0.0,
-        segments: 0,
-        delivered: 0,
-        skipped: 0,
-    },
-};
-
-/// The per-session window log: at most one [`WindowCell`] per window,
-/// appended in nondecreasing window order (a session's clock only moves
-/// forward). The first [`INLINE_CELLS`] cells are stored inline (no
-/// heap); longer sessions spill into the overflow `Vec`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SessionWindows {
-    len: u32,
-    inline: [WindowCell; INLINE_CELLS],
-    overflow: Vec<WindowCell>,
-}
-
-impl Default for SessionWindows {
-    fn default() -> Self {
-        SessionWindows {
-            len: 0,
-            inline: [EMPTY_CELL; INLINE_CELLS],
-            overflow: Vec::new(),
-        }
-    }
-}
-
-impl SessionWindows {
-    /// Records the session's cumulative state for `window`. Repeated
-    /// stamps of the same window overwrite in place (the cell keeps the
-    /// *latest* cumulative snapshot); a later window appends.
-    pub fn stamp(&mut self, window: u32, cums: WindowCums) {
-        let n = self.len as usize;
-        if n > 0 {
-            let last = if n <= INLINE_CELLS {
-                self.inline.get_mut(n - 1)
-            } else {
-                self.overflow.get_mut(n - INLINE_CELLS - 1)
-            };
-            if let Some(last) = last {
-                if last.window == window {
-                    last.cums = cums;
-                    return;
-                }
-            }
-        }
-        if let Some(cell) = self.inline.get_mut(n) {
-            *cell = WindowCell { window, cums };
-        } else {
-            // lint:allow(hot-path-alloc, "rare spill: only sessions spanning more than INLINE_CELLS windows reach the overflow Vec, bounded by MAX_WINDOWS")
-            self.overflow.push(WindowCell { window, cums });
-        }
-        self.len += 1;
-    }
-
-    /// The stamped cells in window order (inline first, then overflow).
-    pub fn iter(&self) -> impl Iterator<Item = &WindowCell> {
-        let n = (self.len as usize).min(INLINE_CELLS);
-        self.inline
-            .get(..n)
-            .unwrap_or(&[])
-            .iter()
-            .chain(self.overflow.iter())
-    }
-
-    /// The cell at position `i` in stamp order.
-    #[must_use]
-    pub fn get(&self, i: usize) -> Option<&WindowCell> {
-        if i >= self.len as usize {
-            return None;
-        }
-        if i < INLINE_CELLS {
-            self.inline.get(i)
-        } else {
-            self.overflow.get(i - INLINE_CELLS)
-        }
-    }
-
-    /// Number of stamped cells.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.len as usize
-    }
-
-    /// True when nothing was stamped.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// The last stamped window, if any.
-    #[must_use]
-    pub fn last_window(&self) -> Option<u32> {
-        if self.len == 0 {
-            return None;
-        }
-        self.get(self.len as usize - 1).map(|c| c.window)
-    }
 }
 
 /// One window's fleet-level accumulators. The scalar fields are
@@ -392,13 +284,14 @@ impl FleetSeries {
         self.accums.last()
     }
 
-    /// Folds one session's window log into the series. **Must** be
-    /// called in user-index order across the whole fleet: the per-window
-    /// scalar chains are `+=` sequences whose order is the determinism
-    /// contract. `startup_sec` is the session's startup latency (if it
-    /// ever delivered), observed into the window of its first delivery.
-    pub fn fold_session(&mut self, session: &SessionWindows, startup_sec: Option<f64>) {
-        let mut cells = session.iter().peekable();
+    /// Folds one session's cells (strictly increasing windows, possibly
+    /// none) into the series. **Must** be called in user-index order
+    /// across the whole fleet: the per-window scalar chains are `+=`
+    /// sequences whose order is the determinism contract. `startup_sec`
+    /// is the session's startup latency (if it ever delivered), observed
+    /// into the window of its first delivery.
+    pub fn fold_session(&mut self, cells: &[WindowCell], startup_sec: Option<f64>) {
+        let mut cells = cells.iter().peekable();
         let mut cur = WindowCums::default();
         let mut prev = WindowCums::default();
         let mut startup_done = false;
@@ -644,52 +537,19 @@ mod tests {
         );
     }
 
-    #[test]
-    fn session_windows_overwrite_in_place_and_append() {
-        let mut sw = SessionWindows::default();
-        let mut cums = WindowCums::default();
-        cums.segments = 1;
-        sw.stamp(0, cums);
-        cums.segments = 2;
-        sw.stamp(0, cums);
-        cums.segments = 3;
-        sw.stamp(2, cums);
-        assert_eq!(sw.len(), 2);
-        assert_eq!(sw.get(0).unwrap().window, 0);
-        assert_eq!(
-            sw.get(0).unwrap().cums.segments,
-            2,
-            "same window overwrites"
-        );
-        assert_eq!(sw.last_window(), Some(2));
+    /// A session-0 cell (the fold reads one session's slice, so the
+    /// session field is not consulted).
+    fn cell(window: u32, cums: WindowCums) -> WindowCell {
+        WindowCell {
+            window,
+            session: 0,
+            cums,
+        }
     }
 
     #[test]
-    fn session_windows_spill_past_inline_capacity() {
-        let mut sw = SessionWindows::default();
-        for w in 0..(INLINE_CELLS as u32 + 3) {
-            let cums = WindowCums {
-                segments: w + 1,
-                ..WindowCums::default()
-            };
-            sw.stamp(w, cums);
-        }
-        assert_eq!(sw.len(), INLINE_CELLS + 3);
-        assert_eq!(sw.last_window(), Some(INLINE_CELLS as u32 + 2));
-        let windows: Vec<u32> = sw.iter().map(|c| c.window).collect();
-        let expected: Vec<u32> = (0..(INLINE_CELLS as u32 + 3)).collect();
-        assert_eq!(
-            windows, expected,
-            "iter chains inline then overflow in order"
-        );
-        // Overwrite-in-place still works once spilled.
-        let cums = WindowCums {
-            segments: 99,
-            ..WindowCums::default()
-        };
-        sw.stamp(INLINE_CELLS as u32 + 2, cums);
-        assert_eq!(sw.len(), INLINE_CELLS + 3);
-        assert_eq!(sw.get(INLINE_CELLS + 2).unwrap().cums.segments, 99);
+    fn cell_session_fills_padding() {
+        assert_eq!(std::mem::size_of::<WindowCell>(), 56);
     }
 
     #[test]
@@ -697,27 +557,27 @@ mod tests {
         // Two sessions; session 0 books in windows 0 and 1, session 1
         // only in window 0. The final row must equal the user-order
         // chain over final cums.
-        let mut s0 = SessionWindows::default();
-        s0.stamp(
-            0,
-            WindowCums {
-                stall_sec: 0.25,
-                segments: 1,
-                delivered: 1,
-                ..WindowCums::default()
-            },
-        );
-        s0.stamp(
-            1,
-            WindowCums {
-                stall_sec: 0.75,
-                segments: 3,
-                delivered: 3,
-                ..WindowCums::default()
-            },
-        );
-        let mut s1 = SessionWindows::default();
-        s1.stamp(
+        let s0 = [
+            cell(
+                0,
+                WindowCums {
+                    stall_sec: 0.25,
+                    segments: 1,
+                    delivered: 1,
+                    ..WindowCums::default()
+                },
+            ),
+            cell(
+                1,
+                WindowCums {
+                    stall_sec: 0.75,
+                    segments: 3,
+                    delivered: 3,
+                    ..WindowCums::default()
+                },
+            ),
+        ];
+        let s1 = [cell(
             0,
             WindowCums {
                 stall_sec: 0.1,
@@ -726,7 +586,7 @@ mod tests {
                 skipped: 1,
                 ..WindowCums::default()
             },
-        );
+        )];
         let mut series = FleetSeries::new(5.0, 3);
         series.fold_session(&s0, Some(0.4));
         series.fold_session(&s1, Some(1.2));
@@ -760,22 +620,20 @@ mod tests {
     fn fold_order_is_the_determinism_contract() {
         // Folding the same sessions in the same order twice gives
         // bit-identical rows (the carry-forward loop is pure).
-        let mut a = SessionWindows::default();
-        a.stamp(
+        let a = [cell(
             0,
             WindowCums {
                 stall_sec: 0.1 + 0.2, // deliberately non-representable
                 ..WindowCums::default()
             },
-        );
-        let mut b = SessionWindows::default();
-        b.stamp(
+        )];
+        let b = [cell(
             1,
             WindowCums {
                 stall_sec: 0.3,
                 ..WindowCums::default()
             },
-        );
+        )];
         let run = || {
             let mut s = FleetSeries::new(1.0, 2);
             s.fold_session(&a, None);
@@ -815,16 +673,15 @@ mod tests {
     #[test]
     fn json_export_carries_schema_surface() {
         let mut series = FleetSeries::new(5.0, 2);
-        let mut sw = SessionWindows::default();
-        sw.stamp(
+        let cells = [cell(
             0,
             WindowCums {
                 segments: 1,
                 delivered: 1,
                 ..WindowCums::default()
             },
-        );
-        series.fold_session(&sw, Some(0.2));
+        )];
+        series.fold_session(&cells, Some(0.2));
         let json = series.to_json();
         let text = ee360_support::json::to_string(&json).expect("serialises");
         for key in [

@@ -12,23 +12,23 @@
 //! * **deterministic sharding** — [`shard_ranges`] splits the fleet
 //!   into contiguous index ranges driven on the `ee360-support` worker
 //!   pool; sessions never interact, so per-shard queues are
-//!   observationally identical to one global queue, and summaries are
-//!   folded back in user-index order so results are independent of the
-//!   thread count;
+//!   observationally identical to one global queue, and summaries (and
+//!   each session's run of its shard's window log, regrouped by session
+//!   in the worker) are folded back in user-index order so results are
+//!   independent of the thread count;
 //! * a **floor driver for engine overhead** — [`ScaleDriver`] is a
 //!   synthetic session with a few hundred bytes of scalar state (the
 //!   download core, one in-flight [`DownloadState`], an RNG, an EWMA
-//!   bandwidth estimate, the running summary and a pointer to its slot
-//!   in the shard's window-log arena). It books energy and
-//!   QoE through the same `ee360-power`/`ee360-qoe` models as the full
-//!   client, but has no viewport prediction, Ptiles or MPC solve. Real
-//!   paper sessions (`ee360-core`'s fleet driver) cost 9–12 KB each, so
-//!   this driver is what the 100k-session memory budgets, the telemetry
-//!   artifact and the `BENCH_perf.json` fleet row measure: the engine's
-//!   own cost with the session work taken out. Its only inputs are the
-//!   fleet's size, seed, thread count and telemetry switches
-//!   ([`FleetConfig`]); the phone, retry policy and start spread are
-//!   fixed.
+//!   bandwidth estimate, the running summary and a pointer to the
+//!   shard's window log). It books energy and QoE through the same
+//!   `ee360-power`/`ee360-qoe` models as the full client, but has no
+//!   viewport prediction, Ptiles or MPC solve. Real paper sessions
+//!   (`ee360-core`'s fleet driver) cost 9–12 KB each, so this driver is
+//!   what the 100k-session memory budgets, the telemetry artifact and
+//!   the `BENCH_perf.json` fleet row measure: the engine's own cost with
+//!   the session work taken out. Its only inputs are the fleet's size,
+//!   seed, thread count and telemetry switches ([`FleetConfig`]); the
+//!   phone, retry policy and start spread are fixed.
 //!
 //! **Equivalence argument.** The event engine does not reimplement any
 //! streaming semantics: every event handler calls the *same*
@@ -40,6 +40,7 @@
 //! outcomes are bit-identical to the loop engine — which
 //! `tests/fleet_equivalence.rs` pins across the paper matrix.
 
+use std::cell::RefCell;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::ops::Range;
@@ -48,7 +49,7 @@ use ee360_obs::profile::StageTimer;
 use ee360_obs::timeseries::window_index;
 use ee360_obs::{
     evaluate_all, sampled, ExemplarSummary, Exemplars, FleetSeries, Level, Record, Recorder,
-    SessionWindows, SloSpec, TelemetryConfig, WindowCums, TIMESERIES_SCHEMA,
+    SloSpec, TelemetryConfig, WindowCell, WindowCums, TIMESERIES_SCHEMA,
 };
 use ee360_power::energy::{SegmentEnergy, SegmentEnergyParams};
 use ee360_power::model::{DecoderScheme, Phone, PowerModel};
@@ -434,8 +435,8 @@ impl<'a> ScaleEnv<'a> {
 /// One scale session as an event-queue driver. All hot state is scalar:
 /// the [`SessionCore`] (buffer, clock, counters), at most one in-flight
 /// [`DownloadState`], a 32-byte RNG, an EWMA bandwidth estimate, the
-/// running [`SessionSummary`] and a pointer to the session's window-log
-/// slot. No allocation after construction.
+/// running [`SessionSummary`] and a pointer to its shard's window log.
+/// No allocation after construction but the log's amortised growth.
 #[derive(Debug)]
 pub struct ScaleDriver<'a> {
     env: &'a ScaleEnv<'a>,
@@ -454,10 +455,10 @@ pub struct ScaleDriver<'a> {
     start_sec: f64,
     /// The window the most recent booking landed in; [`WINDOW_NONE`]
     /// until the first booking. Cells are sealed lazily: the booking hot
-    /// path only tracks `cur_window`, and a snapshot is stamped into
+    /// path only tracks `cur_window`, and a snapshot is appended to
     /// [`Self::windows`] when a booking lands in a *later* window (plus
     /// a final seal in [`Self::finish`]), so the per-booking cost is one
-    /// float compare, not a struct copy.
+    /// float compare, not a struct copy, and each window is sealed once.
     cur_window: u32,
     /// End of `cur_window` in simulation seconds (0.0 until the first
     /// booking), so the same-window fast path is a single compare with
@@ -466,12 +467,11 @@ pub struct ScaleDriver<'a> {
     /// Full `Detail` trace for sessions picked by the `(seed, session)`
     /// sampling hash; `None` (no heap) for everyone else.
     trace: Option<Box<Recorder>>,
-    /// The session's slot in its shard's window-log arena (see
-    /// [`run_scale_shards`]); `None` when windowing is off. The event
-    /// loop walks tens of thousands of interleaved drivers, so the
-    /// ~400 B log stays out of the driver, touched only on a window
-    /// transition (a handful of times per session).
-    windows: Option<&'a mut SessionWindows>,
+    /// The shard's one append-only window log (see
+    /// [`run_scale_shards`]), shared by every driver of the shard and
+    /// touched only on a window transition (a handful of times per
+    /// session). It stays empty when windowing is off.
+    windows: &'a RefCell<Vec<WindowCell>>,
 }
 
 /// Ring-buffer bound for one sampled session's `Detail` trace: deep
@@ -487,14 +487,10 @@ const WINDOW_NONE: u32 = u32::MAX;
 impl<'a> ScaleDriver<'a> {
     /// Builds session `index` of the fleet: its RNG stream is derived
     /// from `config.seed + index` (SplitMix64 decorrelates neighbours)
-    /// and its fault keys live at `index * FLEET_FAULT_STRIDE`. Window
-    /// cells are stamped into `windows` when one is given and windowing
-    /// is on.
-    pub fn new(
-        env: &'a ScaleEnv<'a>,
-        index: usize,
-        windows: Option<&'a mut SessionWindows>,
-    ) -> Self {
+    /// and its fault keys live at `index * FLEET_FAULT_STRIDE`. When
+    /// windowing is on, the session's window cells are appended to
+    /// `windows`, in window order.
+    pub fn new(env: &'a ScaleEnv<'a>, index: usize, windows: &'a RefCell<Vec<WindowCell>>) -> Self {
         let rng = StdRng::seed_from_u64(env.config.seed.wrapping_add(index as u64));
         let tel = env.config.telemetry;
         Self {
@@ -524,8 +520,8 @@ impl<'a> ScaleDriver<'a> {
 
     /// Seals the driver into its per-session summary (counters and final
     /// clock stamped from the core) plus the `Detail` trace it carried
-    /// (for sampled sessions), stamping the last booked window into the
-    /// session's slot. That final snapshot is the session's final
+    /// (for sampled sessions), sealing the last booked window into the
+    /// window log. That final snapshot is the session's final
     /// accumulators, which is what makes the series' final row bit-exact
     /// against the fleet report.
     pub fn finish(mut self) -> (SessionSummary, Option<Box<Recorder>>) {
@@ -536,28 +532,28 @@ impl<'a> ScaleDriver<'a> {
         (summary, self.trace)
     }
 
-    /// Stamps bit-copies of the running accumulators the fold will total
-    /// into the slot's cell for `cur_window` (nothing before the first
-    /// booking or without a slot).
+    /// Appends bit-copies of the running accumulators the fold will
+    /// total to the window log, as the cell for `cur_window` (nothing
+    /// before the first booking, so nothing with windowing off).
     fn seal_window(&mut self) {
         if self.cur_window == WINDOW_NONE {
             return;
         }
-        if let Some(windows) = self.windows.as_deref_mut() {
-            let s = &self.summary;
-            windows.stamp(
-                self.cur_window,
-                WindowCums {
-                    stall_sec: s.stall_sec,
-                    qoe_sum: s.qoe_sum,
-                    energy_mj: s.energy_mj,
-                    bits: s.bits,
-                    segments: s.segments as u32,
-                    delivered: s.delivered as u32,
-                    skipped: s.skipped as u32,
-                },
-            );
-        }
+        let s = &self.summary;
+        // lint:allow(hot-path-alloc, "amortised: one append-only log per shard, pushed once per window a session leaves, so its growth is a few doublings per shard, not an allocation per session")
+        self.windows.borrow_mut().push(WindowCell {
+            window: self.cur_window,
+            session: self.index as u32,
+            cums: WindowCums {
+                stall_sec: s.stall_sec,
+                qoe_sum: s.qoe_sum,
+                energy_mj: s.energy_mj,
+                bits: s.bits,
+                segments: s.segments as u32,
+                delivered: s.delivered as u32,
+                skipped: s.skipped as u32,
+            },
+        });
     }
 
     fn download_env(&self) -> DownloadEnv<'a> {
@@ -739,18 +735,18 @@ impl SessionDriver for ScaleDriver<'_> {
 const MAX_SHARD_SESSIONS: usize = 16_384;
 
 /// Everything one shard hands back to the fold: summaries (always),
-/// window logs and sampled traces (when telemetry asked for them), the
+/// the window log and sampled traces (when telemetry asked for them), the
 /// engine stats, and — under `EE360_OBS_PROFILE=1` — the shard's own
 /// wall-clock phase timings.
 struct ShardOut {
     summaries: Vec<SessionSummary>,
-    /// Per-session window logs, indexed like `summaries`; empty when
-    /// windowing is off. This is the shard's arena, handed back
-    /// wholesale — no per-session move or allocation anywhere.
-    windows: Vec<SessionWindows>,
-    /// Dense window count this shard needs (`max(last_window) + 1`),
-    /// read in the worker while its cells are cache-hot, so the fold
-    /// thread never re-scans the window logs just to size the series.
+    /// The shard's window log, sorted by session: each session's cells
+    /// are one contiguous run in window order, and the runs follow
+    /// `summaries`. Empty when windowing is off.
+    windows: Vec<WindowCell>,
+    /// Dense window count this shard needs (`max(window) + 1`), read in
+    /// the worker while its cells are cache-hot, so the fold thread
+    /// never re-scans the log just to size the series.
     n_windows: usize,
     traces: Vec<(u64, Box<Recorder>)>,
     stats: EngineStats,
@@ -771,17 +767,13 @@ fn run_scale_shards(
         let range = ranges.get(shard).cloned().unwrap_or(0..0);
         let env = ScaleEnv::new(config, network, faults);
         let setup_timer = StageTimer::start(profiling);
-        // The shard's window-log arena: one allocation for the whole
-        // shard, one slot per session, each driver holding a pointer to
-        // its own. With windows off it stays empty: every driver gets
-        // `None`.
-        let mut window_log: Vec<SessionWindows> = Vec::new();
-        if config.telemetry.windows_enabled() {
-            window_log.resize_with(range.len(), SessionWindows::default);
-        }
-        let mut slots = window_log.iter_mut();
+        // The shard's one window log, shared by all its drivers: each
+        // appends a cell per window it leaves, so sessions interleave
+        // in booking order. With windows off nothing is appended and it
+        // never allocates.
+        let window_log = RefCell::new(Vec::new());
         let mut drivers: Vec<ScaleDriver> = range
-            .map(|index| ScaleDriver::new(&env, index, slots.next()))
+            .map(|index| ScaleDriver::new(&env, index, &window_log))
             .collect();
         let setup_wall_sec = setup_timer.stop();
         let loop_timer = StageTimer::start(profiling);
@@ -797,10 +789,14 @@ fn run_scale_shards(
                 traces.push((index, trace));
             }
         }
+        // Regroup by session. Each session appends its cells in window
+        // order and the sort is stable, so every session's run keeps
+        // that order.
+        let mut window_log = window_log.into_inner();
+        window_log.sort_by_key(|cell| cell.session);
         let n_windows = window_log
             .iter()
-            .filter_map(SessionWindows::last_window)
-            .fold(1, |n, last| n.max(last as usize + 1));
+            .fold(1, |n, cell| n.max(cell.window as usize + 1));
         ShardOut {
             summaries,
             windows: window_log,
@@ -811,6 +807,18 @@ fn run_scale_shards(
             loop_wall_sec,
         }
     })
+}
+
+/// Splits the run of `session`'s cells off the front of a shard's window
+/// log, which is sorted by session.
+fn take_session_cells<'c>(log: &mut &'c [WindowCell], session: u64) -> &'c [WindowCell] {
+    let run = log
+        .iter()
+        .take_while(|cell| u64::from(cell.session) == session)
+        .count();
+    let (cells, rest) = log.split_at(run);
+    *log = rest;
+    cells
 }
 
 /// Runs a scale fleet and folds it into a [`FleetReport`], streaming the
@@ -905,6 +913,7 @@ pub fn run_scale_fleet_telemetry(
     let mut traces: Vec<(u64, Box<Recorder>)> = Vec::new();
     let mut session_index = 0u64;
     for shard in shards {
+        let mut cells = shard.windows.as_slice();
         stats.accumulate(&shard.stats);
         if let Some(t) = shard.setup_wall_sec {
             rec.observe("profile.fleet.shard_setup_wall_sec", t);
@@ -912,7 +921,7 @@ pub fn run_scale_fleet_telemetry(
         if let Some(t) = shard.loop_wall_sec {
             rec.observe("profile.fleet.event_loop_wall_sec", t);
         }
-        for (i, s) in shard.summaries.iter().enumerate() {
+        for s in &shard.summaries {
             report.segments += s.segments;
             report.delivered += s.delivered;
             report.skipped += s.skipped;
@@ -928,8 +937,9 @@ pub fn run_scale_fleet_telemetry(
             rec.observe("fleet.session_qoe", s.qoe_sum / s.segments.max(1) as f64);
             rec.observe("fleet.session_energy_mj", s.energy_mj);
             rec.observe("fleet.session_stall_sec", s.stall_sec);
-            if let (Some(series), Some(windows)) = (series.as_mut(), shard.windows.get(i)) {
-                series.fold_session(windows, (s.startup_sec >= 0.0).then_some(s.startup_sec));
+            if let Some(series) = series.as_mut() {
+                let mine = take_session_cells(&mut cells, session_index);
+                series.fold_session(mine, (s.startup_sec >= 0.0).then_some(s.startup_sec));
             }
             if let Some(ex) = exemplars.as_mut() {
                 ex.offer(ExemplarSummary {
@@ -1092,7 +1102,8 @@ pub fn run_scale_sessions_isolated(
     let env = ScaleEnv::new(config, network, faults);
     (0..config.sessions)
         .map(|index| {
-            let mut drivers = vec![ScaleDriver::new(&env, index, None)];
+            let windows = RefCell::new(Vec::new());
+            let mut drivers = vec![ScaleDriver::new(&env, index, &windows)];
             let _ = drive_sessions(&mut drivers);
             drivers
                 .pop()
@@ -1184,7 +1195,8 @@ mod tests {
 
     #[test]
     fn windowed_shard_logs_match_sessions_driven_alone() {
-        // 2 s windows over 20 segments spill past the inline cells.
+        // 2 s windows over 20 segments: sessions span more than 7
+        // windows, and each shard's drivers interleave in its log.
         let (network, faults) = chaos_inputs();
         let telemetry = TelemetryConfig {
             window_sec: 2.0,
@@ -1195,18 +1207,33 @@ mod tests {
             .with_threads(2)
             .with_telemetry(telemetry);
         let shards = run_scale_shards(&config, &network, &faults, false);
-        let logs: Vec<_> = shards.into_iter().flat_map(|shard| shard.windows).collect();
-        assert_eq!(logs.len(), config.sessions);
+        let log: Vec<WindowCell> = shards.into_iter().flat_map(|shard| shard.windows).collect();
         let env = ScaleEnv::new(&config, &network, &faults);
-        for (index, log) in logs.iter().enumerate() {
-            assert!(log.len() > ee360_obs::timeseries::INLINE_CELLS);
-            let mut alone = SessionWindows::default();
-            let mut drivers = vec![ScaleDriver::new(&env, index, Some(&mut alone))];
+        let mut rest = log.as_slice();
+        let mut longest = 0;
+        for index in 0..config.sessions {
+            let cells = take_session_cells(&mut rest, index as u64);
+            longest = longest.max(cells.len());
+            assert!(
+                cells.windows(2).all(|pair| pair[0].window < pair[1].window),
+                "session {index} sealed a window twice or out of order"
+            );
+            let alone = RefCell::new(Vec::new());
+            let mut drivers = vec![ScaleDriver::new(&env, index, &alone)];
             drive_sessions(&mut drivers);
             drivers.pop().expect("one driver").finish();
             drop(drivers);
-            assert_eq!(&alone, log, "session {index} diverged under interleaving");
+            assert_eq!(
+                alone.into_inner(),
+                cells,
+                "session {index} diverged under interleaving"
+            );
         }
+        assert!(
+            rest.is_empty(),
+            "every cell belongs to a session, in user order"
+        );
+        assert!(longest > 7, "some session spans more than 7 windows");
     }
 
     #[test]
@@ -1379,7 +1406,7 @@ mod tests {
     #[test]
     fn driver_hot_state_is_compact() {
         // The fleet's memory story rests on the driver being a bundle of
-        // scalars; the window log and sampled trace are boxed out so the
+        // scalars; the window log and sampled trace are kept out so the
         // event loop's hot working set stays small, and a per-segment
         // vector here would blow both budgets immediately.
         assert!(

@@ -198,6 +198,26 @@ for key in ee360.timeseries.v1 window_sec t_start_sec stall_hist \
   grep -q "\"${key}\"" results/fleet_timeseries.json \
     || { echo "fleet timeseries missing key: ${key}" >&2; exit 1; }
 done
+# Both fleet artifacts are committed, and the telemetry run above is the
+# last writer of each: any change to what the scale fleet reports or
+# windows fails here until they are regenerated with that command and
+# reviewed.
+git diff --exit-code -- results/fleet_report.json results/fleet_timeseries.json
+
+echo "==> paper figures (blocking: every figure and table output matches its committed bytes)"
+# Each figure and table binary runs at paper scale; its standard output
+# is the committed results/<name>.txt, and the SVG-writing ones rewrite
+# their results/*.svg. robust_matrix rewrites results/robust_matrix.json.
+# The outputs are deterministic, so any change to a simulated number
+# fails here until the outputs are regenerated with this loop and the
+# numbers quoted in README.md and EXPERIMENTS.md are checked against them.
+for fig in fig2_motivation fig4_qoe_model fig5_switching_speed fig7_ptile_coverage \
+           fig8_size_cdf fig9_energy fig10_energy_phones fig11_qoe table1_power_models \
+           table2_qoe_fit table3_catalog sweep_bandwidth ablations; do
+  cargo run --release --offline -q -p ee360-bench --bin "${fig}" > "results/${fig}.txt"
+done
+cargo run --release --offline -q -p ee360-bench --bin robust_matrix > /dev/null
+git diff --exit-code -- 'results/*.txt' 'results/*.svg' results/robust_matrix.json
 
 echo "==> perf smoke (tracked baseline, quick mode; regression-gated)"
 # Writes results/bench_perf.json (untracked) with the solver plans/sec,

@@ -27,16 +27,15 @@ const SEGMENTS: usize = 6;
 const PER_SESSION_BUDGET_BYTES: usize = 768;
 
 /// Pinned peak-heap budget per session with the full telemetry pipeline
-/// on. Telemetry adds one retained [`SessionWindows`] per session —
-/// ~440 B of *inline* window cells that live in the shard output `Vec`
-/// until the fold consumes them (the inline small-buffer design keeps
-/// that off the allocator's per-session hot path entirely) — plus a 1%
-/// sample of boxed `Detail` recorders. Measured peak is ~790 B/session;
-/// the fixed telemetry allowance below (documented, not incidental) is
-/// 768 B/session on top of the base budget — roughly 2x headroom, tight
+/// on. Telemetry adds the session's 56 B [`WindowCell`]s, one per 5 s
+/// window it booked in, appended to its shard's one window log (a few
+/// growing allocations per shard, none per session) that lives in the
+/// shard output until the fold consumes it, plus a 1% sample of boxed
+/// `Detail` recorders. The fixed telemetry allowance below (documented,
+/// not incidental) is 768 B/session on top of the base budget: tight
 /// enough that retaining per-segment state would still fail loudly.
 ///
-/// [`SessionWindows`]: ee360_obs::SessionWindows
+/// [`WindowCell`]: ee360_obs::WindowCell
 const TELEMETRY_ALLOWANCE_BYTES: usize = 768;
 
 #[test]
