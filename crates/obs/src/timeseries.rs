@@ -61,72 +61,44 @@ pub fn window_index(t_sec: f64, window_sec: f64) -> u32 {
     idx.min(MAX_WINDOWS as u64 - 1) as u32
 }
 
-/// Telemetry switches threaded through the fleet engines. `Copy` so the
-/// fleet config stays `Copy`; everything defaults to off, which keeps
-/// every existing path byte-identical to the pre-telemetry build.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// The scale fleet's one telemetry switch. On, a run collects all three
+/// subsystems at fixed settings: [`Self::WINDOW_SEC`]-wide windows,
+/// sampled `Detail` traces for [`Self::SAMPLE_PPM`] of the sessions, and
+/// [`Self::EXEMPLAR_K`] exemplars per tail. Off (the default) keeps the
+/// fleet byte-identical to the pre-telemetry build. `Copy` so the fleet
+/// config stays `Copy`.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TelemetryConfig {
-    /// Window width in simulation seconds; `<= 0` disables windowing.
-    pub window_sec: f64,
-    /// Sessions keeping a full `Detail` trace, in parts per million of
-    /// the session-index space (deterministic splitmix64 hash of
-    /// `(seed, session)`); 0 disables sampled tracing.
-    pub sample_ppm: u32,
-    /// Worst-K exemplar capacity per tail (top-K stall, bottom-K QoE);
-    /// 0 disables exemplar capture.
-    pub exemplar_k: u32,
+    on: bool,
 }
 
 impl TelemetryConfig {
-    /// Everything off — the default for existing fleet callers.
+    /// Window width in simulation seconds.
+    pub const WINDOW_SEC: f64 = 5.0;
+    /// Sessions keeping a full `Detail` trace, in parts per million of
+    /// the session-index space (deterministic splitmix64 hash of
+    /// `(seed, session)`, see [`sampled`](crate::sampled)): 1%.
+    pub const SAMPLE_PPM: u32 = 10_000;
+    /// Worst-K exemplar capacity per tail (top-K stall, bottom-K QoE).
+    pub const EXEMPLAR_K: u32 = 8;
+
+    /// Telemetry off — the default for fleet callers.
     #[must_use]
     pub const fn off() -> Self {
-        TelemetryConfig {
-            window_sec: 0.0,
-            sample_ppm: 0,
-            exemplar_k: 0,
-        }
+        TelemetryConfig { on: false }
     }
 
-    /// The standard smoke/CI shape: 5 s windows, 1% sampled traces,
-    /// 8 exemplars per tail.
+    /// Telemetry on: windows, sampled traces and exemplars at the
+    /// constants above.
     #[must_use]
     pub const fn standard() -> Self {
-        TelemetryConfig {
-            window_sec: 5.0,
-            sample_ppm: 10_000,
-            exemplar_k: 8,
-        }
+        TelemetryConfig { on: true }
     }
 
-    /// True when any subsystem is on.
+    /// True when telemetry is on.
     #[must_use]
-    pub fn enabled(&self) -> bool {
-        self.windows_enabled() || self.sampling_enabled() || self.exemplars_enabled()
-    }
-
-    /// True when windowed series are collected.
-    #[must_use]
-    pub fn windows_enabled(&self) -> bool {
-        self.window_sec > 0.0
-    }
-
-    /// True when sampled tracing is on.
-    #[must_use]
-    pub fn sampling_enabled(&self) -> bool {
-        self.sample_ppm > 0
-    }
-
-    /// True when exemplar capture is on.
-    #[must_use]
-    pub fn exemplars_enabled(&self) -> bool {
-        self.exemplar_k > 0
-    }
-}
-
-impl Default for TelemetryConfig {
-    fn default() -> Self {
-        TelemetryConfig::off()
+    pub const fn enabled(&self) -> bool {
+        self.on
     }
 }
 

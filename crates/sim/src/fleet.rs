@@ -16,8 +16,8 @@
 //!   each session's run of its shard's window log, regrouped by session
 //!   in the worker) are folded back in user-index order so results are
 //!   independent of the thread count;
-//! * a **floor driver for engine overhead** — [`ScaleDriver`] is a
-//!   synthetic session with a few hundred bytes of scalar state (the
+//! * a **floor driver for engine overhead** — the private `ScaleDriver`
+//!   is a synthetic session with a few hundred bytes of scalar state (the
 //!   download core, one in-flight [`DownloadState`], an RNG, an EWMA
 //!   bandwidth estimate, the running summary and a pointer to the
 //!   shard's window log). It books energy and QoE through the same
@@ -26,9 +26,11 @@
 //!   (`ee360-core`'s fleet driver) cost 9–12 KB each, so this driver is
 //!   what the 100k-session memory budgets, the telemetry artifact and
 //!   the `BENCH_perf.json` fleet row measure: the engine's own cost with
-//!   the session work taken out. Its only inputs are the fleet's size,
-//!   seed, thread count and telemetry switches ([`FleetConfig`]); the
-//!   phone, retry policy and start spread are fixed.
+//!   the session work taken out. It is reached only through
+//!   [`run_scale_fleet`] and [`run_scale_fleet_telemetry`], and its only
+//!   inputs are the fleet's size, seed, thread count and telemetry switch
+//!   ([`FleetConfig`]); the phone, retry policy and start spread are
+//!   fixed.
 //!
 //! **Equivalence argument.** The event engine does not reimplement any
 //! streaming semantics: every event handler calls the *same*
@@ -241,7 +243,7 @@ pub fn shard_ranges(n: usize, shards: usize) -> Vec<Range<usize>> {
 /// `i * FLEET_FAULT_STRIDE + segment`. The stride is far longer than any
 /// video's segment count, so no session's fault keys overlap another
 /// session's fault stream.
-pub const FLEET_FAULT_STRIDE: usize = 100_000;
+const FLEET_FAULT_STRIDE: usize = 100_000;
 
 /// Bitrate (Mbps) of each rung of the scale driver's ladder
 /// (top-to-bottom). A one-second segment at a rung is `mbps × 1e6`
@@ -261,7 +263,7 @@ fn ladder_bits(level: usize, rung: usize) -> f64 {
 }
 
 /// Configuration of a scale-fleet run: the fleet's shape, its seed, the
-/// worker count and the telemetry switches. Every session runs on the
+/// worker count and the telemetry switch. Every session runs on the
 /// Pixel 3 power models under [`RetryPolicy::default_mobile`], starting
 /// within the fleet's first 2 s.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -276,9 +278,9 @@ pub struct FleetConfig {
     /// Worker threads for the sharded run (results are identical at any
     /// thread count).
     pub threads: usize,
-    /// Telemetry switches (windowed series, sampled tracing, exemplar
-    /// capture). All off by default, which keeps the fleet's outputs and
-    /// heap profile byte-identical to the pre-telemetry engine.
+    /// Telemetry switch (windowed series, sampled tracing and exemplar
+    /// capture together). Off by default, which keeps the fleet's outputs
+    /// and heap profile byte-identical to the pre-telemetry engine.
     pub telemetry: TelemetryConfig,
 }
 
@@ -300,7 +302,7 @@ impl FleetConfig {
         self
     }
 
-    /// Sets the telemetry switches (windowed series, sampled tracing,
+    /// Sets the telemetry switch (windowed series, sampled tracing,
     /// exemplars).
     pub fn with_telemetry(mut self, telemetry: TelemetryConfig) -> Self {
         self.telemetry = telemetry;
@@ -311,7 +313,7 @@ impl FleetConfig {
 /// Per-session scalar outcome of a scale-fleet session — everything the
 /// fold retains (≈180 bytes, no vectors).
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct SessionSummary {
+struct SessionSummary {
     /// Segment slots consumed (delivered + skipped).
     pub segments: usize,
     /// Segments delivered.
@@ -402,7 +404,7 @@ ee360_support::impl_json_struct!(FleetReport {
 /// Read-only inputs shared by every session of one shard: the traces by
 /// reference, the models by value (constructed deterministically).
 #[derive(Debug)]
-pub struct ScaleEnv<'a> {
+struct ScaleEnv<'a> {
     config: FleetConfig,
     network: &'a NetworkTrace,
     faults: &'a FaultPlan,
@@ -416,7 +418,7 @@ pub struct ScaleEnv<'a> {
 
 impl<'a> ScaleEnv<'a> {
     /// Builds the shared environment for one fleet run.
-    pub fn new(config: &FleetConfig, network: &'a NetworkTrace, faults: &'a FaultPlan) -> Self {
+    fn new(config: &FleetConfig, network: &'a NetworkTrace, faults: &'a FaultPlan) -> Self {
         Self {
             config: *config,
             network,
@@ -438,7 +440,7 @@ impl<'a> ScaleEnv<'a> {
 /// running [`SessionSummary`] and a pointer to its shard's window log.
 /// No allocation after construction but the log's amortised growth.
 #[derive(Debug)]
-pub struct ScaleDriver<'a> {
+struct ScaleDriver<'a> {
     env: &'a ScaleEnv<'a>,
     index: usize,
     core: SessionCore,
@@ -470,7 +472,7 @@ pub struct ScaleDriver<'a> {
     /// The shard's one append-only window log (see
     /// [`run_scale_shards`]), shared by every driver of the shard and
     /// touched only on a window transition (a handful of times per
-    /// session). It stays empty when windowing is off.
+    /// session). It stays empty when telemetry is off.
     windows: &'a RefCell<Vec<WindowCell>>,
 }
 
@@ -488,11 +490,10 @@ impl<'a> ScaleDriver<'a> {
     /// Builds session `index` of the fleet: its RNG stream is derived
     /// from `config.seed + index` (SplitMix64 decorrelates neighbours)
     /// and its fault keys live at `index * FLEET_FAULT_STRIDE`. When
-    /// windowing is on, the session's window cells are appended to
+    /// telemetry is on, the session's window cells are appended to
     /// `windows`, in window order.
-    pub fn new(env: &'a ScaleEnv<'a>, index: usize, windows: &'a RefCell<Vec<WindowCell>>) -> Self {
+    fn new(env: &'a ScaleEnv<'a>, index: usize, windows: &'a RefCell<Vec<WindowCell>>) -> Self {
         let rng = StdRng::seed_from_u64(env.config.seed.wrapping_add(index as u64));
-        let tel = env.config.telemetry;
         Self {
             env,
             index,
@@ -511,8 +512,8 @@ impl<'a> ScaleDriver<'a> {
             start_sec: 0.0,
             cur_window: WINDOW_NONE,
             window_end_sec: 0.0,
-            trace: (tel.sampling_enabled()
-                && sampled(env.config.seed, index as u64, tel.sample_ppm))
+            trace: (env.config.telemetry.enabled()
+                && sampled(env.config.seed, index as u64, TelemetryConfig::SAMPLE_PPM))
             .then(|| Box::new(Recorder::new(Level::Detail).with_capacity(TRACE_EVENT_CAPACITY))),
             windows,
         }
@@ -524,7 +525,7 @@ impl<'a> ScaleDriver<'a> {
     /// window log. That final snapshot is the session's final
     /// accumulators, which is what makes the series' final row bit-exact
     /// against the fleet report.
-    pub fn finish(mut self) -> (SessionSummary, Option<Box<Recorder>>) {
+    fn finish(mut self) -> (SessionSummary, Option<Box<Recorder>>) {
         self.seal_window();
         let mut summary = self.summary;
         summary.counters = *self.core.counters();
@@ -534,7 +535,7 @@ impl<'a> ScaleDriver<'a> {
 
     /// Appends bit-copies of the running accumulators the fold will
     /// total to the window log, as the cell for `cur_window` (nothing
-    /// before the first booking, so nothing with windowing off).
+    /// before the first booking, so nothing with telemetry off).
     fn seal_window(&mut self) {
         if self.cur_window == WINDOW_NONE {
             return;
@@ -618,19 +619,18 @@ impl<'a> ScaleDriver<'a> {
     }
 
     fn book(&mut self, outcome: DownloadOutcome, sched: &mut Scheduler) {
-        let tel = &self.env.config.telemetry;
-        if tel.windows_enabled() && self.core.clock_sec() >= self.window_end_sec {
+        if self.env.config.telemetry.enabled() && self.core.clock_sec() >= self.window_end_sec {
             // Lazy seal: the summary still holds the previous booking's
             // accumulators here, so a booking that lands in a later
             // window first snapshots the window it is leaving. The
             // cached window end makes the same-window fast path a single
             // compare; the divide only runs on a window transition.
-            let w = window_index(self.core.clock_sec(), tel.window_sec);
+            let w = window_index(self.core.clock_sec(), TelemetryConfig::WINDOW_SEC);
             if w != self.cur_window {
                 self.seal_window();
                 self.cur_window = w;
             }
-            self.window_end_sec = (f64::from(w) + 1.0) * tel.window_sec;
+            self.window_end_sec = (f64::from(w) + 1.0) * TelemetryConfig::WINDOW_SEC;
         }
         let k = self.next_segment;
         self.next_segment += 1;
@@ -735,14 +735,14 @@ impl SessionDriver for ScaleDriver<'_> {
 const MAX_SHARD_SESSIONS: usize = 16_384;
 
 /// Everything one shard hands back to the fold: summaries (always),
-/// the window log and sampled traces (when telemetry asked for them), the
+/// the window log and sampled traces (when telemetry is on), the
 /// engine stats, and — under `EE360_OBS_PROFILE=1` — the shard's own
 /// wall-clock phase timings.
 struct ShardOut {
     summaries: Vec<SessionSummary>,
     /// The shard's window log, sorted by session: each session's cells
     /// are one contiguous run in window order, and the runs follow
-    /// `summaries`. Empty when windowing is off.
+    /// `summaries`. Empty when telemetry is off.
     windows: Vec<WindowCell>,
     /// Dense window count this shard needs (`max(window) + 1`), read in
     /// the worker while its cells are cache-hot, so the fold thread
@@ -846,11 +846,10 @@ pub fn run_scale_fleet(
 /// `Detail` traces (user-index order).
 #[derive(Debug)]
 pub struct FleetTelemetry {
-    /// Telemetry switches the run used.
-    pub config: TelemetryConfig,
-    /// Cumulative windowed series; `None` when windowing was off.
+    /// Cumulative windowed series (always `Some` in a run with
+    /// telemetry on).
     pub series: Option<FleetSeries>,
-    /// Worst-K tail exemplars; `None` when exemplar capture was off.
+    /// Worst-K tail exemplars (always `Some` in a run with telemetry on).
     pub exemplars: Option<Exemplars>,
     /// `(session index, trace)` for every sampled session, in user
     /// order.
@@ -890,26 +889,24 @@ pub fn run_scale_fleet_telemetry(
         rec.observe("profile.fleet.dispatch_wall_sec", t);
     }
     let fold_timer = StageTimer::start(profiling);
-    let tel = config.telemetry;
+    let on = config.telemetry.enabled();
     let mut report = FleetReport {
         sessions: config.sessions,
         ..FleetReport::default()
     };
     let mut stats = EngineStats::default();
     let mut qoe_sum = 0.0f64;
-    let mut series = if tel.windows_enabled() {
+    let mut series = if on {
         // Dense windows sized by the shard-local maxima (computed while
         // the cells were hot in the workers), so every session folds
         // over the same window range.
         let n_windows = shards.iter().map(|s| s.n_windows).max().unwrap_or(1);
         // lint:allow(hot-path-alloc, "one allocation per fleet run: the dense window vector is sized once by the pre-pass, never grown")
-        Some(FleetSeries::new(tel.window_sec, n_windows))
+        Some(FleetSeries::new(TelemetryConfig::WINDOW_SEC, n_windows))
     } else {
         None
     };
-    let mut exemplars = tel
-        .exemplars_enabled()
-        .then(|| Exemplars::new(tel.exemplar_k as usize));
+    let mut exemplars = on.then(|| Exemplars::new(TelemetryConfig::EXEMPLAR_K as usize));
     let mut traces: Vec<(u64, Box<Recorder>)> = Vec::new();
     let mut session_index = 0u64;
     for shard in shards {
@@ -964,7 +961,7 @@ pub fn run_scale_fleet_telemetry(
     rec.count("fleet.events.download_complete", stats.download_completes);
     rec.count("fleet.events.fault_fire", stats.fault_fires);
     rec.count("fleet.events.stall_start", stats.stall_starts);
-    if tel.sampling_enabled() {
+    if on {
         rec.count("fleet.sampled_sessions", traces.len() as u64);
         rec.count(
             "fleet.trace_events",
@@ -979,8 +976,7 @@ pub fn run_scale_fleet_telemetry(
     if let Some(t) = fold_timer.stop() {
         rec.observe("profile.fleet.fold_wall_sec", t);
     }
-    let telemetry = tel.enabled().then(|| FleetTelemetry {
-        config: tel,
+    let telemetry = on.then(|| FleetTelemetry {
         series,
         exemplars,
         traces,
@@ -1012,7 +1008,7 @@ pub fn fleet_timeseries_json(
     let sampling = Json::Obj(vec![
         (
             "rate_ppm".to_owned(),
-            Json::Int(i64::from(telemetry.config.sample_ppm)),
+            Json::Int(i64::from(TelemetryConfig::SAMPLE_PPM)),
         ),
         (
             "sampled_sessions".to_owned(),
@@ -1054,7 +1050,7 @@ pub fn fleet_timeseries_json(
         ("sessions".to_owned(), Json::Int(config.sessions as i64)),
         (
             "window_sec".to_owned(),
-            Json::Num(telemetry.config.window_sec),
+            Json::Num(TelemetryConfig::WINDOW_SEC),
         ),
         (
             "timeseries".to_owned(),
@@ -1074,43 +1070,6 @@ pub fn fleet_timeseries_json(
         ("slo".to_owned(), slo_json),
         ("totals".to_owned(), totals),
     ])
-}
-
-/// The interleaved engine's per-session summaries in user order (test
-/// and inspection entry; retains one summary per session, so size the
-/// fleet accordingly).
-pub fn run_scale_summaries(
-    config: &FleetConfig,
-    network: &NetworkTrace,
-    faults: &FaultPlan,
-) -> Vec<SessionSummary> {
-    run_scale_shards(config, network, faults, false)
-        .into_iter()
-        .flat_map(|shard| shard.summaries)
-        .collect()
-}
-
-/// Reference semantics: every session driven alone on its own queue (no
-/// interleaving at all). [`run_scale_summaries`] must match this
-/// exactly — sessions share nothing mutable, so the global queue is
-/// observationally a bundle of independent per-session queues.
-pub fn run_scale_sessions_isolated(
-    config: &FleetConfig,
-    network: &NetworkTrace,
-    faults: &FaultPlan,
-) -> Vec<SessionSummary> {
-    let env = ScaleEnv::new(config, network, faults);
-    (0..config.sessions)
-        .map(|index| {
-            let windows = RefCell::new(Vec::new());
-            let mut drivers = vec![ScaleDriver::new(&env, index, &windows)];
-            let _ = drive_sessions(&mut drivers);
-            drivers
-                .pop()
-                .map(|driver| driver.finish().0)
-                .unwrap_or_default()
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -1176,6 +1135,41 @@ mod tests {
         }
     }
 
+    /// The interleaved engine's per-session summaries in user order.
+    fn run_scale_summaries(
+        config: &FleetConfig,
+        network: &NetworkTrace,
+        faults: &FaultPlan,
+    ) -> Vec<SessionSummary> {
+        run_scale_shards(config, network, faults, false)
+            .into_iter()
+            .flat_map(|shard| shard.summaries)
+            .collect()
+    }
+
+    /// Reference semantics: every session driven alone on its own queue
+    /// (no interleaving at all). `run_scale_summaries` must match this
+    /// exactly — sessions share nothing mutable, so the global queue is
+    /// observationally a bundle of independent per-session queues.
+    fn run_scale_sessions_isolated(
+        config: &FleetConfig,
+        network: &NetworkTrace,
+        faults: &FaultPlan,
+    ) -> Vec<SessionSummary> {
+        let env = ScaleEnv::new(config, network, faults);
+        (0..config.sessions)
+            .map(|index| {
+                let windows = RefCell::new(Vec::new());
+                let mut drivers = vec![ScaleDriver::new(&env, index, &windows)];
+                let _ = drive_sessions(&mut drivers);
+                drivers
+                    .pop()
+                    .map(|driver| driver.finish().0)
+                    .unwrap_or_default()
+            })
+            .collect()
+    }
+
     #[test]
     fn interleaved_fleet_matches_isolated_sessions() {
         let (network, faults) = chaos_inputs();
@@ -1195,17 +1189,12 @@ mod tests {
 
     #[test]
     fn windowed_shard_logs_match_sessions_driven_alone() {
-        // 2 s windows over 20 segments: sessions span more than 7
+        // 5 s windows over 40 segments: sessions span more than 7
         // windows, and each shard's drivers interleave in its log.
         let (network, faults) = chaos_inputs();
-        let telemetry = TelemetryConfig {
-            window_sec: 2.0,
-            sample_ppm: 0,
-            exemplar_k: 0,
-        };
-        let config = FleetConfig::new(24, 20, 31)
+        let config = FleetConfig::new(24, 40, 31)
             .with_threads(2)
-            .with_telemetry(telemetry);
+            .with_telemetry(TelemetryConfig::standard());
         let shards = run_scale_shards(&config, &network, &faults, false);
         let log: Vec<WindowCell> = shards.into_iter().flat_map(|shard| shard.windows).collect();
         let env = ScaleEnv::new(&config, &network, &faults);
@@ -1318,7 +1307,7 @@ mod tests {
         let (report, _, telemetry) =
             run_scale_fleet_telemetry(&config, &network, &faults, &mut ee360_obs::NoopRecorder);
         let telemetry = telemetry.expect("telemetry on");
-        let series = telemetry.series.as_ref().expect("windowing on");
+        let series = telemetry.series.as_ref().expect("telemetry on");
         let last = series.final_row().expect("windows");
         // f64 accumulators: bit-exact (identical += chain in user order).
         assert_eq!(last.stall_sec.to_bits(), report.total_stall_sec.to_bits());
@@ -1338,13 +1327,9 @@ mod tests {
     fn telemetry_artifact_is_thread_count_independent() {
         let (network, faults) = chaos_inputs();
         let run = |threads: usize| {
-            let config = FleetConfig::new(64, 12, 7)
+            let config = FleetConfig::new(512, 12, 7)
                 .with_threads(threads)
-                .with_telemetry(TelemetryConfig {
-                    window_sec: 4.0,
-                    sample_ppm: 100_000,
-                    exemplar_k: 4,
-                });
+                .with_telemetry(TelemetryConfig::standard());
             let (report, _, telemetry) =
                 run_scale_fleet_telemetry(&config, &network, &faults, &mut ee360_obs::NoopRecorder);
             let telemetry = telemetry.expect("telemetry on");
@@ -1353,7 +1338,7 @@ mod tests {
             (to_string(&json).unwrap(), telemetry.sampled_sessions())
         };
         let (baseline, sampled_set) = run(1);
-        assert!(!sampled_set.is_empty(), "10% of 64 sessions should sample");
+        assert!(!sampled_set.is_empty(), "1% of 512 sessions should sample");
         for threads in [4usize, 16] {
             let (json, sampled) = run(threads);
             assert_eq!(json, baseline, "{threads} threads diverged");
@@ -1383,23 +1368,22 @@ mod tests {
     #[test]
     fn sampled_sessions_carry_detail_traces() {
         let (network, faults) = chaos_inputs();
-        let config = FleetConfig::new(16, 10, 17).with_telemetry(TelemetryConfig {
-            window_sec: 0.0,
-            sample_ppm: 1_000_000, // keep everyone: every session traces
-            exemplar_k: 0,
-        });
+        let config = FleetConfig::new(800, 10, 17).with_telemetry(TelemetryConfig::standard());
         let (_, _, telemetry) =
             run_scale_fleet_telemetry(&config, &network, &faults, &mut ee360_obs::NoopRecorder);
         let telemetry = telemetry.expect("telemetry on");
-        assert_eq!(telemetry.traces.len(), 16);
+        let expected: Vec<u64> = (0..config.sessions as u64)
+            .filter(|&i| sampled(config.seed, i, TelemetryConfig::SAMPLE_PPM))
+            .collect();
+        assert!(!expected.is_empty(), "1% of 800 sessions should sample");
+        assert_eq!(
+            telemetry.sampled_sessions(),
+            expected,
+            "exactly the hash-sampled sessions trace, in user-index order"
+        );
         assert!(
             telemetry.trace_events() > 0,
             "chaos sessions must emit Detail events"
-        );
-        assert_eq!(
-            telemetry.sampled_sessions(),
-            (0..16u64).collect::<Vec<_>>(),
-            "traces arrive in user-index order"
         );
     }
 

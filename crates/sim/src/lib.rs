@@ -47,7 +47,7 @@ pub use buffer::{BufferStep, PlaybackBuffer};
 pub use decoder::DecoderPipeline;
 pub use fleet::{
     drive_sessions, run_scale_fleet, shard_ranges, EngineStats, EventKind, FleetConfig,
-    FleetReport, Scheduler, SessionDriver, SessionSummary,
+    FleetReport, Scheduler, SessionDriver,
 };
 pub use metrics::{SegmentRecord, SegmentTiming, SessionMetrics};
 pub use resilience::{

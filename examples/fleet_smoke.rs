@@ -2,7 +2,7 @@
 //!
 //! ```sh
 //! cargo run --release --example fleet_smoke
-//! cargo run --release --example fleet_smoke -- --timeseries --sample-rate 0.01 --slo
+//! cargo run --release --example fleet_smoke -- --telemetry
 //! ```
 //!
 //! Runs the `sim::fleet` scale engine over a seeded chaos plan and
@@ -15,20 +15,28 @@
 //! 4. the folded registry carries the `fleet.*` keys with reconciling
 //!    values (sessions counter = config, segments counter = report).
 //!
-//! With `--timeseries` (optionally `--sample-rate <frac>` and `--slo`)
-//! the telemetry pipeline runs too, and the smoke additionally verifies:
+//! With `--telemetry` the fleet's one telemetry switch is on
+//! (`TelemetryConfig::standard()`: 5 s windows, 1% sampled `Detail`
+//! traces, 8 exemplars per tail) and the default SLO report card is
+//! evaluated. The smoke additionally verifies:
 //!
 //! 5. `results/fleet_timeseries.json` is byte-identical at 1/4/16
 //!    threads,
 //! 6. the windowed series reconciles against the whole-run report —
 //!    integer-exact counters, bit-exact f64 accumulators,
-//! 7. the sampled-session set is a pure function of the seed, and the
-//!    SLO report card carries a verdict per objective.
+//! 7. the 1% hash sample keeps traces (the sampled set is a pure
+//!    function of the seed), and the SLO report card carries a verdict
+//!    per objective,
+//! 8. the same fleet with telemetry off serializes the same fleet report
+//!    byte for byte, and its registry differs only by the two sampling
+//!    counters (`fleet.sampled_sessions`, `fleet.trace_events`), so the
+//!    committed `results/fleet_report.json` pins the telemetry-off
+//!    report too.
 //!
 //! Writes `results/fleet_report.json` (+ `results/fleet_timeseries.json`
 //! when telemetry is on) and exits non-zero if any check fails.
 
-use ee360::obs::{default_slos, export, Level, Recorder, SloSpec, TelemetryConfig};
+use ee360::obs::{default_slos, export, Level, Recorder, TelemetryConfig};
 use ee360::sim::fleet::{
     fleet_timeseries_json, run_scale_fleet_telemetry, EngineStats, FleetConfig, FleetReport,
     FleetTelemetry,
@@ -40,41 +48,8 @@ use ee360_support::json::{to_string, to_string_pretty, Json, ToJson};
 const SESSIONS: usize = 10_000;
 const SEGMENTS: usize = 8;
 const SEED: u64 = 2022;
-const WINDOW_SEC: f64 = 5.0;
-const EXEMPLAR_K: u32 = 8;
-
-struct SmokeArgs {
-    telemetry: TelemetryConfig,
-    slos: Vec<SloSpec>,
-}
-
-fn parse_args() -> SmokeArgs {
-    let args: Vec<String> = std::env::args().collect();
-    let mut telemetry = TelemetryConfig::off();
-    let mut slos = Vec::new();
-    for (i, arg) in args.iter().enumerate() {
-        match arg.as_str() {
-            "--timeseries" => {
-                telemetry.window_sec = WINDOW_SEC;
-                telemetry.exemplar_k = EXEMPLAR_K;
-            }
-            "--sample-rate" => {
-                let rate: f64 = args
-                    .get(i + 1)
-                    .and_then(|v| v.parse().ok())
-                    .expect("--sample-rate takes a fraction, e.g. 0.01");
-                assert!(
-                    (0.0..=1.0).contains(&rate),
-                    "--sample-rate must be in [0, 1]"
-                );
-                telemetry.sample_ppm = (rate * 1_000_000.0).round() as u32;
-            }
-            "--slo" => slos = default_slos(),
-            _ => {}
-        }
-    }
-    SmokeArgs { telemetry, slos }
-}
+/// The fleet counters that only a telemetry run writes.
+const SAMPLING_COUNTERS: [&str; 2] = ["fleet.sampled_sessions", "fleet.trace_events"];
 
 struct RunOut {
     report: FleetReport,
@@ -86,20 +61,25 @@ struct RunOut {
     timeseries_json: Option<String>,
 }
 
-fn run(threads: usize, args: &SmokeArgs) -> RunOut {
+fn run(threads: usize, telemetry: TelemetryConfig) -> RunOut {
     let network = NetworkTrace::paper_trace2(300, 11);
     let faults = FaultPlan::generate(FaultConfig::chaos_default(), 300.0, 42).and_outage(40.0, 6.0);
     let config = FleetConfig::new(SESSIONS, SEGMENTS, SEED)
         .with_threads(threads)
-        .with_telemetry(args.telemetry);
+        .with_telemetry(telemetry);
     let mut rec = Recorder::new(Level::Summary);
     let (report, stats, telemetry) =
         run_scale_fleet_telemetry(&config, &network, &faults, &mut rec);
     let report_json = to_string(&report).expect("fleet report serializes");
     let obs_json = to_string(&export::report_json(&rec)).expect("obs report serializes");
     let timeseries_json = telemetry.as_ref().map(|tel| {
-        to_string_pretty(&fleet_timeseries_json(&config, &report, tel, &args.slos))
-            .expect("timeseries artifact serializes")
+        to_string_pretty(&fleet_timeseries_json(
+            &config,
+            &report,
+            tel,
+            &default_slos(),
+        ))
+        .expect("timeseries artifact serializes")
     });
     RunOut {
         report,
@@ -113,20 +93,24 @@ fn run(threads: usize, args: &SmokeArgs) -> RunOut {
 }
 
 fn main() {
-    let args = parse_args();
+    let telemetry = if std::env::args().any(|arg| arg == "--telemetry") {
+        TelemetryConfig::standard()
+    } else {
+        TelemetryConfig::off()
+    };
     println!("fleet smoke: {SESSIONS} sessions x {SEGMENTS} segments, seeded chaos");
-    if args.telemetry.enabled() {
+    if telemetry.enabled() {
         println!(
             "  telemetry: window {:.1} s, sample {} ppm, exemplar k={}, {} SLOs",
-            args.telemetry.window_sec,
-            args.telemetry.sample_ppm,
-            args.telemetry.exemplar_k,
-            args.slos.len()
+            TelemetryConfig::WINDOW_SEC,
+            TelemetryConfig::SAMPLE_PPM,
+            TelemetryConfig::EXEMPLAR_K,
+            default_slos().len()
         );
     }
 
     // 1. Completion.
-    let out = run(1, &args);
+    let out = run(1, telemetry);
     let report = out.report;
     assert_eq!(
         report.segments,
@@ -148,7 +132,7 @@ fn main() {
     );
 
     // 2. Same-seed replay, byte for byte.
-    let replay = run(1, &args);
+    let replay = run(1, telemetry);
     assert_eq!(
         out.report_json, replay.report_json,
         "fleet report must replay"
@@ -165,7 +149,7 @@ fn main() {
 
     // 3. Thread-count independence.
     for threads in [4usize, 16] {
-        let threaded = run(threads, &args);
+        let threaded = run(threads, telemetry);
         assert_eq!(
             out.report_json, threaded.report_json,
             "{threads} threads changed the fleet report"
@@ -202,9 +186,9 @@ fn main() {
     assert_eq!(qoe_hist.count(), SESSIONS as u64);
     println!("  registry: fleet.* keys present and reconciling");
 
-    // 5–7. Telemetry pipeline checks.
+    // 5–8. Telemetry pipeline checks.
     if let Some(tel) = out.telemetry.as_ref() {
-        let series = tel.series.as_ref().expect("--timeseries implies windows");
+        let series = tel.series.as_ref().expect("telemetry on implies windows");
         let last = series.final_row().expect("series has windows");
         assert_eq!(last.segments as usize, report.segments);
         assert_eq!(last.delivered as usize, report.delivered);
@@ -220,21 +204,19 @@ fn main() {
             "  timeseries: {} windows, final row reconciles bit-exactly",
             series.len()
         );
-        if args.telemetry.sampling_enabled() {
-            assert!(
-                !tel.traces.is_empty(),
-                "a 1% sample of 10k sessions must keep traces"
-            );
-            println!(
-                "  sampling: {} sessions kept Detail traces ({} events)",
-                tel.traces.len(),
-                tel.trace_events()
-            );
-        }
+        assert!(
+            !tel.traces.is_empty(),
+            "a 1% sample of 10k sessions must keep traces"
+        );
+        println!(
+            "  sampling: {} sessions kept Detail traces ({} events)",
+            tel.traces.len(),
+            tel.trace_events()
+        );
         let ex = tel
             .exemplars
             .as_ref()
-            .expect("--timeseries implies exemplars");
+            .expect("telemetry on implies exemplars");
         assert!(!ex.worst_stall.is_empty() && !ex.worst_qoe.is_empty());
         println!(
             "  exemplars: worst stall {:.2} s (session {}), worst QoE {:.2} (session {})",
@@ -243,6 +225,29 @@ fn main() {
             ex.worst_qoe.entries()[0].0,
             ex.worst_qoe.entries()[0].1.session
         );
+
+        let plain = run(1, TelemetryConfig::off());
+        assert!(
+            plain.telemetry.is_none(),
+            "telemetry off keeps no telemetry"
+        );
+        assert_eq!(
+            out.report_json, plain.report_json,
+            "telemetry changed the fleet report"
+        );
+        // The plain registry plus the two sampling counters must be the
+        // telemetry registry exactly: every other fleet.* entry is equal.
+        let mut expected = plain.rec.registry().clone();
+        for name in SAMPLING_COUNTERS {
+            assert!(reg.counter(name) > 0, "telemetry run must count {name}");
+            assert_eq!(expected.counter(name), 0, "plain run must not count {name}");
+            expected.inc(name, reg.counter(name));
+        }
+        assert!(
+            expected == *reg,
+            "telemetry changed a fleet.* registry entry beyond the sampling counters"
+        );
+        println!("  telemetry off: fleet report byte-identical, registry equal apart from the sampling counters");
     }
 
     // Export: fleet report + obs report in one artifact.

@@ -184,15 +184,17 @@ for key in schema sessions fleet_report obs_report mean_qoe total_energy_mj; do
 done
 
 echo "==> fleet telemetry smoke (windowed series + sampling + SLOs, blocking)"
-# The full ISSUE-10 telemetry pipeline over the same 10k-session fleet:
-# 5 s logical-time windows, 1% deterministic trace sampling, worst-K
-# exemplars, and the default SLO report card. The example exits non-zero
-# unless results/fleet_timeseries.json is byte-identical at 1/4/16
-# threads and the final window row reconciles bit-exactly with the
-# report; the greps pin the artifact schema, the per-window rows, the
-# tail exemplars, and the per-SLO verdicts.
-cargo run --release --offline --example fleet_smoke -- \
-  --timeseries --sample-rate 0.01 --slo
+# The fleet's one telemetry switch, on, over the same 10k-session fleet:
+# 5 s logical-time windows, 1% deterministic trace sampling, worst-8
+# exemplars (the TelemetryConfig constants), and the default SLO report
+# card. The example exits non-zero unless
+# results/fleet_timeseries.json is byte-identical at 1/4/16 threads, the
+# final window row reconciles bit-exactly with the report, and the same
+# fleet with telemetry off serializes the same fleet report bytes with
+# every fleet.* registry entry equal but the two sampling counters; the
+# greps pin the artifact schema, the per-window rows, the tail
+# exemplars, and the per-SLO verdicts.
+cargo run --release --offline --example fleet_smoke -- --telemetry
 for key in ee360.timeseries.v1 window_sec t_start_sec stall_hist \
            worst_stall worst_qoe sampled_sessions slo max_burn verdict; do
   grep -q "\"${key}\"" results/fleet_timeseries.json \
